@@ -2,7 +2,7 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload foa-salsa-dense --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload foa-salsa-dense --seed 1 --seconds 20 --trace 0
 
 Generates the workload's inputs from the seed, times a fresh interpreter's
 import of `seldkit.cli` (set-up), runs whole rounds of the workload's CLI
@@ -41,7 +41,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 
-SETUP_STARTS = 7
+SETUP_STARTS = 21
 SETUP_CODE = "import seldkit.cli as c; c.build_parser()"
 WORKER_TIMEOUT_S = 150
 
@@ -83,27 +83,24 @@ def audio_x(ops, op_seconds: list[list[float]]) -> float:
 
 
 def trace_metrics(res: dict) -> tuple[dict, list[str]]:
-    """Per-layer medians over traced rounds; counts must repeat exactly."""
-    from tracing import COUNTS
+    """Per-layer medians over traced rounds, with the units BENCHMARK.json
+    gives them; counts must repeat exactly."""
+    from tracing import REPEATED
 
+    units = {m["name"]: m["unit"]
+             for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     rounds = res["layers"]
     problems = [f"traced round {i} counts differ from round 0"
                 for i, r in enumerate(rounds[1:], 1)
-                if any(r[k] != rounds[0][k] for k in COUNTS)]
-    metrics = {}
-    for key in rounds[0]:
-        value = rounds[0][key] if key in COUNTS else statistics.median(r[key] for r in rounds)
-        if key.endswith("_s"):
-            unit = "s"
-        elif key.startswith("tensorfile.mb"):
-            unit = "MB"
-        elif key.endswith("_ratio"):
-            unit = "ratio"
-        else:
-            unit = "count"
-        metrics[key] = {"value": value, "unit": unit}
-    overhead = statistics.median(res["traced_s"]) / statistics.median(res["plain_s"])
-    metrics["trace.overhead_ratio"] = {"value": overhead, "unit": "ratio"}
+                if any(r[k] != rounds[0][k] for k in REPEATED)]
+    values = {key: rounds[0][key] if key in REPEATED
+              else statistics.median(r[key] for r in rounds) for key in rounds[0]}
+    values["trace.overhead_ratio"] = (statistics.median(res["traced_s"])
+                                      / statistics.median(res["plain_s"]))
+    if set(values) != set(units):
+        problems.append(f"traced metrics {sorted(set(values) ^ set(units))} "
+                        "do not match BENCHMARK.json's per_layer list")
+    metrics = {k: {"value": v, "unit": units.get(k, "")} for k, v in values.items()}
     return metrics, problems
 
 

@@ -2,22 +2,21 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/steady.py [--runs 10] [--workloads NAME ...] [--no-trace]
+    python3 perfbench/steady.py
 
-For every workload, runs `perfbench/run.py --trace 0` once per seed in set A
-(seeds 1..N) and then in set B (seeds 101..100+N), and prints for each
-end-to-end metric both sets' median, quartiles and interquartile spread as a
-share of the median, and whether the sets agree: set B's median no worse
-than set A's by more than the bound in BENCHMARK.json, each spread below a
-third of its bound (set-up time excepted), and the same share of failed
-operations. It then runs `--trace 1` twice on seed 1 and requires every
-traced count to repeat exactly. Raw values go to
+For every workload in BENCHMARK.json, runs `perfbench/run.py --trace 0` once
+per seed in set A (seeds 1..10) and then in set B (seeds 101..110), and
+prints for each end-to-end metric both sets' median, quartiles and
+interquartile spread as a share of the median, and whether the sets agree:
+set B's median no worse than set A's by more than the bound in
+BENCHMARK.json, each spread below a third of its bound, and the same share
+of failed operations. It then runs `--trace 1` twice on seed 1 and requires
+every traced count to repeat exactly. Raw values go to
 perfbench/results/steady-<time>.json. Exits 1 if anything disagrees.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import subprocess
@@ -25,9 +24,12 @@ import sys
 import time
 from pathlib import Path
 
+from tracing import REPEATED
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SET_SEEDS = {"A": 1, "B": 101}
+RUNS = 10  # runs per set and workload
 
 
 def run(workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -52,18 +54,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main() -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10, help="runs per set and workload")
-    parser.add_argument("--workloads", nargs="+", choices=names, default=names)
-    parser.add_argument("--no-trace", action="store_true", help="skip the traced repeats")
-    args = parser.parse_args()
     seconds = bench["run_seconds"]
-    record: dict = {"run_seconds": seconds, "runs": args.runs, "sets": {}, "trace": {}}
+    record: dict = {"run_seconds": seconds, "runs": RUNS, "sets": {}, "trace": {}}
     ok = True
 
     for set_name, first in SET_SEEDS.items():
-        for wl in args.workloads:
-            for seed in range(first, first + args.runs):
+        for wl in names:
+            for seed in range(first, first + RUNS):
                 t0 = time.perf_counter()
                 res = run(wl, seed, seconds, 0)
                 res["wall_s"] = time.perf_counter() - t0
@@ -74,7 +71,7 @@ def main() -> int:
 
     print(f"| workload | metric | set | median | q1 | q3 | spread | bound | B vs A |")
     print("|---|---|---|---|---|---|---|---|---|")
-    for wl in args.workloads:
+    for wl in names:
         shares = {s: {r["failed"] / r["attempted"] for r in record["sets"][s][wl]}
                   for s in SET_SEEDS}
         if len(shares["A"] | shares["B"]) != 1:
@@ -88,7 +85,7 @@ def main() -> int:
                 q1, q2, q3 = quartiles(values)
                 med[s] = q2
                 spread = (q3 - q1) / q2
-                steady = name == "setup_s" or spread < bound / 3
+                steady = spread < bound / 3
                 ok &= steady
                 worse = (med[s] - med["A"]) / med["A"]
                 if metric["better"] == "higher":
@@ -99,19 +96,16 @@ def main() -> int:
                 print(f"| {wl} | {name} | {s} | {q2:.4g} | {q1:.4g} | {q3:.4g} | "
                       f"{spread:.1%}{'' if steady else ' (>bound/3)'} | {bound} | {verdict} |")
 
-    if not args.no_trace:
-        for wl in args.workloads:
-            first, second = (run(wl, 1, seconds, 1) for _ in range(2))
-            record["trace"][wl] = [first, second]
-            counts = [k for k, v in first["metrics"].items()
-                      if v["unit"] in ("count", "MB") or k == "spatial.selected_ratio"]
-            moved = [k for k in counts
-                     if first["metrics"][k]["value"] != second["metrics"][k]["value"]]
-            correct = first["correct"] and second["correct"]
-            ok &= correct and not moved
-            overhead = [r["metrics"]["trace.overhead_ratio"]["value"] for r in (first, second)]
-            print(f"trace {wl}: correct={correct} counts repeat={not moved} {moved or ''} "
-                  f"overhead={overhead[0]:.3f},{overhead[1]:.3f}")
+    for wl in names:
+        first, second = (run(wl, 1, seconds, 1) for _ in range(2))
+        record["trace"][wl] = [first, second]
+        moved = [k for k in REPEATED
+                 if first["metrics"][k]["value"] != second["metrics"][k]["value"]]
+        correct = first["correct"] and second["correct"]
+        ok &= correct and not moved
+        overhead = [r["metrics"]["trace.overhead_ratio"]["value"] for r in (first, second)]
+        print(f"trace {wl}: correct={correct} counts repeat={not moved} {moved or ''} "
+              f"overhead={overhead[0]:.3f},{overhead[1]:.3f}")
 
     out = HERE / "results" / f"steady-{time.strftime('%Y%m%d-%H%M%S')}.json"
     out.parent.mkdir(exist_ok=True)

@@ -35,6 +35,8 @@ COUNTS = (
     "synth.cells", "metrics.rows", "metrics.matched_pairs",
     "tensorfile.mb_written", "tensorfile.mb_read",
 )
+# Fixed by the inputs, so equal in every round and every run of a seed.
+REPEATED = COUNTS + ("spatial.selected_ratio",)
 
 
 class Tracer:

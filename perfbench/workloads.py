@@ -225,13 +225,16 @@ def foa_salsa_dense(work: Path, seed: int) -> Workload:
         stem = f"foa{i}"
         samples = _write_wav(inp / f"{stem}.wav", render_foa(rng, events, FOA_SECONDS))
         files[stem] = {"samples": samples, "events": events}
+    # One call per clip, so that the per-call median over rounds can drop a
+    # stall in one clip without dropping the whole round.
     ops = [
         Op(
-            "extract-foa-salsa",
-            ["extract", str(inp), "--format", "foa", "--feature", "salsa",
-             "--out", "{out}/feat"],
-            FOA_FILES * FOA_SECONDS,
+            f"extract-salsa-{stem}",
+            ["extract", str(inp / f"{stem}.wav"), "--format", "foa", "--feature",
+             "salsa", "--out", "{out}/feat"],
+            FOA_SECONDS,
         )
+        for stem in files
     ]
     return Workload("foa-salsa-dense", ops, {"files": files})
 
