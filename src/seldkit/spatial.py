@@ -1,5 +1,11 @@
 """Spatial analysis: local covariance, principal eigenvectors, bin selection,
-and the combined spectrogram + eigenvector-direction feature stack."""
+and the combined spectrogram + eigenvector-direction feature stack.
+
+One batched core computes covariances by gathering each bin's frames
+(`_covariances_at`), Hermitian eigendecompositions (`_principal`), coherence
+ratios (`_dominance`) and direction cues (`_directions`). `salsa` runs it on
+every candidate bin; the per-bin functions below run it on one.
+"""
 
 from __future__ import annotations
 
@@ -102,10 +108,10 @@ class CovarianceEstimate:
 
 @dataclass
 class EigenSummary:
-    """Principal singular vector and the singular value spectrum of a covariance."""
+    """Principal eigenvector and the eigenvalue spectrum of a Hermitian covariance."""
 
     vector: np.ndarray  # (M,) complex, unit norm
-    values: np.ndarray  # descending, >= 0
+    values: np.ndarray  # absolute eigenvalues, descending, >= 0
 
 
 def local_covariance(
@@ -126,19 +132,18 @@ def local_covariance(
         raise ValueError(f"bin (t={t}, f={f}) out of range")
     if half_window < 0:
         raise ValueError("half_window must be >= 0")
-    lo = max(t - half_window, 0)
-    hi = min(t + half_window, T - 1)
-    block = spec.data[:, lo : hi + 1, f]  # (M, frames)
-    cov = block @ block.conj().T / block.shape[1]
-    return CovarianceEstimate(matrix=cov, frames_used=block.shape[1])
+    cov, used = _covariances_at(spec.data, np.array([t]), np.array([f]), half_window)
+    return CovarianceEstimate(matrix=cov[0], frames_used=int(used[0]))
 
 
 def eigen_summary(matrix: np.ndarray, check: bool = True) -> EigenSummary:
-    """Singular value decomposition of a Hermitian PSD matrix.
+    """Hermitian eigendecomposition of a PSD matrix.
 
-    The principal vector's phase is fixed by making its first component of
-    magnitude >= 1e-12 real and non-negative, so repeated calls are
-    deterministic.
+    The principal vector belongs to the largest eigenvalue. Its phase is fixed
+    by making its first component of magnitude >= 1e-12 real and non-negative,
+    so repeated calls are deterministic. The values are the absolute
+    eigenvalues in descending order, which for a Hermitian matrix equal its
+    singular values.
 
     Args:
         matrix: (M, M) Hermitian positive semi-definite.
@@ -152,10 +157,8 @@ def eigen_summary(matrix: np.ndarray, check: bool = True) -> EigenSummary:
         raise ValueError("matrix must be square")
     if check and not np.allclose(matrix, matrix.conj().T, atol=1e-10 * (1 + np.abs(matrix).max())):
         raise ValueError("matrix is not Hermitian")
-    u, s, _ = np.linalg.svd(matrix)
-    vec = u[:, 0]
-    vec = _fix_phase(vec[None, :])[0]
-    return EigenSummary(vector=vec, values=s)
+    vectors, values = _principal(matrix[None])
+    return EigenSummary(vector=_fix_phase(vectors)[0], values=values[0])
 
 
 def _fix_phase(vectors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
@@ -175,14 +178,14 @@ def _fix_phase(vectors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
 
 
 def dominance_ratio(summary: EigenSummary, eps: float = 1e-12) -> float:
-    """Ratio of the two largest singular values, sigma1 / (sigma2 + eps).
+    """Ratio of the two largest absolute eigenvalues, lambda1 / (lambda2 + eps).
 
     Large ratios indicate a single dominant propagation direction at the bin;
     the selection threshold compares against BinSelectionConfig.beta_ratio.
     """
     if len(summary.values) < 2:
         raise ValueError("need at least a 2x2 covariance")
-    return float(summary.values[0] / (summary.values[1] + eps))
+    return float(_dominance(summary.values, eps))
 
 
 def track_noise_floor(mag: np.ndarray, cfg: BinSelectionConfig) -> np.ndarray:
@@ -246,14 +249,7 @@ def eigenvector_intensity_vector(
     the real part of the remaining components and scales to unit norm. Returns
     the zero vector when the first component or the real part is degenerate.
     """
-    u = summary.vector
-    if abs(u[0]) < eps:
-        return np.zeros(len(u) - 1)
-    v = np.real(u[1:] / u[0])
-    n = np.linalg.norm(v)
-    if n < eps:
-        return np.zeros(len(u) - 1)
-    return v / n
+    return _directions(summary.vector[None], "foa", eps)[0]
 
 
 def eigenvector_phase_vector(
@@ -270,11 +266,7 @@ def eigenvector_phase_vector(
     Returns zeros for non-positive frequencies or a degenerate reference
     component.
     """
-    u = summary.vector
-    if f_hz <= 0 or abs(u[0]) < eps:
-        return np.zeros(len(u) - 1)
-    phases = np.angle(u[1:] / u[0])
-    return -speed_of_sound * phases / (2.0 * np.pi * f_hz)
+    return _directions(summary.vector[None], "mic", eps, np.array([f_hz]), speed_of_sound)[0]
 
 
 def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.ndarray:
@@ -284,44 +276,67 @@ def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.nda
 
 
 def _covariances_at(
-    data: np.ndarray, t_idx: np.ndarray, f_idx: np.ndarray, half: int, chunk: int = 64
-) -> np.ndarray:
-    """Sliding-window covariances at the given (t, f) bins, vectorized.
+    data: np.ndarray, t_idx: np.ndarray, f_idx: np.ndarray, half: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local covariances (N, M, M) and frame counts (N,) at the (t, f) bins.
 
-    data is (M, T, F); returns (len(t_idx), M, M). Uses cumulative sums of the
-    upper-triangle channel pair products, chunked over frequency to bound
-    memory.
+    data is (M, T, F). Each bin averages x x^H over frames t-half..t+half,
+    summed one offset at a time (so the only temporary is one (N, M, M)
+    product), with frames past either end of the clip masked out.
     """
-    M, T, F = data.shape
-    counts = (
-        np.minimum(np.arange(T) + half, T - 1) - np.maximum(np.arange(T) - half, 0) + 1
-    ).astype(np.float64)
-    lo = np.maximum(np.arange(T) - half, 0)
-    hi = np.minimum(np.arange(T) + half, T - 1)
-    out = np.empty((len(t_idx), M, M), dtype=np.complex128)
-    order = np.argsort(f_idx, kind="stable")
-    t_sorted, f_sorted = t_idx[order], f_idx[order]
-    pos = 0
-    for f0 in range(0, F, chunk):
-        f1 = min(f0 + chunk, F)
-        n_here = np.searchsorted(f_sorted, f1) - pos
-        if n_here == 0:
-            continue
-        ti = t_sorted[pos : pos + n_here]
-        fi = f_sorted[pos : pos + n_here] - f0
-        sub = data[:, :, f0:f1]
-        for i in range(M):
-            for j in range(i, M):
-                prod = sub[i] * np.conj(sub[j])
-                cs = np.empty((T + 1, f1 - f0), dtype=np.complex128)
-                cs[0] = 0.0
-                np.cumsum(prod, axis=0, out=cs[1:])
-                mean = (cs[hi + 1] - cs[lo]) / counts[:, None]
-                vals = mean[ti, fi]
-                out[order[pos : pos + n_here], i, j] = vals
-                if i != j:
-                    out[order[pos : pos + n_here], j, i] = np.conj(vals)
-        pos += n_here
+    M, T, _ = data.shape
+    cov = np.zeros((len(t_idx), M, M), dtype=np.complex128)
+    for d in range(-half, half + 1):
+        frames = t_idx + d
+        inside = (frames >= 0) & (frames < T)
+        x = data[:, np.clip(frames, 0, T - 1), f_idx].T * inside[:, None]  # (N, M)
+        cov += x[:, :, None] * x[:, None, :].conj()
+    used = np.minimum(t_idx + half, T - 1) - np.maximum(t_idx - half, 0) + 1
+    return cov / used[:, None, None], used
+
+
+def _principal(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Principal eigenvectors (N, M) and descending absolute eigenvalues (N, M).
+
+    cov is (N, M, M) Hermitian; the vector belongs to the largest eigenvalue.
+    """
+    w, v = np.linalg.eigh(cov)
+    return v[:, :, -1], np.sort(np.abs(w), axis=1)[:, ::-1]
+
+
+def _dominance(values: np.ndarray, eps: float) -> np.ndarray:
+    """lambda1 / (lambda2 + eps) of descending eigenvalues (..., M)."""
+    return values[..., 0] / (values[..., 1] + eps)
+
+
+def _directions(
+    vectors: np.ndarray,
+    kind: str,
+    eps: float,
+    f_hz: np.ndarray | None = None,
+    speed_of_sound: float = SPEED_OF_SOUND,
+) -> np.ndarray:
+    """Direction cues (N, M-1) from principal eigenvectors (N, M).
+
+    Each vector is divided by its first (reference) component. foa keeps the
+    real part scaled to unit norm; mic converts the phases to path-length
+    differences in metres at f_hz (N,). Rows with a reference component below
+    eps, a foa real part of norm below eps or a non-positive mic frequency are
+    zero.
+    """
+    u0 = vectors[:, 0]
+    ok = np.abs(u0) >= eps
+    if kind == "mic":
+        ok &= f_hz > 0
+    ubar = vectors[ok, 1:] / u0[ok, None]
+    out = np.zeros((len(vectors), vectors.shape[1] - 1))
+    if kind == "foa":
+        v = np.real(ubar)
+        norms = np.linalg.norm(v, axis=1, keepdims=True)
+        v = np.divide(v, norms, out=np.zeros_like(v), where=norms >= eps)
+    else:
+        v = -speed_of_sound * np.angle(ubar) / (2.0 * np.pi * f_hz[ok, None])
+    out[ok] = v
     return out
 
 
@@ -333,15 +348,16 @@ def salsa(
     """Log spectrograms stacked with per-bin principal-eigenvector directions.
 
     Pipeline per TF bin: adaptive noise floor and running-RMS magnitude test
-    on the first channel, local covariance and dominance-ratio test inside the
-    passband, then a direction feature from the principal eigenvector
+    on the first channel; inside the passband, the local covariance's Hermitian
+    eigendecomposition and the dominance-ratio test on its two largest absolute
+    eigenvalues; then a direction feature from the principal eigenvector
     (real-part intensity style for foa, phase/delay style for mic). Spatial
     channels are zero wherever any test fails or outside [f_low, f_high].
     All channels pass through high-band compression at the end.
 
     Args:
         spec: complex spectrogram, channels x frames x bins.
-        fmt: input format; foa uses 4 ambisonic channels.
+        fmt: input format; its channel count must match the spectrogram's.
         cfg: selection config; defaults to the format's standard cutoffs.
 
     Returns:
@@ -350,10 +366,8 @@ def salsa(
     if cfg is None:
         cfg = BinSelectionConfig.for_format(fmt.kind)
     M, T, F = spec.data.shape
-    if fmt.kind == "foa" and M != 4:
-        raise ValueError(f"foa input must have 4 channels, got {M}")
-    if M < 2:
-        raise ValueError("need at least 2 channels")
+    if M != fmt.n_channels:
+        raise ValueError(f"{fmt.kind} input must have {fmt.n_channels} channels, got {M}")
 
     spec_feat = log_linear_spectrogram(spec, floor=cfg.log_floor)
 
@@ -361,34 +375,16 @@ def salsa(
     floor = track_noise_floor(mag, cfg)
     mag_mask = magnitude_test(mag, floor, cfg)
     band = passband_bins(F, spec.bin_hz, cfg)
-    cand = mag_mask & band[None, :]
+    t_idx, f_idx = np.nonzero(mag_mask & band[None, :])
 
+    cov, _ = _covariances_at(spec.data, t_idx, f_idx, cfg.cov_half_window)
+    vectors, values = _principal(cov)
+    coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
+    t_idx, f_idx = t_idx[coherent], f_idx[coherent]
     spatial = np.zeros((M - 1, T, F))
-    t_idx, f_idx = np.nonzero(cand)
-    if len(t_idx):
-        cov = _covariances_at(spec.data, t_idx, f_idx, cfg.cov_half_window)
-        u, s, _ = np.linalg.svd(cov)
-        coherent = s[:, 0] > cfg.beta_ratio * (s[:, 1] + cfg.ratio_eps)
-        u0 = u[:, 0, 0]
-        ok = coherent & (np.abs(u0) >= cfg.component_eps)
-        if np.any(ok):
-            ubar = u[ok, 1:, 0] / u0[ok, None]
-            if fmt.kind == "foa":
-                v = np.real(ubar)
-                norms = np.linalg.norm(v, axis=1)
-                good = norms >= cfg.component_eps
-                v[good] /= norms[good, None]
-                v[~good] = 0.0
-            else:
-                f_hz = f_idx[ok] * spec.bin_hz
-                v = np.zeros_like(ubar, dtype=np.float64)
-                pos = f_hz > 0
-                v[pos] = (
-                    -cfg.speed_of_sound
-                    * np.angle(ubar[pos])
-                    / (2.0 * np.pi * f_hz[pos, None])
-                )
-            spatial[:, t_idx[ok], f_idx[ok]] = v.T
+    spatial[:, t_idx, f_idx] = _directions(
+        vectors[coherent], fmt.kind, cfg.component_eps, f_idx * spec.bin_hz, cfg.speed_of_sound
+    ).T
 
     stacked = np.concatenate([spec_feat.data, spatial], axis=0)
     compressed = compress_high_bands(stacked, cfg.compress_start_bin, cfg.compress_factor)

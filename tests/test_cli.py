@@ -74,6 +74,15 @@ def test_extract_exit_codes(tmp_path, corpus):
     assert main(["extract", str(bad)] + base) == 3
 
 
+def test_extract_mic_salsa_rejects_channel_count_mismatch(tmp_path):
+    # The default mic array has 4 capsules.
+    wav = _wav(tmp_path / "six.wav", channels=6)
+    out = tmp_path / "o"
+    assert main(["extract", str(wav), "--format", "mic", "--feature", "salsa",
+                 "--out", str(out)]) == 3
+    assert not list(out.glob("*.ftb"))
+
+
 def test_extract_sample_rate_gate(tmp_path):
     wav = _wav(tmp_path / "hi.wav", rate=32000)
     out = str(tmp_path / "o")

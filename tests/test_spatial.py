@@ -8,7 +8,10 @@ from seldkit import (
     BinSelectionConfig,
     ComplexSpectrogram,
     SPEED_OF_SOUND,
+    SceneDescription,
+    SourceSpec,
     StftConfig,
+    compress_high_bands,
     dominance_ratio,
     eigen_summary,
     eigenvector_intensity_vector,
@@ -56,17 +59,20 @@ def test_local_covariance_edge_windows_shrink():
         local_covariance(spec, 10, 0, 3)
 
 
-def test_vectorized_covariances_agree_with_single_bin_route():
-    # The batched sliding-window path and the per-bin path must be the same
-    # estimator; they are implemented independently.
+def test_batched_covariances_match_direct_sum():
+    # Every frame, including those within `half` of either end where the
+    # window is truncated, against the loop-based oracle.
     rng = np.random.default_rng(2)
-    spec = _random_spec(rng, frames=40, bins=100)
-    t_idx = rng.integers(0, 40, size=60)
-    f_idx = rng.integers(0, 100, size=60)
-    batch = _covariances_at(spec.data, t_idx, f_idx, half=3)
-    for k in range(60):
-        single = local_covariance(spec, int(t_idx[k]), int(f_idx[k]), 3)
-        np.testing.assert_allclose(batch[k], single.matrix, atol=1e-10)
+    spec = _random_spec(rng, frames=12, bins=30)
+    t_idx = np.repeat(np.arange(12), 3)
+    f_idx = rng.integers(0, 30, size=len(t_idx))
+    for half in (0, 1, 3):
+        batch, used = _covariances_at(spec.data, t_idx, f_idx, half)
+        for k in range(len(t_idx)):
+            t, f = int(t_idx[k]), int(f_idx[k])
+            ref, ref_used = oracles.naive_local_covariance(spec.data, t, f, half)
+            assert used[k] == ref_used
+            np.testing.assert_allclose(batch[k], ref, atol=1e-12, err_msg=f"half={half}")
 
 
 def test_eigen_summary_agrees_with_power_iteration():
@@ -245,3 +251,79 @@ def test_salsa_silence_has_no_spatial_content():
     spec = ComplexSpectrogram(data, 46.875, 80.0)
     feat = salsa(spec, ArrayFormat("foa"))
     assert np.all(feat.data[4:] == 0.0)
+
+
+def _two_source_spec(kind, seed):
+    sources = [
+        SourceSpec(class_id=0, onset=0.15, offset=0.9, signal="noise",
+                   params={"f_low": 300.0, "f_high": 8500.0},
+                   trajectory=[(0.0, 30.0, 10.0), (1.0, 60.0, 20.0)]),
+        SourceSpec(class_id=1, onset=0.3, offset=1.0, signal="chirp", gain=0.8,
+                   params={"f_start": 400.0, "f_end": 6000.0},
+                   trajectory=[(0.0, -120.0, -15.0)]),
+    ]
+    scene = SceneDescription(fmt=ArrayFormat(kind), duration=1.0, sources=sources,
+                             noise_power=1e-4, seed=seed)
+    return render_scene(scene, StftConfig())[0]
+
+
+def _short_spec():
+    # 6 frames: every covariance window (7 frames wide) is truncated, and a
+    # rank-one burst in the last frames clears the magnitude test.
+    rng = np.random.default_rng(9)
+    data = 0.01 * (rng.standard_normal((4, 6, 257)) + 1j * rng.standard_normal((4, 6, 257)))
+    steer = rng.standard_normal((4, 1, 257)) + 1j * rng.standard_normal((4, 1, 257))
+    data[:, 4:] += steer * rng.standard_normal((1, 2, 257))
+    return ComplexSpectrogram(data, bin_hz=46.875, frame_rate=80.0)
+
+
+def _reference_salsa_spatial(spec, fmt):
+    """Direction channels from oracle covariances, SVD and the paper's formulas."""
+    cfg = BinSelectionConfig.for_format(fmt.kind)
+    M, T, F = spec.data.shape
+    mag = np.abs(spec.data[0])
+    cand = magnitude_test(mag, track_noise_floor(mag, cfg), cfg)
+    cand &= passband_bins(F, spec.bin_hz, cfg)[None, :]
+    spatial = np.zeros((M - 1, T, F))
+    for t, f in zip(*np.nonzero(cand)):
+        cov, _ = oracles.naive_local_covariance(spec.data, t, f, cfg.cov_half_window)
+        u, s, _ = np.linalg.svd(cov)
+        if not s[0] > cfg.beta_ratio * (s[1] + cfg.ratio_eps):
+            continue
+        if abs(u[0, 0]) < cfg.component_eps:
+            continue
+        ubar = u[1:, 0] / u[0, 0]
+        if fmt.kind == "foa":
+            v = np.real(ubar)
+            norm = np.linalg.norm(v)
+            spatial[:, t, f] = v / norm if norm >= cfg.component_eps else 0.0
+        elif f > 0:
+            spatial[:, t, f] = -cfg.speed_of_sound * np.angle(ubar) / (2 * np.pi * f * spec.bin_hz)
+    return spatial, int(cand.sum())
+
+
+@pytest.mark.parametrize(
+    "case", ["foa-two-source", "mic-two-source", "foa-silent", "foa-short", "mic-short"]
+)
+def test_salsa_spatial_channels_match_svd_reference(case):
+    kind, clip = case.split("-", 1)
+    fmt = ArrayFormat(kind)
+    if clip == "two-source":
+        spec = _two_source_spec(kind, seed=11)
+    elif clip == "short":
+        spec = _short_spec()
+    else:
+        spec = ComplexSpectrogram(np.zeros((4, 40, 257), dtype=complex), 46.875, 80.0)
+    ref, n_candidates = _reference_salsa_spatial(spec, fmt)
+    assert (n_candidates == 0) == (clip == "silent")
+
+    feat = salsa(spec, fmt)
+    cfg = BinSelectionConfig.for_format(kind)
+    spatial = feat.data[4:]
+    uncompressed = slice(0, cfg.compress_start_bin)
+    np.testing.assert_array_equal(
+        np.any(spatial[:, :, uncompressed] != 0, axis=0),
+        np.any(ref[:, :, uncompressed] != 0, axis=0),
+    )
+    expected = compress_high_bands(ref, cfg.compress_start_bin, cfg.compress_factor)
+    np.testing.assert_allclose(spatial, expected, rtol=0, atol=1e-9)
