@@ -182,41 +182,43 @@ def _swap_mic(
     if groups["spatial"]:
         # Relative-delay channels: re-reference to the new first channel and
         # re-wrap each bin's phase, matching what a re-rendered scene yields.
+        # Channel m holds capsule m's delay relative to capsule 0, whose own
+        # delay is zero; one output channel is rebuilt at a time.
         sp = groups["spatial"]
         M = len(perm)
         if len(sp) != M - 1:
             raise ValueError("mic spatial block must have M - 1 channels")
-        T, B = data.shape[1], data.shape[2]
-        d_full = np.zeros((M, T, B))
-        d_full[1:] = data[sp]
-        new_d = d_full[list(perm)] - d_full[perm[0]][None]
+        B = data.shape[2]
+
+        def delay(capsule):
+            return data[sp[capsule - 1]] if capsule else 0.0
+
         bin_hz = float(feat.meta.get("bin_hz", 0.0))
         start = int(feat.meta.get("compress_start_bin", B))
-        if bin_hz > 0:
-            # Only the uncompressed low bands carry per-bin phase; averaged
-            # high bands have no single frequency to wrap against.
-            head = new_d[..., : min(start, B)]
-            freqs = np.arange(head.shape[-1]) * bin_hz
-            pos = freqs > 0
+        # Only the uncompressed low bands carry per-bin phase; averaged
+        # high bands have no single frequency to wrap against.
+        freqs = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
+        pos = freqs > 0
+        for m in range(1, M):
+            new_d = delay(perm[m]) - delay(perm[0])
+            head = new_d[..., : len(freqs)]
             phase = -2.0 * np.pi * freqs[pos] * head[..., pos] / speed_of_sound
             wrapped = np.arctan2(np.sin(phase), np.cos(phase))
             head[..., pos] = -speed_of_sound * wrapped / (2.0 * np.pi * freqs[pos])
-        out[sp] = new_d[1:]
+            out[sp[m - 1]] = new_d
 
-    if groups["gcc"]:
+    gcc = groups["gcc"]
+    if gcc:
         pairs = channel_pairs(len(perm))
         index = {p: k for k, p in enumerate(pairs)}
-        if len(groups["gcc"]) != len(pairs):
+        if len(gcc) != len(pairs):
             raise ValueError("gcc block size does not match the channel count")
-        gcc = data[groups["gcc"]]
-        swapped = np.empty_like(gcc)
         for k, (i, j) in enumerate(pairs):
             a, b = perm[i], perm[j]
             if a < b:
-                swapped[k] = gcc[index[(a, b)]]
+                out[gcc[k]] = data[gcc[index[(a, b)]]]
             else:
-                swapped[k] = _reverse_lags(gcc[index[(b, a)]])
-        out[groups["gcc"]] = swapped
+                out[gcc[k]] = _reverse_lags(data[gcc[index[(b, a)]]])
     return out
 
 

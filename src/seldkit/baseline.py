@@ -9,7 +9,10 @@ from . import spatial
 from .stft import (
     ComplexSpectrogram,
     FeatureTensor,
+    apply_filterbank,
     compress_high_bands,
+    compressed_bands,
+    frame_blocks,
     log_linear_spectrogram,
     log_mel_spectrogram,
     mel_filterbank,
@@ -53,7 +56,7 @@ def mel_intensity_vector(
     """
     if filterbank.shape[0] != iv.shape[-1]:
         raise ValueError("filterbank rows must match intensity vector bins")
-    proj = iv @ filterbank
+    proj = apply_filterbank(iv, filterbank)
     norms = np.linalg.norm(proj, axis=0)
     good = norms >= eps
     out = np.zeros_like(proj)
@@ -114,7 +117,10 @@ def assemble(
       linspecgcc  4 log-linear + 6 GCC-PHAT (F' lags)    -> 10 x T x F'
       salsa       4 log-linear + 3 eigenvector direction -> 7 x T x F'
     where F' is the band count after high-band compression. Intensity-vector
-    kinds require the foa format.
+    kinds require the foa format; mic inputs must have one channel per capsule.
+    Every channel of the four classical kinds depends on its own frame only,
+    so they are built one block of frames at a time into one preallocated
+    output.
     """
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
@@ -126,6 +132,8 @@ def assemble(
         raise ValueError(f"{kind} requires the foa format")
 
     M = spec.n_channels
+    if fmt.kind == "mic" and M != fmt.n_channels:
+        raise ValueError(f"mic input must have {fmt.n_channels} channels, got {M}")
     fft_size = 2 * (spec.n_bins - 1)
     sample_rate = spec.bin_hz * fft_size
     meta = {
@@ -135,36 +143,38 @@ def assemble(
         "frame_rate": spec.frame_rate,
     }
 
+    def compress(x):
+        return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
+
     if kind.startswith("mel"):
         fb = mel_filterbank(int(round(sample_rate)), fft_size, n_mels)
-        spec_part = log_mel_spectrogram(spec, fb, floor=cfg.log_floor).data
         n_out = n_mels
         scale = "mel"
         meta["n_mels"] = n_mels
     else:
-        raw = log_linear_spectrogram(spec, floor=cfg.log_floor).data
-        spec_part = compress_high_bands(raw, cfg.compress_start_bin, cfg.compress_factor)
-        n_out = spec_part.shape[-1]
+        n_out = compressed_bands(spec.n_bins, cfg.compress_start_bin, cfg.compress_factor)
         scale = "linear"
         meta["compress_start_bin"] = cfg.compress_start_bin
         meta["compress_factor"] = cfg.compress_factor
-
-    if kind in ("melspeciv", "linspeciv"):
-        iv = intensity_vector(spec)
-        if kind == "melspeciv":
-            tail = mel_intensity_vector(iv, fb)
-        else:
-            tail = compress_high_bands(iv, cfg.compress_start_bin, cfg.compress_factor)
+    if kind.endswith("iv"):
         roles = ["spec"] * M + ["spatial"] * 3
     else:
         pairs = channel_pairs(M)
-        tail = np.stack([gcc_phat(spec, i, j, n_out) for i, j in pairs], axis=0)
         roles = ["spec"] * M + ["gcc"] * len(pairs)
         meta["n_lags"] = n_out
 
-    return FeatureTensor(
-        np.concatenate([spec_part, tail], axis=0),
-        channel_roles=roles,
-        scale=scale,
-        meta=meta,
-    )
+    out = np.empty((len(roles), spec.n_frames, n_out))
+    for block in frame_blocks(spec.n_frames):
+        part = spec.block(block)
+        if scale == "mel":
+            out[:M, block] = log_mel_spectrogram(part, fb, floor=cfg.log_floor).data
+        else:
+            out[:M, block] = compress(log_linear_spectrogram(part, floor=cfg.log_floor).data)
+        if kind == "melspeciv":
+            out[M:, block] = mel_intensity_vector(intensity_vector(part), fb)
+        elif kind == "linspeciv":
+            out[M:, block] = compress(intensity_vector(part))
+        else:
+            for k, (i, j) in enumerate(pairs):
+                out[M + k, block] = gcc_phat(part, i, j, n_out)
+    return FeatureTensor(out, channel_roles=roles, scale=scale, meta=meta)

@@ -212,13 +212,16 @@ def cmd_extract(args) -> None:
                     f"{cfg.sample_rate}; pass --allow-any-rate to accept"
                 )
             eff = replace(cfg, sample_rate=clip.sample_rate)
+        rate = clip.sample_rate
         spec = stft(clip, eff.stft_config())
+        del clip  # the samples are not needed once the spectrogram exists
         feat = assemble(
             spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels
         )
+        del spec
         if not np.isfinite(feat.data).all():
             raise NumericalError(f"{path}: feature tensor has non-finite values")
-        feat.meta["sample_rate"] = clip.sample_rate
+        feat.meta["sample_rate"] = rate
         feat.meta["config"] = eff.digest()
         out_path = out_dir / (path.stem + ".ftb")
         write_feature(out_path, feat)
@@ -336,6 +339,7 @@ def cmd_stats(args) -> None:
         if not first_meta:
             first_meta = feat.meta
         acc.add(feat)
+    del feat  # the --apply pass below reads every tensor again
     raw = acc.finish()
     stats = ChannelStats(
         raw.mean, np.maximum(raw.std, STD_FLOOR), raw.channel_roles
@@ -388,14 +392,15 @@ def cmd_augment(args) -> None:
                 )
             print(f"{out_dir / path.name} copied")
             continue
-        feat = read_feature(path)
         labels = (
             _labels_from_rows(rows_from_csv(label_path.read_text()))
             if label_path is not None
             else None
         )
         rng = np.random.default_rng([args.seed, index])
-        feat, labels = augment_pipeline(feat, labels, rng, acfg)
+        # No reference to the input tensor stays here, so the pipeline can
+        # free it once its first stage has made a new one.
+        feat, labels = augment_pipeline(read_feature(path), labels, rng, acfg)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
         write_feature(out_dir / path.name, feat)

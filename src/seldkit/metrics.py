@@ -4,7 +4,8 @@ Detection error rate and F-score are computed over 1 s segments with
 location-sensitive matching; localization error and recall are class-dependent
 and computed per label frame. Matching inside each (segment, class) or
 (frame, class) cell is the exact minimum-total-angle assignment between the
-prediction and reference instances; cells are small enough to enumerate.
+prediction and reference instances: enumerated for cells of up to 8
+instances, solved by the Hungarian method above that.
 """
 
 from __future__ import annotations
@@ -102,8 +103,10 @@ def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
 def _min_total_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     """Exact assignment of min(n, m) pairs minimizing total cost.
 
-    Enumerates all assignments; intended for the tiny per-cell instance sets
-    of this task (a handful of simultaneous same-class events).
+    Enumerates all assignments when the larger side has at most 8 instances,
+    the usual handful of simultaneous same-class events; larger cells go to
+    scipy's linear_sum_assignment, imported only then because importing
+    scipy.optimize costs a third of a second at start-up.
     """
     n, m = cost.shape
     if n == 0 or m == 0:
@@ -112,7 +115,10 @@ def _min_total_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
         best = _min_total_assignment(cost.T)
         return [(i, j) for j, i in best]
     if m > 8:
-        raise ValueError("instance set too large for exhaustive assignment")
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(cost)
+        return [(int(i), int(j)) for i, j in zip(rows, cols)]
     best_total, best_cols = None, None
     for cols in itertools.permutations(range(m), n):
         total = sum(cost[i, c] for i, c in enumerate(cols))

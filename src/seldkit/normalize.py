@@ -40,7 +40,7 @@ class StatsAccumulator:
         self._roles = None
 
     def add(self, feat: FeatureTensor) -> None:
-        flat = feat.data.reshape(feat.n_channels, -1).astype(np.float64)
+        flat = feat.data.reshape(feat.n_channels, -1).astype(np.float64, copy=False)
         if self._roles is None:
             self._roles = list(feat.channel_roles)
             self._count = np.zeros(feat.n_channels)

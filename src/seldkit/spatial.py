@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stft import ComplexSpectrogram, FeatureTensor, compress_high_bands, log_linear_spectrogram
+from .stft import (
+    ComplexSpectrogram,
+    FeatureTensor,
+    compress_high_bands,
+    compressed_bands,
+    frame_blocks,
+    log_linear_spectrogram,
+)
 
 SPEED_OF_SOUND = 343.0
 
@@ -355,6 +362,11 @@ def salsa(
     channels are zero wherever any test fails or outside [f_low, f_high].
     All channels pass through high-band compression at the end.
 
+    Gating, covariances and eigenvectors are computed over the whole clip.
+    The log-power and direction channels are then built one block of frames
+    at a time and written, compressed, into one preallocated output, so no
+    whole-clip uncompressed stack exists.
+
     Args:
         spec: complex spectrogram, channels x frames x bins.
         fmt: input format; its channel count must match the spectrogram's.
@@ -369,27 +381,35 @@ def salsa(
     if M != fmt.n_channels:
         raise ValueError(f"{fmt.kind} input must have {fmt.n_channels} channels, got {M}")
 
-    spec_feat = log_linear_spectrogram(spec, floor=cfg.log_floor)
-
     mag = np.abs(spec.data[0])
     floor = track_noise_floor(mag, cfg)
     mag_mask = magnitude_test(mag, floor, cfg)
     band = passband_bins(F, spec.bin_hz, cfg)
     t_idx, f_idx = np.nonzero(mag_mask & band[None, :])
+    del mag, floor, mag_mask
 
     cov, _ = _covariances_at(spec.data, t_idx, f_idx, cfg.cov_half_window)
     vectors, values = _principal(cov)
     coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
     t_idx, f_idx = t_idx[coherent], f_idx[coherent]
-    spatial = np.zeros((M - 1, T, F))
-    spatial[:, t_idx, f_idx] = _directions(
+    cues = _directions(
         vectors[coherent], fmt.kind, cfg.component_eps, f_idx * spec.bin_hz, cfg.speed_of_sound
     ).T
 
-    stacked = np.concatenate([spec_feat.data, spatial], axis=0)
-    compressed = compress_high_bands(stacked, cfg.compress_start_bin, cfg.compress_factor)
+    def compress(x):
+        return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
+
+    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
+    out = np.empty((2 * M - 1, T, n_bands))
+    for block in frame_blocks(T):
+        out[:M, block] = compress(log_linear_spectrogram(spec.block(block), cfg.log_floor).data)
+        # np.nonzero lists cells frame by frame, so a block's cells are one run.
+        lo, hi = np.searchsorted(t_idx, [block.start, block.stop])
+        spatial = np.zeros((M - 1, block.stop - block.start, F))
+        spatial[:, t_idx[lo:hi] - block.start, f_idx[lo:hi]] = cues[:, lo:hi]
+        out[M:, block] = compress(spatial)
     return FeatureTensor(
-        compressed,
+        out,
         channel_roles=["spec"] * M + ["spatial"] * (M - 1),
         scale="linear",
         meta={

@@ -98,6 +98,10 @@ class ComplexSpectrogram:
     def n_bins(self) -> int:
         return self.data.shape[2]
 
+    def block(self, frames: slice) -> "ComplexSpectrogram":
+        """View of the frames in the given range."""
+        return ComplexSpectrogram(self.data[:, frames], self.bin_hz, self.frame_rate)
+
 
 @dataclass
 class FeatureTensor:
@@ -138,6 +142,17 @@ class FeatureTensor:
         )
 
 
+# Frames per block when a whole-clip tensor is built piecewise; every block
+# result is written into one preallocated output.
+_BLOCK_FRAMES = 256
+
+
+def frame_blocks(n_frames: int):
+    """Yield consecutive frame slices of at most _BLOCK_FRAMES covering [0, n_frames)."""
+    for start in range(0, n_frames, _BLOCK_FRAMES):
+        yield slice(start, min(start + _BLOCK_FRAMES, n_frames))
+
+
 def _analysis_window(name: str, length: int) -> np.ndarray:
     # Periodic windows, as appropriate for STFT analysis.
     if name == "hann":
@@ -152,7 +167,10 @@ def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:
 
     No padding or centering is applied: frame t covers samples
     [t*hop, t*hop + window). The transform is an unnormalized rfft of the
-    windowed frame, zero-padded to fft_size.
+    windowed frame, zero-padded to fft_size. Frames are read through a strided
+    view of the samples and transformed one block at a time into the output,
+    so no whole-clip copy of the frames is made; rfft treats every frame on
+    its own, so the blocking does not change any output bit.
 
     Args:
         clip: audio to transform; clip.sample_rate must match cfg.
@@ -167,11 +185,12 @@ def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:
         )
     n_frames = cfg.n_frames(clip.n_samples)
     win = _analysis_window(cfg.window, cfg.window_length)
-    starts = np.arange(n_frames) * cfg.hop_length
-    # (channels, frames, window) view via gather; clips are small enough to copy
-    idx = starts[:, None] + np.arange(cfg.window_length)[None, :]
-    frames = clip.samples[:, idx] * win[None, None, :]
-    data = np.fft.rfft(frames, n=cfg.fft_size, axis=-1)
+    frames = np.lib.stride_tricks.sliding_window_view(
+        clip.samples, cfg.window_length, axis=-1
+    )[:, :: cfg.hop_length]
+    data = np.empty((clip.n_channels, n_frames, cfg.n_bins), dtype=np.complex128)
+    for block in frame_blocks(n_frames):
+        data[:, block] = np.fft.rfft(frames[:, block] * win, n=cfg.fft_size, axis=-1)
     return ComplexSpectrogram(data, bin_hz=cfg.bin_hz, frame_rate=cfg.frame_rate)
 
 
@@ -252,6 +271,17 @@ def mel_filterbank(
     return weights
 
 
+def apply_filterbank(x: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
+    """x (..., bins) @ filterbank (bins, bands) as one 2-D matrix product.
+
+    A product with a single row goes to a matrix-vector routine whose sums
+    can differ in the last bit from the matrix-matrix routine's, so a stack
+    of one-frame blocks is multiplied as one matrix, never row by row.
+    """
+    flat = x.reshape(-1, x.shape[-1]) @ filterbank
+    return flat.reshape(*x.shape[:-1], filterbank.shape[1])
+
+
 def log_mel_spectrogram(
     spec: ComplexSpectrogram, filterbank: np.ndarray, floor: float = 1e-12
 ) -> FeatureTensor:
@@ -262,14 +292,22 @@ def log_mel_spectrogram(
         raise ValueError(
             f"filterbank rows {filterbank.shape[0]} != spectrogram bins {spec.n_bins}"
         )
-    power = np.abs(spec.data) ** 2
-    data = np.log(power @ filterbank + floor)
+    data = np.log(apply_filterbank(np.abs(spec.data) ** 2, filterbank) + floor)
     return FeatureTensor(
         data,
         channel_roles=["spec"] * spec.n_channels,
         scale="mel",
         meta={"frame_rate": spec.frame_rate, "n_mels": filterbank.shape[1]},
     )
+
+
+def compressed_bands(n_bins: int, start_bin: int, factor: int) -> int:
+    """Band count that compress_high_bands leaves of n_bins; validates its arguments."""
+    if not (0 <= start_bin < n_bins):
+        raise ValueError(f"start_bin {start_bin} out of range for {n_bins} bins")
+    if factor < 1:
+        raise ValueError("factor must be >= 1")
+    return start_bin + (n_bins - start_bin) // factor
 
 
 def compress_high_bands(
@@ -279,7 +317,10 @@ def compress_high_bands(
 
     Bins [0, start_bin) are copied through; from start_bin upward, complete
     groups of `factor` bins are averaged; leftover bins that do not fill a
-    group (the Nyquist bin at the defaults) are discarded.
+    group (the Nyquist bin at the defaults) are discarded. Each group is
+    summed in bin order and then divided by `factor`, so a value does not
+    depend on the array's layout or on how many frames are passed at once
+    (np.mean picks its summation order from both).
 
     Args:
         data: (..., bins) array.
@@ -289,13 +330,9 @@ def compress_high_bands(
     Returns:
         (..., start_bin + (bins - start_bin)//factor) array.
     """
-    n_bins = data.shape[-1]
-    if not (0 <= start_bin < n_bins):
-        raise ValueError(f"start_bin {start_bin} out of range for {n_bins} bins")
-    if factor < 1:
-        raise ValueError("factor must be >= 1")
-    n_groups = (n_bins - start_bin) // factor
-    head = data[..., :start_bin]
-    tail = data[..., start_bin : start_bin + n_groups * factor]
-    grouped = tail.reshape(*tail.shape[:-1], n_groups, factor).mean(axis=-1)
-    return np.concatenate([head, grouped], axis=-1)
+    n_groups = compressed_bands(data.shape[-1], start_bin, factor) - start_bin
+    stop = start_bin + n_groups * factor
+    total = data[..., start_bin:stop:factor]
+    for k in range(1, factor):
+        total = total + data[..., start_bin + k : stop : factor]
+    return np.concatenate([data[..., :start_bin], total / factor], axis=-1)

@@ -8,9 +8,11 @@ All writes are atomic (temp file + rename).
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -22,13 +24,18 @@ _CODE_FOR_KIND = {"f4": 0, "f8": 1, "c8": 2}
 _MAX_RANK = 8
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
-    """Write a file atomically: temp file in the same directory, then rename."""
+@contextmanager
+def _atomic_file(path: str | Path):
+    """Binary file handle whose contents replace `path` only if the block succeeds.
+
+    The data goes to a temp file in the same directory, which is renamed over
+    `path` on success and removed on any error.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -36,12 +43,22 @@ def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
         raise
 
 
+def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+    """Write a file atomically: temp file in the same directory, then rename."""
+    with _atomic_file(path) as fh:
+        fh.write(payload)
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
-    """Serialize an array; dtype must be float32, float64 or complex64."""
+    """Serialize an array; dtype must be float32, float64 or complex64.
+
+    The header and then the array's own buffer go to the file; a
+    little-endian C-contiguous array is not copied.
+    """
     array = np.asarray(array)
     key = array.dtype.str.lstrip("<>|=")
     if key not in _CODE_FOR_KIND:
@@ -53,31 +70,40 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     code = _CODE_FOR_KIND[key]
     header = MAGIC + struct.pack("<BB", code, array.ndim)
     header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code]).tobytes()
-    atomic_write_bytes(path, header + payload)
+    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    with _atomic_file(path) as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_tensor(path: str | Path) -> np.ndarray:
-    """Read a tensor; raises ValueError on malformed or truncated files."""
-    blob = Path(path).read_bytes()
-    if len(blob) < 6 or blob[:4] != MAGIC:
-        raise ValueError(f"{path}: not a tensor container (bad magic)")
-    code, ndim = struct.unpack_from("<BB", blob, 4)
-    if code not in _DTYPE_CODES:
-        raise ValueError(f"{path}: unknown dtype code {code}")
-    if not (1 <= ndim <= _MAX_RANK):
-        raise ValueError(f"{path}: bad rank {ndim}")
-    head = 6 + 8 * ndim
-    if len(blob) < head:
-        raise ValueError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{ndim}Q", blob, 6)
-    dtype = _DTYPE_CODES[code]
-    expected = int(np.prod(dims)) * dtype.itemsize
-    if len(blob) - head != expected:
-        raise ValueError(
-            f"{path}: payload is {len(blob) - head} bytes, expected {expected}"
-        )
-    return np.frombuffer(blob[head:], dtype=dtype).reshape(dims).copy()
+    """Read a tensor; raises ValueError on malformed or truncated files.
+
+    The header and the file size are checked before the payload is read, in
+    one read, into a new writeable array.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        fixed = fh.read(6)
+        if len(fixed) < 6 or fixed[:4] != MAGIC:
+            raise ValueError(f"{path}: not a tensor container (bad magic)")
+        code, ndim = struct.unpack_from("<BB", fixed, 4)
+        if code not in _DTYPE_CODES:
+            raise ValueError(f"{path}: unknown dtype code {code}")
+        if not (1 <= ndim <= _MAX_RANK):
+            raise ValueError(f"{path}: bad rank {ndim}")
+        head = 6 + 8 * ndim
+        if size < head:
+            raise ValueError(f"{path}: truncated header")
+        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        dtype = _DTYPE_CODES[code]
+        count = math.prod(dims)
+        expected = count * dtype.itemsize
+        if size - head != expected:
+            raise ValueError(
+                f"{path}: payload is {size - head} bytes, expected {expected}"
+            )
+        return np.fromfile(fh, dtype=dtype, count=count).reshape(dims)
 
 
 def format_value(value) -> str:

@@ -1,5 +1,7 @@
 """Command-line driver: happy paths, exit codes and file outputs."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,15 @@ def test_extract_mic_salsa_rejects_channel_count_mismatch(tmp_path):
     assert not list(out.glob("*.ftb"))
 
 
+@pytest.mark.parametrize("feature", ["melspecgcc", "linspecgcc"])
+def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, feature):
+    wav = _wav(tmp_path / "six.wav", channels=6)
+    out = tmp_path / "o"
+    assert main(["extract", str(wav), "--format", "mic", "--feature", feature,
+                 "--out", str(out)]) == 3
+    assert not list(out.glob("*.ftb"))
+
+
 def test_extract_sample_rate_gate(tmp_path):
     wav = _wav(tmp_path / "hi.wav", rate=32000)
     out = str(tmp_path / "o")
@@ -159,6 +170,19 @@ def test_eval_perfect_prediction(tmp_path, capsys):
     out = capsys.readouterr().out
     assert '"aggregate": 0.0' in out
     assert out.strip().splitlines()[-1].split() == ["aggregate", "0"]
+
+
+def test_eval_nine_same_class_instances(tmp_path, capsys):
+    # More instances in one cell than the exhaustive matcher enumerates.
+    ref_rows = [(0, 3, k, -160.0 + 40.0 * k, 0.0) for k in range(9)]
+    pred_rows = [(f, c, k, az + 5.0, el) for f, c, k, az, el in ref_rows]
+    (tmp_path / "pred.csv").write_text(rows_to_csv(pred_rows))
+    (tmp_path / "ref.csv").write_text(rows_to_csv(ref_rows))
+    assert main(["eval", "--pred", str(tmp_path / "pred.csv"),
+                 "--ref", str(tmp_path / "ref.csv")]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert report["localization_error_deg"] == pytest.approx(5.0, abs=1e-9)
+    assert report["localization_recall"] == 1.0
 
 
 def test_eval_error_codes(tmp_path):

@@ -33,6 +33,7 @@ def test_round_trip_bit_identical(tmp_path, dtype, shape):
     assert back.dtype == arr.dtype
     assert back.shape == arr.shape
     assert back.tobytes() == arr.tobytes()
+    assert back.flags.writeable
 
 
 @settings(max_examples=25, deadline=None)
