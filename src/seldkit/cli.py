@@ -256,9 +256,10 @@ def cmd_synth(args) -> None:
         },
     )
     csv_path = out_dir / f"{stem}.csv"
-    atomic_write_text(csv_path, rows_to_csv(labels.to_rows()))
+    rows = labels.to_rows()
+    atomic_write_text(csv_path, rows_to_csv(rows))
     print(f"{tensor_path} {_shape_text(spec.data.shape)}")
-    print(f"{csv_path} {len(labels.to_rows())} rows")
+    print(f"{csv_path} {len(rows)} rows")
 
 
 def cmd_eval(args) -> None:
@@ -378,6 +379,7 @@ def cmd_augment(args) -> None:
         label_path = labels_dir / (path.stem + ".csv") if labels_dir else None
         if label_path is not None and not label_path.exists():
             raise InputError(f"{label_path}: missing label file")
+        rows = rows_from_csv(label_path.read_text()) if label_path is not None else None
         if acfg.p_apply == 0.0:
             # Nothing can be applied; outputs are verbatim copies.
             atomic_write_bytes(out_dir / path.name, path.read_bytes())
@@ -392,11 +394,7 @@ def cmd_augment(args) -> None:
                 )
             print(f"{out_dir / path.name} copied")
             continue
-        labels = (
-            _labels_from_rows(rows_from_csv(label_path.read_text()))
-            if label_path is not None
-            else None
-        )
+        labels = _labels_from_rows(rows) if rows is not None else None
         rng = np.random.default_rng([args.seed, index])
         # No reference to the input tensor stays here, so the pipeline can
         # free it once its first stage has made a new one.

@@ -4,13 +4,23 @@ Detection error rate and F-score are computed over 1 s segments with
 location-sensitive matching; localization error and recall are class-dependent
 and computed per label frame. Matching inside each (segment, class) or
 (frame, class) cell is the exact minimum-total-angle assignment between the
-prediction and reference instances: enumerated for cells of up to 8
-instances, solved by the Hungarian method above that.
+prediction and reference instances.
+
+Both files of a pair are scored from one set of arrays: the rows become unit
+vectors in one call, a lexsort makes every cell one contiguous run
+(predictions first), segment instances are per-track mean directions summed
+with reduceat, and the angle of every prediction x reference pair in every
+cell comes from one batched atan2. A cell with one instance on either side
+takes the minimum of its block; larger cells go through the exact
+assignment, enumerated up to 8 instances and solved by the Hungarian method
+above that. Localization error sums the matched angles with math.fsum, so it
+does not depend on the order of cells or files.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +97,12 @@ def seld_error(er: float, f: float, le_deg: float, lr: float) -> float:
     return 0.25 * (er + (1.0 - f) + le_deg / 180.0 + (1.0 - lr))
 
 
+def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Great-circle angles in degrees between direction vectors (..., 3)."""
+    cross = np.cross(a, b)
+    return np.degrees(np.arctan2(np.sqrt((cross * cross).sum(-1)), (a * b).sum(-1)))
+
+
 def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Great-circle angle between two direction vectors, degrees in [0, 180].
 
@@ -97,7 +113,7 @@ def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if not (np.linalg.norm(a) > 0 and np.linalg.norm(b) > 0):
         raise ValueError("zero vector has no direction")
-    return float(np.degrees(np.arctan2(np.linalg.norm(np.cross(a, b)), a @ b)))
+    return float(_angles(a, b))
 
 
 def _min_total_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -127,34 +143,44 @@ def _min_total_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
     return list(enumerate(best_cols))
 
 
-def _row_maps(rows, fps_scale: int):
-    """Group rows into frame-level and segment-level structures.
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Start index of every run of equal key tuples in sorted key arrays."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
 
-    Returns (frame_map, segment_map): frame_map[(frame, class)] is a list of
-    direction vectors; segment_map[(segment, class)] maps track id to the list
-    of its per-frame vectors within the segment.
+
+def _match_cells(start: np.ndarray, side: np.ndarray, vec: np.ndarray):
+    """Minimum-total-angle matching inside every cell.
+
+    Instances are sorted so that each cell is one run beginning at `start`,
+    predictions (side 0) before references (side 1). Returns per-cell
+    prediction and reference counts and, for every matched pair, its cell
+    and angle.
     """
-    frame_map: dict = {}
-    segment_map: dict = {}
-    for frame, cls, track, az, el in rows:
-        vec = unit_vector(az, el)
-        frame_map.setdefault((frame, cls), []).append(vec)
-        seg = frame // fps_scale
-        segment_map.setdefault((seg, cls), {}).setdefault(track, []).append(vec)
-    return frame_map, segment_map
-
-
-def _segment_instances(segment_map):
-    """One representative unit vector per (segment, class, track)."""
-    out = {}
-    for key, tracks in segment_map.items():
-        reps = []
-        for track in sorted(tracks):
-            mean = np.mean(tracks[track], axis=0)
-            norm = np.linalg.norm(mean)
-            reps.append(mean / norm if norm > 0 else np.array([1.0, 0.0, 0.0]))
-        out[key] = reps
-    return out
+    n_r = np.add.reduceat(side, start)
+    n_p = np.diff(np.append(start, len(side))) - n_r
+    n_pairs = n_p * n_r
+    first = np.cumsum(n_pairs) - n_pairs
+    cell = np.repeat(np.arange(len(start)), n_pairs)
+    offset = np.arange(len(cell)) - first[cell]
+    pred = start[cell] + offset // n_r[cell]
+    ref = start[cell] + n_p[cell] + offset % n_r[cell]
+    cost = _angles(vec[pred], vec[ref])  # each cell's pred x ref block, row-major
+    # One instance on either side: the assignment is the block minimum.
+    paired = np.flatnonzero(n_pairs)
+    mins = np.minimum.reduceat(cost, first[paired])
+    single = np.minimum(n_p, n_r)[paired] == 1
+    cells = [paired[single]]
+    costs = [mins[single]]
+    for k in paired[~single]:
+        block = cost[first[k] : first[k] + n_pairs[k]].reshape(n_p[k], n_r[k])
+        pairs = _min_total_assignment(block)
+        cells.append(np.full(len(pairs), k))
+        costs.append(np.array([block[i, j] for i, j in pairs]))
+    return n_p, n_r, np.concatenate(cells), np.concatenate(costs)
 
 
 class _Accumulator:
@@ -169,74 +195,65 @@ class _Accumulator:
         self.dels = 0
         self.ins = 0
         self.n_ref = 0
-        self.le_sum = 0.0
-        self.le_n = 0
+        self.le_costs: list[np.ndarray] = []
         self.recalled = 0
         self.ref_units = 0
 
     def add(self, pred_rows, ref_rows) -> None:
         cfg = self.cfg
-        pred_frames, pred_segs = _row_maps(pred_rows, cfg.frames_per_segment)
-        ref_frames, ref_segs = _row_maps(ref_rows, cfg.frames_per_segment)
+        pred = np.array(list(pred_rows), dtype=np.float64).reshape(-1, 5)
+        ref = np.array(list(ref_rows), dtype=np.float64).reshape(-1, 5)
+        rows = np.concatenate([pred, ref])
+        side = np.repeat([0, 1], [len(pred), len(ref)])
+        frame, cls, track = rows[:, :3].astype(np.int64).T
+        vec = unit_vector(rows[:, 3], rows[:, 4])
+        if not np.isfinite(vec).all():
+            raise ValueError("label directions must be finite")
 
         # Frame-level class-dependent localization error and recall.
-        for key in set(pred_frames) | set(ref_frames):
-            p = pred_frames.get(key, [])
-            r = ref_frames.get(key, [])
-            if p and r:
-                cost = np.array([[angular_distance(a, b) for b in r] for a in p])
-                pairs = _min_total_assignment(cost)
-                self.le_sum += sum(cost[i, j] for i, j in pairs)
-                self.le_n += len(pairs)
-            if cfg.convention == "2020":
-                if r:
-                    self.ref_units += 1
-                    if p:
-                        self.recalled += 1
-            else:
-                self.ref_units += len(r)
-                self.recalled += min(len(p), len(r))
+        o = np.lexsort((side, cls, frame))
+        n_p, n_r, _, cost = _match_cells(_starts(frame[o], cls[o]), side[o], vec[o])
+        self.le_costs.append(cost)
+        if cfg.convention == "2020":
+            self.ref_units += int(np.count_nonzero(n_r))
+            self.recalled += int(np.count_nonzero(n_r * n_p))
+        else:
+            self.ref_units += int(n_r.sum())
+            self.recalled += len(cost)
 
-        # Segment-level location-sensitive detection counts.
-        pred_inst = _segment_instances(pred_segs)
-        ref_inst = _segment_instances(ref_segs)
-        segments = {seg for seg, _ in pred_inst} | {seg for seg, _ in ref_inst}
-        for seg in segments:
-            seg_fp = 0
-            seg_fn = 0
-            seg_n = 0
-            classes = {c for s, c in pred_inst if s == seg} | {
-                c for s, c in ref_inst if s == seg
-            }
-            for cls in classes:
-                p = pred_inst.get((seg, cls), [])
-                r = ref_inst.get((seg, cls), [])
-                seg_n += len(r)
-                tp_c = 0
-                if p and r:
-                    cost = np.array(
-                        [[angular_distance(a, b) for b in r] for a in p]
-                    )
-                    pairs = _min_total_assignment(cost)
-                    tp_c = sum(
-                        1 for i, j in pairs if cost[i, j] < cfg.doa_threshold_deg
-                    )
-                self.tp += tp_c
-                seg_fp += len(p) - tp_c
-                seg_fn += len(r) - tp_c
-            s = min(seg_fp, seg_fn)
-            self.subs += s
-            self.dels += seg_fn - s
-            self.ins += seg_fp - s
-            self.fp += seg_fp
-            self.fn += seg_fn
-            self.n_ref += seg_n
+        # Segment-level location-sensitive detection counts: one instance per
+        # (segment, class, side, track), its direction the normalized mean.
+        seg = frame // cfg.frames_per_segment
+        o = np.lexsort((track, side, cls, seg))
+        seg, cls, side, track = seg[o], cls[o], side[o], track[o]
+        inst = _starts(seg, cls, side, track)
+        n_rows = np.diff(np.append(inst, len(o)))
+        mean = np.add.reduceat(vec[o], inst, axis=0) / n_rows[:, None]
+        norm = np.linalg.norm(mean, axis=1)[:, None]
+        ok = norm > 0
+        reps = np.where(ok, mean / np.where(ok, norm, 1.0), [1.0, 0.0, 0.0])
+        seg, cls, side = seg[inst], cls[inst], side[inst]
+        cells = _starts(seg, cls)
+        n_p, n_r, cell, cost = _match_cells(cells, side, reps)
+        tp = np.bincount(cell[cost < cfg.doa_threshold_deg], minlength=len(cells))
+        segs = _starts(seg[cells])
+        seg_fp = np.add.reduceat(n_p - tp, segs)
+        seg_fn = np.add.reduceat(n_r - tp, segs)
+        s = np.minimum(seg_fp, seg_fn)
+        self.tp += int(tp.sum())
+        self.subs += int(s.sum())
+        self.dels += int((seg_fn - s).sum())
+        self.ins += int((seg_fp - s).sum())
+        self.fp += int(seg_fp.sum())
+        self.fn += int(seg_fn.sum())
+        self.n_ref += int(n_r.sum())
 
     def report(self) -> MetricsReport:
         er = (self.subs + self.dels + self.ins) / max(self.n_ref, 1)
         den = 2 * self.tp + self.fp + self.fn
         f = 2 * self.tp / den if den > 0 else 1.0
-        le = self.le_sum / self.le_n if self.le_n > 0 else 180.0
+        le_n = sum(len(c) for c in self.le_costs)
+        le = math.fsum(np.concatenate(self.le_costs).tolist()) / le_n if le_n else 180.0
         lr = self.recalled / self.ref_units if self.ref_units > 0 else 1.0
         return MetricsReport(
             error_rate=er,
@@ -252,7 +269,7 @@ class _Accumulator:
                 "deletions": self.dels,
                 "insertions": self.ins,
                 "references": self.n_ref,
-                "matched_pairs": self.le_n,
+                "matched_pairs": le_n,
             },
         )
 

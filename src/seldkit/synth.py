@@ -26,6 +26,7 @@ tone (keys f0/harmonics), chirp (keys f_start/f_end).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -267,11 +268,12 @@ def render_scene(
     freqs = np.arange(F) * cfg.bin_hz
     centers = (np.arange(T) * cfg.hop_length + cfg.window_length / 2) / cfg.sample_rate
 
-    X = np.zeros((M, T, F), dtype=np.complex128)
     if scene.noise_power > 0:
+        # Each (real, imaginary) pair of draws is read in place as one
+        # complex sample, so the noise needs no complex temporaries.
         rng = np.random.default_rng([scene.seed, 0])
-        draws = rng.standard_normal((M, T, F, 2))
-        noise = np.sqrt(scene.noise_power / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
+        X = rng.standard_normal((M, T, F, 2)).view(np.complex128)[..., 0]
+        X *= np.sqrt(scene.noise_power / 2.0)
         if scene.fmt.kind == "foa" and not np.array_equal(
             scene.orientation, np.eye(3)
         ):
@@ -280,8 +282,9 @@ def render_scene(
             A = np.zeros((4, 4))
             A[0, 0] = 1.0
             A[1:, 1:] = scene.orientation
-            noise = np.einsum("ij,jtf->itf", A, noise)
-        X += noise
+            X = np.einsum("ij,jtf->itf", A, X)
+    else:
+        X = np.zeros((M, T, F), dtype=np.complex128)
 
     for si, src in enumerate(scene.sources):
         active = (centers >= src.onset) & (centers < src.offset)
@@ -446,7 +449,10 @@ def rows_to_csv(rows: list[tuple[int, int, int, float, float]]) -> str:
 
 
 def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
-    """Parse label rows; raises ValueError on malformed lines."""
+    """Parse label rows; raises ValueError on malformed lines.
+
+    Frame, class and track indices must be >= 0 and both angles finite.
+    """
     rows = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -455,7 +461,10 @@ def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"label line {ln}: expected 5 fields, got {len(parts)}")
-        rows.append(
-            (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
-        )
+        row = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
+        if min(row[:3]) < 0:
+            raise ValueError(f"label line {ln}: negative frame, class or track index")
+        if not (math.isfinite(row[3]) and math.isfinite(row[4])):
+            raise ValueError(f"label line {ln}: azimuth and elevation must be finite")
+        rows.append(row)
     return rows

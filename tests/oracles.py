@@ -218,6 +218,10 @@ def score_rows(
         "deletions": dels,
         "insertions": ins,
         "references": n_ref,
+        "matched_pairs": le_n,
+        "le_sum": le_sum,
+        "recalled": recalled,
+        "ref_units": ref_units,
         "error_rate": (subs + dels + ins) / max(n_ref, 1),
         "f_score": 2 * tp / den if den > 0 else 1.0,
         "localization_error_deg": le_sum / le_n if le_n else 180.0,

@@ -1,10 +1,15 @@
 """Command-line driver: happy paths, exit codes and file outputs."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import seldkit
 from seldkit import AudioClip, read_manifest, read_tensor, rows_to_csv
 from seldkit.cli import main, read_wav, write_wav
 
@@ -193,6 +198,25 @@ def test_eval_error_codes(tmp_path):
     assert main(["eval", "--pred", str(pred)]) == 3
 
 
+@pytest.mark.parametrize(
+    "pred_rows",
+    [
+        [(0, 1, 0, float("nan"), 10.0)],  # shares a cell with the reference
+        [(0, 1, 0, 30.0, 10.0), (4, 7, 0, 30.0, float("nan"))],  # a cell of its own
+    ],
+)
+def test_eval_rejects_non_finite_angles(tmp_path, capsys, pred_rows):
+    (tmp_path / "pred.csv").write_text(
+        "\n".join(",".join(str(v) for v in row) for row in pred_rows) + "\n"
+    )
+    (tmp_path / "ref.csv").write_text(rows_to_csv([(0, 1, 0, 30.0, 10.0)]))
+    code = main(["eval", "--pred", str(tmp_path / "pred.csv"),
+                 "--ref", str(tmp_path / "ref.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "label line" in err and "finite" in err
+
+
 def test_render_image(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)
@@ -275,6 +299,35 @@ def test_augment_missing_labels(corpus, tmp_path):
     code = main(["augment", str(feat), "--out", str(tmp_path / "aug"),
                  "--labels", str(empty)])
     assert code == 2
+
+
+@pytest.mark.parametrize("p_apply", ["1", "0"])
+def test_augment_rejects_negative_label_frame(corpus, tmp_path, capsys, p_apply):
+    feat = tmp_path / "feat"
+    main(["extract", str(corpus / "a.wav"), "--format", "foa", "--feature", "salsa",
+          "--out", str(feat)])
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    (labels / "a.csv").write_text("0,3,0,20,0\n-1,3,0,25,0\n")
+    out = tmp_path / "aug"
+    code = main(["augment", str(feat), "--out", str(out), "--labels", str(labels),
+                 "--set", f"p_apply={p_apply}"])
+    assert code == 3
+    assert "label line 2" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported only for scoring cells above 8 instances;
+    # at module level it would add about a third of a second to every start.
+    src = str(Path(seldkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, seldkit.cli; print('scipy.optimize' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_usage_errors():

@@ -188,6 +188,55 @@ def test_matches_independent_scorer_on_random_cases():
         )
 
 
+def _multi_instance_case(rng, n_frames=30, n_classes=3):
+    """1-5 same-class instances per side in a cell; tracks span frames."""
+    pred, ref = [], []
+    for frame in range(n_frames):
+        for cls in range(n_classes):
+            if rng.uniform() < 0.4:
+                continue
+            tracks = rng.permutation(5)
+            n_ref = int(rng.integers(0, 6))
+            n_pred = 0
+            for track in tracks[:n_ref]:
+                az, el = float(rng.uniform(-180, 180)), float(rng.uniform(-75, 75))
+                ref.append((frame, cls, int(track), az, el))
+                if rng.uniform() < 0.6:  # detected, off by up to 30 degrees
+                    n_pred += 1
+                    step = float(rng.uniform(-30.0, 30.0))
+                    pred.append((frame, cls, int(track), az + step, el))
+            for track in tracks[n_ref:][: int(rng.integers(0, 3))]:  # spurious
+                n_pred += 1
+                pred.append((frame, cls, int(track), float(rng.uniform(-180, 180)),
+                             float(rng.uniform(-75, 75))))
+            if n_pred == 0 and n_ref == 0:
+                ref.append((frame, cls, 0, 0.0, 0.0))
+    rng.shuffle(pred)
+    rng.shuffle(ref)
+    return [tuple(r) for r in pred], [tuple(r) for r in ref]
+
+
+@pytest.mark.parametrize("convention", ["2021", "2020"])
+def test_multi_instance_files_match_independent_scorer(convention):
+    rng = np.random.default_rng(77)
+    cfg = MetricsConfig(convention=convention)
+    for _ in range(6):
+        files = [_multi_instance_case(rng) for _ in range(3)]
+        files.append(([], _multi_instance_case(rng)[1]))  # empty prediction file
+        files.append((_multi_instance_case(rng)[0], []))  # empty reference file
+        rep = evaluate_many(files, cfg)
+        wants = [score_rows(p, r, convention=convention) for p, r in files]
+        total = {k: sum(w[k] for w in wants) for k in wants[0]}
+        for key in ("tp", "fp", "fn", "substitutions", "deletions", "insertions",
+                    "references", "matched_pairs"):
+            assert rep.counts[key] == total[key], key
+        assert max(len(p) for p, _ in files) > 0 and total["matched_pairs"] > 0
+        assert rep.localization_error_deg == pytest.approx(
+            total["le_sum"] / total["matched_pairs"], abs=1e-9
+        )
+        assert rep.localization_recall == total["recalled"] / total["ref_units"]
+
+
 def test_report_dict_round_trip():
     ref = _rows((0, 1, 0, 30.0, 10.0))
     d = evaluate(ref, ref).as_dict()

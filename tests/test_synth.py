@@ -126,6 +126,18 @@ def test_render_is_deterministic_per_seed():
     assert np.abs(a.data - c.data).max() > 0.0
 
 
+def test_render_noise_matches_complex_expression():
+    # The noise is read in place from the (real, imaginary) draws; it must be
+    # bit-identical, sign bits included, to sqrt(p/2) * (d0 + 1j * d1).
+    for kind in ("foa", "mic"):
+        scene = SceneDescription(fmt=ArrayFormat(kind), duration=0.5, sources=[],
+                                 noise_power=1e-3, seed=42)
+        spec, _ = render_scene(scene, StftConfig())
+        draws = np.random.default_rng([42, 0]).standard_normal((*spec.data.shape, 2))
+        want = np.sqrt(1e-3 / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
+        np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
+
+
 def test_labels_sample_trajectory_at_frame_centers():
     scene = single_source_scene("foa", az=20.0, el=10.0, seed=1, duration=1.0, onset=0.35)
     _, labels = render_scene(scene, StftConfig())
@@ -197,6 +209,9 @@ def test_label_csv_round_trip():
     assert sorted(back) == sorted(rows)
     with pytest.raises(ValueError):
         rows_from_csv("1,2,3\n")
+    for bad in ("-1,0,0,0,0", "0,-3,0,0,0", "0,0,-1,0,0", "0,0,0,nan,0", "0,0,0,0,inf"):
+        with pytest.raises(ValueError, match="label line 2"):
+            rows_from_csv("0,1,0,10,0\n" + bad + "\n")
 
 
 def test_label_rows_cover_active_cells_only():
