@@ -19,9 +19,19 @@ one or more [source] blocks. Example:
     trajectory=0.0:30:10, 2.0:50:10
 
 Trajectories are piecewise-linear in (azimuth, elevation) degrees with
-azimuth unwrapped across the +-180 seam; a single knot means a static source.
-Signal kinds: noise (band-limited complex Gaussian, keys f_low/f_high),
-tone (keys f0/harmonics), chirp (keys f_start/f_end).
+azimuth unwrapped across the +-180 seam; a single knot means a static source,
+and knots must have distinct times. Signal kinds: noise (band-limited complex
+Gaussian, keys f_low/f_high), tone (keys f0/harmonics), chirp (keys
+f_start/f_end).
+
+Every numeric value must be finite: a NaN or infinite duration, noise_power,
+mic_radius, onset, offset, gain, signal parameter or trajectory value raises
+ValueError naming the key (and the source), as does a tone whose `harmonics`
+is not an integer >= 1 or whose f0 is above Nyquist, so no scene renders
+NaN cells or labels frames that carry no signal.
+
+Each source is rendered only on its support bins: its band for noise, the
+bins of its harmonics for a tone, one bin per frame for a chirp.
 """
 
 from __future__ import annotations
@@ -108,12 +118,27 @@ class SourceSpec:
     def __post_init__(self):
         if not (0 <= self.class_id):
             raise ValueError("class_id must be >= 0")
+        numbers = {"onset": self.onset, "offset": self.offset, "gain": self.gain}
+        for key, value in {**numbers, **self.params}.items():
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
         if self.offset <= self.onset:
             raise ValueError("offset must be greater than onset")
         if self.signal not in ("noise", "tone", "chirp"):
             raise ValueError(f"unknown signal kind {self.signal!r}")
+        harmonics = self.params.get("harmonics", 3)
+        if harmonics < 1 or harmonics != int(harmonics):
+            raise ValueError(f"harmonics must be an integer >= 1, got {harmonics!r}")
+        if self.params.get("f0", 440.0) <= 0:
+            raise ValueError("f0 must be positive")
         if not self.trajectory:
             raise ValueError("trajectory needs at least one knot")
+        for knot in self.trajectory:
+            if not all(math.isfinite(x) for x in knot):
+                raise ValueError(f"trajectory knot {knot!r} must be finite")
+        times = [knot[0] for knot in self.trajectory]
+        if len(set(times)) != len(times):
+            raise ValueError("trajectory knots must have distinct times")
 
     def direction_at(self, times: np.ndarray) -> np.ndarray:
         """Piecewise-linear trajectory sample, (len(times), 3) unit vectors."""
@@ -146,10 +171,14 @@ class SceneDescription:
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
-        if self.noise_power < 0:
-            raise ValueError("noise_power must be >= 0")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(
+                f"duration must be finite and positive, got {self.duration!r}"
+            )
+        if not (math.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ValueError(
+                f"noise_power must be finite and >= 0, got {self.noise_power!r}"
+            )
         classes = [s.class_id for s in self.sources]
         if len(set(classes)) != len(classes):
             raise ValueError("one active source per class is supported")
@@ -206,41 +235,46 @@ class SeldLabels:
 
 def _frame_spectra(
     src: SourceSpec, times: np.ndarray, freqs: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Source STFT magnitudes/phases per active frame, (len(times), F)."""
-    F = len(freqs)
-    S = np.zeros((len(times), F), dtype=np.complex128)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Source STFT support per active frame, as (bins, values).
+
+    Both arrays are (len(times), K): the K bins the source covers in each
+    frame, distinct within a frame, and its complex values there with the
+    gain applied. Every other bin of the frame is zero. Noise covers its band
+    bins, a tone the bins of its harmonics at or below the top bin (harmonics
+    that round to one bin add up in harmonic order), a chirp one bin per frame.
+    """
     if src.signal == "noise":
         f_lo = float(src.params.get("f_low", 200.0))
         f_hi = float(src.params.get("f_high", freqs[-1]))
-        band = (freqs >= f_lo) & (freqs <= f_hi)
-        n = int(band.sum())
-        if n == 0:
+        band = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
+        if len(band) == 0:
             raise ValueError("noise band contains no bins")
-        draws = rng.standard_normal((len(times), n, 2))
-        S[:, band] = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+        draws = rng.standard_normal((len(times), len(band), 2))
+        values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+        bins = np.broadcast_to(band, values.shape)
     elif src.signal == "tone":
         f0 = float(src.params.get("f0", 440.0))
         harmonics = int(src.params.get("harmonics", 3))
-        if f0 <= 0:
-            raise ValueError("tone f0 must be positive")
         bin_hz = freqs[1] - freqs[0]
-        for h in range(1, harmonics + 1):
-            fh = h * f0
-            if fh > freqs[-1]:
-                break
-            b = int(round(fh / bin_hz))
+        fh = [h * f0 for h in range(1, harmonics + 1) if h * f0 <= freqs[-1]]
+        band, column = np.unique(
+            [int(round(f / bin_hz)) for f in fh], return_inverse=True
+        )
+        values = np.zeros((len(times), len(band)), dtype=np.complex128)
+        for f, col in zip(fh, column):
             phase0 = rng.uniform(0, 2 * np.pi)
-            S[:, b] += np.exp(1j * (2 * np.pi * fh * times + phase0))
+            values[:, col] += np.exp(1j * (2 * np.pi * f * times + phase0))
+        bins = np.broadcast_to(band, values.shape)
     else:  # chirp
         f_start = float(src.params.get("f_start", 200.0))
         f_end = float(src.params.get("f_end", freqs[-1]))
         bin_hz = freqs[1] - freqs[0]
         frac = (times - src.onset) / (src.offset - src.onset)
         inst = f_start + (f_end - f_start) * np.clip(frac, 0.0, 1.0)
-        bins = np.clip(np.round(inst / bin_hz).astype(int), 0, F - 1)
-        S[np.arange(len(times)), bins] = np.exp(1j * 2 * np.pi * inst * times)
-    return S * src.gain
+        bins = np.clip(np.round(inst / bin_hz).astype(int), 0, len(freqs) - 1)[:, None]
+        values = np.exp(1j * 2 * np.pi * inst * times)[:, None]
+    return bins, values * src.gain
 
 
 def render_scene(
@@ -248,9 +282,15 @@ def render_scene(
 ) -> tuple[ComplexSpectrogram, SeldLabels]:
     """Render a scene directly in the STFT domain.
 
-    Each source contributes S(t, f) * H(f, direction(t)) at its active frames;
-    independent complex Gaussian noise of the configured power is added to
-    every channel. Labels are sampled at the label frame centers (10 fps).
+    Each source contributes S(t, f) * H(f, direction(t)) at its active frames,
+    added only on its support bins (where S is non-zero): H is the 4-gain
+    vector for foa and the steering phase at those bins' frequencies for mic.
+    The result is bit-identical to multiplying over every bin. Independent
+    complex Gaussian noise of the configured power is added to every channel.
+    Labels are sampled at the label frame centers (10 fps).
+
+    Raises:
+        ValueError: a tone's f0 is above Nyquist, or a noise band holds no bin.
 
     Args:
         scene: scene description.
@@ -267,6 +307,11 @@ def render_scene(
     M = scene.fmt.n_channels
     freqs = np.arange(F) * cfg.bin_hz
     centers = (np.arange(T) * cfg.hop_length + cfg.window_length / 2) / cfg.sample_rate
+    for si, src in enumerate(scene.sources):
+        if src.signal == "tone" and src.params.get("f0", 440.0) > freqs[-1]:
+            raise ValueError(
+                f"source {si}: tone f0 is above Nyquist ({freqs[-1]:g} Hz)"
+            )
 
     if scene.noise_power > 0:
         # Each (real, imaginary) pair of draws is read in place as one
@@ -287,27 +332,24 @@ def render_scene(
         X = np.zeros((M, T, F), dtype=np.complex128)
 
     for si, src in enumerate(scene.sources):
-        active = (centers >= src.onset) & (centers < src.offset)
-        if not np.any(active):
+        t_idx = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
+        if len(t_idx) == 0:
             continue
-        t_act = centers[active]
+        t_act = centers[t_idx]
         rng = np.random.default_rng([scene.seed, 1 + si])
-        S = _frame_spectra(src, t_act, freqs, rng)
+        bins, values = _frame_spectra(src, t_act, freqs, rng)
         u = src.direction_at(t_act) @ scene.orientation.T  # (n_act, 3)
         if scene.fmt.kind == "foa":
-            H = np.concatenate([np.ones((len(t_act), 1)), u], axis=1).T  # (4, n_act)
-            X[:, active, :] += H[:, :, None] * S[None, :, :]
+            H = np.concatenate([np.ones((len(t_act), 1)), u], axis=1).T[:, :, None]
         else:
             pos = scene.fmt.mic_positions
             d = (pos[0][None, :] - pos) @ u.T  # (M, n_act)
             phase = (
-                -2.0
-                * np.pi
-                * d[:, :, None]
-                * freqs[None, None, :]
-                / scene.fmt.speed_of_sound
+                -2.0 * np.pi * d[:, :, None] * freqs[bins] / scene.fmt.speed_of_sound
             )
-            X[:, active, :] += np.exp(1j * phase) * S[None, :, :]
+            H = np.exp(1j * phase)
+        # Bins are distinct within a frame, so the fancy-index add is exact.
+        X[:, t_idx[:, None], bins] += H * values
 
     labels = _labels_for(scene)
     return ComplexSpectrogram(X, bin_hz=cfg.bin_hz, frame_rate=cfg.frame_rate), labels
@@ -400,33 +442,39 @@ def parse_scene(text: str) -> SceneDescription:
     if kind == "mic" and "mic_radius" in globals_:
         from .spatial import tetra_positions
 
-        fmt = ArrayFormat("mic", tetra_positions(float(globals_["mic_radius"])))
+        radius = float(globals_["mic_radius"])
+        if not (math.isfinite(radius) and radius > 0):
+            raise ValueError(f"mic_radius must be finite and positive, got {radius!r}")
+        fmt = ArrayFormat("mic", tetra_positions(radius))
     else:
         fmt = ArrayFormat(kind)
 
     sources = []
     for bi, block in enumerate(blocks):
-        for req in ("class", "onset", "offset"):
-            if req not in block:
-                raise ValueError(f"source {bi}: missing {req}")
-        knots = []
-        for part in block.get("trajectory", "0:0:0").split(","):
-            fields = part.strip().split(":")
-            if len(fields) != 3:
-                raise ValueError(f"source {bi}: bad trajectory knot {part!r}")
-            knots.append(tuple(float(x) for x in fields))
-        params = {k: float(v) for k, v in block.items() if k in _PARAM_KEYS}
-        sources.append(
-            SourceSpec(
-                class_id=int(block["class"]),
-                onset=float(block["onset"]),
-                offset=float(block["offset"]),
-                gain=float(block.get("gain", 1.0)),
-                signal=block.get("signal", "noise"),
-                params=params,
-                trajectory=knots,
+        try:
+            for req in ("class", "onset", "offset"):
+                if req not in block:
+                    raise ValueError(f"missing {req}")
+            knots = []
+            for part in block.get("trajectory", "0:0:0").split(","):
+                fields = part.strip().split(":")
+                if len(fields) != 3:
+                    raise ValueError(f"bad trajectory knot {part!r}")
+                knots.append(tuple(float(x) for x in fields))
+            params = {k: float(v) for k, v in block.items() if k in _PARAM_KEYS}
+            sources.append(
+                SourceSpec(
+                    class_id=int(block["class"]),
+                    onset=float(block["onset"]),
+                    offset=float(block["offset"]),
+                    gain=float(block.get("gain", 1.0)),
+                    signal=block.get("signal", "noise"),
+                    params=params,
+                    trajectory=knots,
+                )
             )
-        )
+        except ValueError as exc:
+            raise ValueError(f"source {bi}: {exc}") from None
     return SceneDescription(
         fmt=fmt,
         duration=float(globals_["duration"]),

@@ -227,3 +227,104 @@ def score_rows(
         "localization_error_deg": le_sum / le_n if le_n else 180.0,
         "localization_recall": recalled / ref_units if ref_units else 1.0,
     }
+
+
+# ---------------------------------------------------------------------------
+# scene rendering
+
+
+def _unit(az_deg, el_deg):
+    az = np.radians(np.asarray(az_deg, dtype=np.float64))
+    el = np.radians(np.asarray(el_deg, dtype=np.float64))
+    return np.stack(
+        [np.cos(az) * np.cos(el), np.sin(az) * np.cos(el), np.sin(el)], axis=-1
+    )
+
+
+def _directions(src, times):
+    knots = sorted(src.trajectory)
+    kt = np.array([k[0] for k in knots])
+    az = np.array([k[1] for k in knots], dtype=np.float64)
+    el = np.array([k[2] for k in knots], dtype=np.float64)
+    if len(knots) == 1:
+        return _unit(np.full(len(times), az[0]), np.full(len(times), el[0]))
+    az_unwrapped = np.degrees(np.unwrap(np.radians(az)))
+    return _unit(np.interp(times, kt, az_unwrapped), np.interp(times, kt, el))
+
+
+def _dense_frame_spectra(src, times, freqs, rng):
+    """Source STFT over every bin of each active frame, (len(times), F)."""
+    F = len(freqs)
+    S = np.zeros((len(times), F), dtype=np.complex128)
+    if src.signal == "noise":
+        f_lo = float(src.params.get("f_low", 200.0))
+        f_hi = float(src.params.get("f_high", freqs[-1]))
+        band = (freqs >= f_lo) & (freqs <= f_hi)
+        draws = rng.standard_normal((len(times), int(band.sum()), 2))
+        S[:, band] = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
+    elif src.signal == "tone":
+        f0 = float(src.params.get("f0", 440.0))
+        bin_hz = freqs[1] - freqs[0]
+        for h in range(1, int(src.params.get("harmonics", 3)) + 1):
+            fh = h * f0
+            if fh > freqs[-1]:
+                break
+            b = int(round(fh / bin_hz))
+            phase0 = rng.uniform(0, 2 * np.pi)
+            S[:, b] += np.exp(1j * (2 * np.pi * fh * times + phase0))
+    else:
+        f_start = float(src.params.get("f_start", 200.0))
+        f_end = float(src.params.get("f_end", freqs[-1]))
+        bin_hz = freqs[1] - freqs[0]
+        frac = (times - src.onset) / (src.offset - src.onset)
+        inst = f_start + (f_end - f_start) * np.clip(frac, 0.0, 1.0)
+        bins = np.clip(np.round(inst / bin_hz).astype(int), 0, F - 1)
+        S[np.arange(len(times)), bins] = np.exp(1j * 2 * np.pi * inst * times)
+    return S * src.gain
+
+
+def dense_render_scene(scene, cfg):
+    """Scene spectrogram with every source multiplied by its steering over all
+    bins of its active frames, (M, T, F) complex128.
+
+    Uses the renderer's seeds, draw order and per-element arithmetic, so
+    its output is meant to match `render_scene` bit for bit.
+    """
+    n_samples = int(round(scene.duration * cfg.sample_rate))
+    T = 1 + (n_samples - cfg.window_length) // cfg.hop_length
+    F = cfg.fft_size // 2 + 1
+    M = 4 if scene.fmt.kind == "foa" else len(scene.fmt.mic_positions)
+    freqs = np.arange(F) * cfg.bin_hz
+    centers = (np.arange(T) * cfg.hop_length + cfg.window_length / 2) / cfg.sample_rate
+    if scene.noise_power > 0:
+        rng = np.random.default_rng([scene.seed, 0])
+        draws = rng.standard_normal((M, T, F, 2))
+        X = np.sqrt(scene.noise_power / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
+        if scene.fmt.kind == "foa" and not np.array_equal(scene.orientation, np.eye(3)):
+            A = np.zeros((4, 4))
+            A[0, 0] = 1.0
+            A[1:, 1:] = scene.orientation
+            X = np.einsum("ij,jtf->itf", A, X)
+    else:
+        X = np.zeros((M, T, F), dtype=np.complex128)
+    for si, src in enumerate(scene.sources):
+        active = (centers >= src.onset) & (centers < src.offset)
+        if not np.any(active):
+            continue
+        t_act = centers[active]
+        S = _dense_frame_spectra(
+            src, t_act, freqs, np.random.default_rng([scene.seed, 1 + si])
+        )
+        u = _directions(src, t_act) @ scene.orientation.T
+        if scene.fmt.kind == "foa":
+            H = np.concatenate([np.ones((len(t_act), 1)), u], axis=1).T
+            X[:, active, :] += H[:, :, None] * S[None, :, :]
+        else:
+            pos = scene.fmt.mic_positions
+            d = (pos[0][None, :] - pos) @ u.T
+            phase = (
+                -2.0 * np.pi * d[:, :, None] * freqs[None, None, :]
+                / scene.fmt.speed_of_sound
+            )
+            X[:, active, :] += np.exp(1j * phase) * S[None, :, :]
+    return X

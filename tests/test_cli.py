@@ -150,6 +150,40 @@ def test_synth_error_codes(tmp_path):
     assert main(["synth", str(bad), "--out", str(tmp_path)]) == 3
 
 
+TONE_SCENE = SCENE.replace("signal=noise\nf_low=300\nf_high=7000",
+                           "signal=tone\nf0=440\nharmonics=3")
+CHIRP_SCENE = SCENE.replace("signal=noise\nf_low=300\nf_high=7000",
+                            "signal=chirp\nf_start=500\nf_end=3000")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (SCENE.replace("gain=1.0", "gain=nan"), "source 0: gain"),
+        (CHIRP_SCENE.replace("f_start=500", "f_start=nan"), "source 0: f_start"),
+        (SCENE.replace("0:40:10", "0:nan:10"), "source 0: trajectory"),
+        (SCENE.replace("onset=0.2", "onset=nan"), "source 0: onset"),
+        (SCENE.replace("noise_power=0.0001", "noise_power=nan"), "noise_power"),
+        (SCENE.replace("duration=1.2", "duration=inf"), "duration"),
+        (SCENE.replace("format=foa", "format=mic\nmic_radius=nan"), "mic_radius"),
+        (TONE_SCENE.replace("harmonics=3", "harmonics=0"), "source 0: harmonics"),
+        (TONE_SCENE.replace("harmonics=3", "harmonics=2.7"), "source 0: harmonics"),
+        (TONE_SCENE.replace("f0=440", "f0=13000"), "source 0: tone f0"),
+        (SCENE.replace("1.2:60:10", "0:60:10"), "source 0: trajectory"),
+    ],
+    ids=["gain-nan", "chirp-f_start-nan", "azimuth-nan", "onset-nan",
+         "noise_power-nan", "duration-inf", "mic_radius-nan", "harmonics-0",
+         "harmonics-fraction", "f0-above-nyquist", "knots-same-time"],
+)
+def test_synth_rejects_unrenderable_scene_values(tmp_path, capsys, text, message):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(text)
+    out = tmp_path / "o"
+    assert main(["synth", str(scene), "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_name_override(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)

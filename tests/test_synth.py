@@ -20,6 +20,7 @@ from seldkit import (
     unit_vector,
 )
 
+from oracles import dense_render_scene
 from support import random_scene, single_source_scene
 
 
@@ -80,6 +81,15 @@ def test_source_validation():
         SourceSpec(class_id=0, onset=0.0, offset=1.0, signal="square")
     with pytest.raises(ValueError):
         SceneDescription(ArrayFormat("foa"), duration=0.0, sources=[])
+    with pytest.raises(ValueError, match="gain"):
+        SourceSpec(class_id=0, onset=0.0, offset=1.0, gain=float("inf"))
+    with pytest.raises(ValueError, match="harmonics"):
+        SourceSpec(class_id=0, onset=0.0, offset=1.0, signal="tone",
+                   params={"harmonics": 2.5})
+    with pytest.raises(ValueError, match="distinct times"):
+        SourceSpec(class_id=0, onset=0.0, offset=1.0,
+                   trajectory=[(0.5, 10.0, 0.0), (0.5, 20.0, 0.0)])
+    SourceSpec(class_id=0, onset=0.0, offset=1.0, signal="tone", params={"harmonics": 4})
 
 
 def test_scene_rejects_duplicate_classes():
@@ -136,6 +146,58 @@ def test_render_noise_matches_complex_expression():
         draws = np.random.default_rng([42, 0]).standard_normal((*spec.data.shape, 2))
         want = np.sqrt(1e-3 / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
         np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
+
+
+def _scene(kind, sources, noise_power=1e-3, seed=11):
+    return SceneDescription(ArrayFormat(kind), duration=1.0, sources=sources,
+                            noise_power=noise_power, seed=seed)
+
+
+def _src(class_id, signal, params, trajectory=((0.0, 30.0, 10.0),), onset=0.1,
+         offset=0.9, gain=0.7):
+    return SourceSpec(class_id=class_id, onset=onset, offset=offset, signal=signal,
+                      gain=gain, params=params, trajectory=list(trajectory))
+
+
+_ROT = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
+RENDER_CASES = {
+    # 30 Hz harmonics on 46.875 Hz bins: 30 and 60 Hz both round to bin 1,
+    # 120 and 150 Hz to bin 3.
+    "tone-harmonics-share-bins": lambda kind: _scene(
+        kind, [_src(0, "tone", {"f0": 30.0, "harmonics": 8})]),
+    "chirp-past-nyquist": lambda kind: _scene(
+        kind, [_src(1, "chirp", {"f_start": 9000.0, "f_end": 20000.0})]),
+    "one-bin-noise-band": lambda kind: _scene(
+        kind, [_src(2, "noise", {"f_low": 1500.0, "f_high": 1500.0})]),
+    "overlapping-sources": lambda kind: _scene(kind, [
+        _src(0, "noise", {"f_low": 300.0, "f_high": 6000.0}),
+        _src(1, "tone", {"f0": 440.0, "harmonics": 5}, [(0.0, -60.0, 20.0)], 0.3, 1.0),
+        _src(2, "chirp", {"f_start": 500.0, "f_end": 3000.0}, [(0.0, 90.0, -30.0)],
+             0.0, 0.6, 1.1),
+    ]),
+    "crosses-180": lambda kind: _scene(kind, [
+        _src(3, "noise", {"f_low": 200.0, "f_high": 8000.0},
+             [(0.0, 170.0, 0.0), (1.0, -170.0, 20.0)]),
+    ]),
+    "re-oriented": lambda kind: random_scene(
+        np.random.default_rng(4), kind, duration=1.0).transformed(_ROT),
+    "no-ambient-noise": lambda kind: _scene(kind, [
+        _src(0, "noise", {"f_low": 300.0, "f_high": 6000.0}),
+        _src(1, "tone", {"f0": 30.0, "harmonics": 8}),
+        _src(2, "chirp", {"f_start": 9000.0, "f_end": 20000.0}),
+    ], noise_power=0.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+@pytest.mark.parametrize("case", sorted(RENDER_CASES))
+def test_render_matches_dense_oracle_bit_for_bit(case, kind):
+    scene = RENDER_CASES[case](kind)
+    cfg = StftConfig()
+    spec, _ = render_scene(scene, cfg)
+    want = dense_render_scene(scene, cfg)
+    assert np.count_nonzero(want) > 0
+    np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
 
 
 def test_labels_sample_trajectory_at_frame_centers():
