@@ -15,7 +15,7 @@ import numpy as np
 
 from .baseline import channel_pairs
 from .spatial import SPEED_OF_SOUND
-from .stft import FeatureTensor
+from .stft import FeatureTensor, frame_blocks
 from .synth import SeldLabels
 
 
@@ -141,10 +141,8 @@ def _reverse_lags(block: np.ndarray) -> np.ndarray:
 
 
 def _swap_foa(
-    feat: FeatureTensor, tx: SpatialTransform
+    data: np.ndarray, groups: dict[str, list[int]], tx: SpatialTransform
 ) -> np.ndarray:
-    groups = _role_slices(feat)
-    data = feat.data
     out = data.copy()
     A = tx.matrix
     spec_idx = groups["spec"]
@@ -165,10 +163,12 @@ def _swap_foa(
 
 
 def _swap_mic(
-    feat: FeatureTensor, tx: SpatialTransform, speed_of_sound: float
+    data: np.ndarray,
+    groups: dict[str, list[int]],
+    tx: SpatialTransform,
+    meta: dict,
+    speed_of_sound: float,
 ) -> np.ndarray:
-    groups = _role_slices(feat)
-    data = feat.data
     out = data.copy()
     perm = tx.mic_perm
     spec_idx = groups["spec"]
@@ -193,8 +193,8 @@ def _swap_mic(
         def delay(capsule):
             return data[sp[capsule - 1]] if capsule else 0.0
 
-        bin_hz = float(feat.meta.get("bin_hz", 0.0))
-        start = int(feat.meta.get("compress_start_bin", B))
+        bin_hz = float(meta.get("bin_hz", 0.0))
+        start = int(meta.get("compress_start_bin", B))
         # Only the uncompressed low bands carry per-bin phase; averaged
         # high bands have no single frequency to wrap against.
         freqs = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
@@ -222,6 +222,28 @@ def _swap_mic(
     return out
 
 
+def _swap_channels(
+    feat: FeatureTensor,
+    labels: SeldLabels | None,
+    tx: SpatialTransform,
+    speed_of_sound: float,
+) -> SeldLabels | None:
+    """channel_swap of feat.data in place, one block of frames at a time.
+
+    Every swap step maps each frame on its own, so each block is widened to
+    float64, swapped, and stored back in the tensor's dtype; the only
+    temporaries are a few blocks. Returns the transformed labels.
+    """
+    groups = _role_slices(feat)
+    for block in frame_blocks(feat.n_frames):
+        part = feat.data[:, block].astype(np.float64)
+        if tx.kind == "foa":
+            feat.data[:, block] = _swap_foa(part, groups, tx)
+        else:
+            feat.data[:, block] = _swap_mic(part, groups, tx, feat.meta, speed_of_sound)
+    return labels.transformed(tx.matrix) if labels is not None else None
+
+
 def channel_swap(
     feat: FeatureTensor,
     labels: SeldLabels | None,
@@ -246,13 +268,23 @@ def channel_swap(
     fmt = feat.meta.get("format")
     if fmt != tx.kind:
         raise ValueError(f"transform is for {tx.kind!r} but features are {fmt!r}")
-    if tx.kind == "foa":
-        data = _swap_foa(feat, tx)
-    else:
-        data = _swap_mic(feat, tx, speed_of_sound)
-    out = FeatureTensor(data, list(feat.channel_roles), feat.scale, dict(feat.meta))
-    new_labels = labels.transformed(tx.matrix) if labels is not None else None
-    return out, new_labels
+    out = feat.copy()
+    return out, _swap_channels(out, labels, tx, speed_of_sound)
+
+
+def _shift_bands(feat: FeatureTensor, shift: int) -> None:
+    """frequency_shift of feat.data in place."""
+    for ch, role in enumerate(feat.channel_roles):
+        if role == "gcc" or shift == 0:
+            continue
+        x = feat.data[ch]
+        fill = x.min() if role == "spec" else 0.0
+        if shift > 0:
+            x[:, shift:] = x[:, :-shift]
+            x[:, :shift] = fill
+        else:
+            x[:, :shift] = x[:, -shift:]
+            x[:, shift:] = fill
 
 
 def frequency_shift(
@@ -272,34 +304,12 @@ def frequency_shift(
     if abs(shift) > max_shift:
         raise ValueError(f"|shift| must be <= {max_shift}, got {shift}")
     out = feat.copy()
-    if shift == 0:
-        return out
-    for ch, role in enumerate(feat.channel_roles):
-        if role == "gcc":
-            continue
-        fill = feat.data[ch].min() if role == "spec" else 0.0
-        shifted = np.full_like(feat.data[ch], fill)
-        if shift > 0:
-            shifted[:, shift:] = feat.data[ch][:, :-shift]
-        else:
-            shifted[:, :shift] = feat.data[ch][:, -shift:]
-        out.data[ch] = shifted
+    _shift_bands(out, shift)
     return out
 
 
-def random_cutout(
-    feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig | None = None
-) -> FeatureTensor:
-    """Mask one random region, identical across channels.
-
-    With equal probability the region is a single rectangle (up to a quarter
-    of each axis) or a cross of up to cross_max_freq_bands frequency stripes
-    and cross_max_time_bands time stripes. Spectrogram channels are filled
-    with a per-channel uniform draw from their observed value range; other
-    channels are zeroed.
-    """
-    if cfg is None:
-        cfg = AugmentConfig()
+def _cut_out(feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig) -> None:
+    """random_cutout of feat.data in place."""
     T, B = feat.n_frames, feat.n_bands
     mask = np.zeros((T, B), dtype=bool)
     if rng.random() < 0.5:
@@ -318,14 +328,28 @@ def random_cutout(
             t0 = int(rng.integers(0, T - w + 1))
             mask[t0 : t0 + w, :] = True
 
-    out = feat.copy()
     for ch, role in enumerate(feat.channel_roles):
         if role == "spec":
             lo, hi = float(feat.data[ch].min()), float(feat.data[ch].max())
             value = float(rng.uniform(lo, hi)) if hi > lo else lo
         else:
             value = 0.0
-        out.data[ch][mask] = value
+        feat.data[ch][mask] = value
+
+
+def random_cutout(
+    feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig | None = None
+) -> FeatureTensor:
+    """Mask one random region, identical across channels.
+
+    With equal probability the region is a single rectangle (up to a quarter
+    of each axis) or a cross of up to cross_max_freq_bands frequency stripes
+    and cross_max_time_bands time stripes. Spectrogram channels are filled
+    with a per-channel uniform draw from their observed value range; other
+    channels are zeroed.
+    """
+    out = feat.copy()
+    _cut_out(out, rng, cfg if cfg is not None else AugmentConfig())
     return out
 
 
@@ -334,18 +358,26 @@ def augment_pipeline(
     labels: SeldLabels | None,
     rng: np.random.Generator,
     cfg: AugmentConfig | None = None,
+    *,
+    in_place: bool = False,
 ) -> tuple[FeatureTensor, SeldLabels | None]:
     """Channel swap, frequency shift, and random cutout, each applied
-    independently with probability cfg.p_apply, in that order."""
+    independently with probability cfg.p_apply, in that order.
+
+    The stages work on one tensor in its own dtype: a copy of feat or, with
+    in_place, feat itself.
+    """
     if cfg is None:
         cfg = AugmentConfig()
+    if not in_place:
+        feat = feat.copy()
     if rng.random() < cfg.p_apply:
         options = transforms_for(feat.meta.get("format"))
         tx = options[int(rng.integers(len(options)))]
-        feat, labels = channel_swap(feat, labels, tx)
+        labels = _swap_channels(feat, labels, tx, SPEED_OF_SOUND)
     if rng.random() < cfg.p_apply:
         shift = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
-        feat = frequency_shift(feat, shift, cfg.max_shift)
+        _shift_bands(feat, shift)
     if rng.random() < cfg.p_apply:
-        feat = random_cutout(feat, rng, cfg)
+        _cut_out(feat, rng, cfg)
     return feat, labels

@@ -8,11 +8,12 @@ import numpy as np
 from . import spatial
 from .stft import (
     ComplexSpectrogram,
+    FeatureStream,
     FeatureTensor,
+    SpectrogramStream,
     apply_filterbank,
     compress_high_bands,
     compressed_bands,
-    frame_blocks,
     log_linear_spectrogram,
     log_mel_spectrogram,
     mel_filterbank,
@@ -88,10 +89,27 @@ def gcc_phat(
     fft_size = 2 * (spec.n_bins - 1)
     if not (0 < n_lags <= fft_size):
         raise ValueError(f"n_lags must be in (0, {fft_size}]")
-    cross = np.conj(spec.data[i]) * spec.data[j]
+    return _gcc_pairs(spec.data, [(i, j)], n_lags, eps)[0]
+
+
+def _gcc_pairs(
+    data: np.ndarray, pairs: list[tuple[int, int]], n_lags: int, eps: float = 1e-12
+) -> np.ndarray:
+    """gcc_phat of every (i, j) pair of data (M, T, F) at once, (pairs, T, n_lags).
+
+    One cross-spectrum, one whitening and one inverse rfft cover the whole
+    (pairs, T, F) stack, each done in place on one complex and one real
+    array; every value is computed as for a single pair.
+    """
+    fft_size = 2 * (data.shape[-1] - 1)
+    i, j = np.array(pairs).T
+    cross = np.conj(data[i])
+    cross *= data[j]
     mag = np.abs(cross)
-    phase_only = np.where(mag < eps, 1.0 + 0.0j, cross / np.maximum(mag, eps))
-    full = np.fft.irfft(phase_only, n=fft_size, axis=-1)
+    degenerate = mag < eps
+    np.divide(cross, np.maximum(mag, eps, out=mag), out=cross)
+    cross[degenerate] = 1.0  # zero phase
+    full = np.fft.irfft(cross, n=fft_size, axis=-1)
     lags = np.arange(-(n_lags // 2) + 1, n_lags // 2 + 1)
     return full[..., lags % fft_size]
 
@@ -108,7 +126,18 @@ def assemble(
     cfg: spatial.BinSelectionConfig | None = None,
     n_mels: int = 128,
 ) -> FeatureTensor:
-    """Build a named feature stack from a complex spectrogram.
+    """Whole-clip assemble_stream: a named feature stack of a complex spectrogram."""
+    return assemble_stream(spec.stream(), kind, fmt, cfg, n_mels).collect()
+
+
+def assemble_stream(
+    spec: SpectrogramStream,
+    kind: str,
+    fmt: spatial.ArrayFormat,
+    cfg: spatial.BinSelectionConfig | None = None,
+    n_mels: int = 128,
+) -> FeatureStream:
+    """Build a named feature stack from a complex spectrogram stream.
 
     Kinds and layouts for a 4-channel input:
       melspeciv   4 log-mel + 3 mel intensity vector     -> 7 x T x n_mels
@@ -119,13 +148,13 @@ def assemble(
     where F' is the band count after high-band compression. Intensity-vector
     kinds require the foa format; mic inputs must have one channel per capsule.
     Every channel of the four classical kinds depends on its own frame only,
-    so they are built one block of frames at a time into one preallocated
-    output.
+    so each spectrogram block gives one output block; salsa is
+    spatial.salsa_stream. Arguments are checked before any block is read.
     """
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
     if kind == "salsa":
-        return spatial.salsa(spec, fmt, cfg)
+        return spatial.salsa_stream(spec, fmt, cfg)
     if cfg is None:
         cfg = spatial.BinSelectionConfig.for_format(fmt.kind)
     if kind in ("melspeciv", "linspeciv") and fmt.kind != "foa":
@@ -163,18 +192,20 @@ def assemble(
         roles = ["spec"] * M + ["gcc"] * len(pairs)
         meta["n_lags"] = n_out
 
-    out = np.empty((len(roles), spec.n_frames, n_out))
-    for block in frame_blocks(spec.n_frames):
-        part = spec.block(block)
-        if scale == "mel":
-            out[:M, block] = log_mel_spectrogram(part, fb, floor=cfg.log_floor).data
-        else:
-            out[:M, block] = compress(log_linear_spectrogram(part, floor=cfg.log_floor).data)
-        if kind == "melspeciv":
-            out[M:, block] = mel_intensity_vector(intensity_vector(part), fb)
-        elif kind == "linspeciv":
-            out[M:, block] = compress(intensity_vector(part))
-        else:
-            for k, (i, j) in enumerate(pairs):
-                out[M + k, block] = gcc_phat(part, i, j, n_out)
-    return FeatureTensor(out, channel_roles=roles, scale=scale, meta=meta)
+    def blocks():
+        for data in spec.blocks:
+            part = ComplexSpectrogram(data, spec.bin_hz, spec.frame_rate)
+            out = np.empty((len(roles), part.n_frames, n_out))
+            if scale == "mel":
+                out[:M] = log_mel_spectrogram(part, fb, floor=cfg.log_floor).data
+            else:
+                out[:M] = compress(log_linear_spectrogram(part, floor=cfg.log_floor).data)
+            if kind == "melspeciv":
+                out[M:] = mel_intensity_vector(intensity_vector(part), fb)
+            elif kind == "linspeciv":
+                out[M:] = compress(intensity_vector(part))
+            elif pairs:
+                out[M:] = _gcc_pairs(data, pairs, n_out)
+            yield out
+
+    return FeatureStream((len(roles), spec.n_frames, n_out), roles, scale, meta, blocks())

@@ -15,16 +15,17 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .augment import augment_pipeline
-from .baseline import FEATURE_KINDS, assemble
+# The whole-clip stft and assemble are not called here, but stay importable
+# from this module: perfbench/tracing.py wraps the names this module holds.
+from .baseline import FEATURE_KINDS, assemble, assemble_stream  # noqa: F401
 from .config import PipelineConfig
 from .imaging import render_heatmap, write_ppm
 from .metrics import MetricsConfig, evaluate_many, seld_error
 from .normalize import STD_FLOOR, ChannelStats, StatsAccumulator, apply_stats
 from .spatial import ArrayFormat
-from .stft import AudioClip, FeatureTensor, stft
+from .stft import AudioClip, FeatureTensor, stft, stft_stream  # noqa: F401
 from .synth import (
     N_CLASSES,
     SeldLabels,
@@ -40,9 +41,11 @@ from .tensorfile import (
     manifest_path_for,
     read_manifest,
     read_tensor,
+    tensor_writer,
     write_manifest,
     write_tensor,
 )
+from .wavio import WavReader
 
 
 class InputError(Exception):
@@ -81,66 +84,72 @@ def _collect_inputs(paths, suffix: str) -> list[Path]:
     return out
 
 
-def read_wav(path: str | Path) -> AudioClip:
-    """Load a WAV file as (channels, samples) float64 in [-1, 1].
+def open_wav(path: str | Path) -> WavReader:
+    """Open a WAV file for block reads (see seldkit.wavio).
 
-    Integer formats are scaled by their full range (24-bit arrives as
-    left-aligned 32-bit); float samples pass through unscaled.
+    Raises InputError if the file is missing or its header cannot be read.
     """
     path = Path(path)
     try:
-        rate, data = wavfile.read(path)
+        return WavReader(path)
     except FileNotFoundError:
         raise InputError(f"{path}: no such file") from None
     except (ValueError, OSError) as exc:
         raise InputError(f"{path}: cannot read ({exc})") from None
-    data = np.atleast_2d(data.T if data.ndim == 2 else data)
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 2.0**15
-    elif data.dtype == np.int32:
-        samples = data.astype(np.float64) / 2.0**31
-    elif data.dtype == np.uint8:
-        samples = (data.astype(np.float64) - 128.0) / 128.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
-        raise InputError(f"{path}: unsupported sample format {data.dtype}")
-    return AudioClip(samples, int(rate))
+
+
+def read_wav(path: str | Path) -> AudioClip:
+    """Load a whole WAV file as (channels, samples) float64 in [-1, 1].
+
+    One read of open_wav: integer formats are scaled by their full range
+    (24-bit as left-aligned 32-bit), float samples pass through unscaled.
+    """
+    with open_wav(path) as wav:
+        return AudioClip(wav.read(wav.n_samples), wav.sample_rate)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
     """Write float32 WAV, channels x samples transposed to WAV layout."""
+    from scipy.io import wavfile  # only writers need scipy.io; it is slow to import
+
     wavfile.write(path, clip.sample_rate, clip.samples.T.astype(np.float32))
 
 
-_MANIFEST_INT = ("sample_rate", "n_mels", "n_lags", "compress_start_bin", "compress_factor", "seed")
+_MANIFEST_INT = (
+    "sample_rate", "n_mels", "n_lags", "compress_start_bin", "compress_factor", "seed",
+    "in_band_bins", "candidates", "selected",
+)
 _MANIFEST_FLOAT = ("bin_hz", "frame_rate", "f_low", "f_high", "speed_of_sound")
 _MANIFEST_BOOL = ("normalized", "augmented")
 _MANIFEST_STR = ("feature", "format", "config")
 
 
-def write_feature(path: str | Path, feat: FeatureTensor) -> None:
-    """Store a feature tensor as float32 with its sidecar manifest."""
-    path = Path(path)
-    write_tensor(path, feat.data.astype(np.float32))
+def _write_feature_manifest(path: Path, shape, roles, scale: str, meta: dict) -> None:
     entries = {
         "kind": "feature",
-        "scale": feat.scale,
-        "channel_roles": feat.channel_roles,
-        "channels": feat.n_channels,
-        "frames": feat.n_frames,
-        "bands": feat.n_bands,
+        "scale": scale,
+        "channel_roles": roles,
+        "channels": shape[0],
+        "frames": shape[1],
+        "bands": shape[2],
     }
     for key in _MANIFEST_STR + _MANIFEST_INT + _MANIFEST_FLOAT + _MANIFEST_BOOL:
-        if key in feat.meta:
-            entries[key] = feat.meta[key]
+        if key in meta:
+            entries[key] = meta[key]
     write_manifest(manifest_path_for(path), entries)
 
 
-def read_feature(path: str | Path) -> FeatureTensor:
-    """Load a feature tensor and rebuild roles and metadata from its manifest."""
+def write_feature(path: str | Path, feat: FeatureTensor) -> None:
+    """Store a feature tensor as float32 with its sidecar manifest."""
     path = Path(path)
-    data = read_tensor(path).astype(np.float64)
+    write_tensor(path, feat.data.astype(np.float32, copy=False))
+    _write_feature_manifest(path, feat.data.shape, feat.channel_roles, feat.scale, feat.meta)
+
+
+def read_feature(path: str | Path) -> FeatureTensor:
+    """Load a feature tensor as float32 and rebuild roles and metadata from its manifest."""
+    path = Path(path)
+    data = read_tensor(path).astype(np.float32, copy=False)
     manifest = read_manifest(manifest_path_for(path))
     if manifest.get("kind") != "feature":
         raise ValueError(f"{path}: manifest does not describe a feature tensor")
@@ -190,6 +199,23 @@ def _shape_text(shape) -> str:
 # subcommands
 
 
+def _finite_reads(wav: WavReader):
+    """wav.read that refuses non-finite samples with a NumericalError.
+
+    A NaN inside a covariance window would otherwise stop the eigen step
+    (exit 3) or reach an output block (exit 4), depending on where block
+    edges fall; checked as read, non-finite audio always exits 4.
+    """
+
+    def read(count: int) -> np.ndarray:
+        samples = wav.read(count)
+        if not np.isfinite(samples).all():
+            raise NumericalError(f"{wav.path}: audio has non-finite samples")
+        return samples
+
+    return read
+
+
 def cmd_extract(args) -> None:
     cfg = _load_config(args)
     if args.feature in ("melspeciv", "linspeciv") and args.format != "foa":
@@ -199,33 +225,37 @@ def cmd_extract(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     fmt = ArrayFormat(args.format, speed_of_sound=cfg.speed_of_sound)
     for path in inputs:
-        clip = read_wav(path)
-        if args.format == "foa" and clip.n_channels != 4:
-            raise ValueError(
-                f"{path}: foa input must have 4 channels, got {clip.n_channels}"
-            )
-        eff = cfg
-        if clip.sample_rate != cfg.sample_rate:
-            if not args.allow_any_rate:
+        with open_wav(path) as wav:
+            if args.format == "foa" and wav.n_channels != 4:
                 raise ValueError(
-                    f"{path}: sample rate {clip.sample_rate} != configured "
-                    f"{cfg.sample_rate}; pass --allow-any-rate to accept"
+                    f"{path}: foa input must have 4 channels, got {wav.n_channels}"
                 )
-            eff = replace(cfg, sample_rate=clip.sample_rate)
-        rate = clip.sample_rate
-        spec = stft(clip, eff.stft_config())
-        del clip  # the samples are not needed once the spectrogram exists
-        feat = assemble(
-            spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels
-        )
-        del spec
-        if not np.isfinite(feat.data).all():
-            raise NumericalError(f"{path}: feature tensor has non-finite values")
-        feat.meta["sample_rate"] = rate
-        feat.meta["config"] = eff.digest()
-        out_path = out_dir / (path.stem + ".ftb")
-        write_feature(out_path, feat)
-        print(f"{out_path} {_shape_text(feat.data.shape)}")
+            eff = cfg
+            if wav.sample_rate != cfg.sample_rate:
+                if not args.allow_any_rate:
+                    raise ValueError(
+                        f"{path}: sample rate {wav.sample_rate} != configured "
+                        f"{cfg.sample_rate}; pass --allow-any-rate to accept"
+                    )
+                eff = replace(cfg, sample_rate=wav.sample_rate)
+            # Samples flow block by block from the file through the STFT and
+            # the feature stack into the tensor file; no whole-clip array.
+            spec = stft_stream(
+                _finite_reads(wav), wav.n_channels, wav.n_samples, eff.stft_config()
+            )
+            feat = assemble_stream(
+                spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels
+            )
+            feat.meta["sample_rate"] = wav.sample_rate
+            feat.meta["config"] = eff.digest()
+            out_path = out_dir / (path.stem + ".ftb")
+            with tensor_writer(out_path, feat.shape, np.float32) as append:
+                for block in feat.blocks:
+                    if not np.isfinite(block).all():
+                        raise NumericalError(f"{path}: feature tensor has non-finite values")
+                    append(block)
+        _write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, feat.meta)
+        print(f"{out_path} {_shape_text(feat.shape)}")
 
 
 def cmd_synth(args) -> None:
@@ -363,7 +393,7 @@ def cmd_stats(args) -> None:
         apply_dir = Path(args.apply)
         apply_dir.mkdir(parents=True, exist_ok=True)
         for path in inputs:
-            feat = apply_stats(read_feature(path), stats)
+            feat = apply_stats(read_feature(path), stats, in_place=True)
             write_feature(apply_dir / path.name, feat)
         print(f"{apply_dir}: normalized {len(inputs)} tensors")
 
@@ -396,9 +426,7 @@ def cmd_augment(args) -> None:
             continue
         labels = _labels_from_rows(rows) if rows is not None else None
         rng = np.random.default_rng([args.seed, index])
-        # No reference to the input tensor stays here, so the pipeline can
-        # free it once its first stage has made a new one.
-        feat, labels = augment_pipeline(read_feature(path), labels, rng, acfg)
+        feat, labels = augment_pipeline(read_feature(path), labels, rng, acfg, in_place=True)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
         write_feature(out_dir / path.name, feat)

@@ -40,7 +40,7 @@ class StatsAccumulator:
         self._roles = None
 
     def add(self, feat: FeatureTensor) -> None:
-        flat = feat.data.reshape(feat.n_channels, -1).astype(np.float64, copy=False)
+        """Add one tensor; each channel is summed in float64, one at a time."""
         if self._roles is None:
             self._roles = list(feat.channel_roles)
             self._count = np.zeros(feat.n_channels)
@@ -48,9 +48,18 @@ class StatsAccumulator:
             self._sumsq = np.zeros(feat.n_channels)
         elif self._roles != list(feat.channel_roles):
             raise ValueError("cannot mix feature kinds in one statistics pass")
-        self._count += flat.shape[1]
-        self._sum += flat.sum(axis=1)
-        self._sumsq += (flat * flat).sum(axis=1)
+        sums = np.empty(feat.n_channels)
+        sumsq = np.empty(feat.n_channels)
+        row = np.empty(feat.data.shape[1:])  # one float64 channel, reused
+        flat = row.reshape(-1)
+        for ch in range(feat.n_channels):
+            np.copyto(row, feat.data[ch])
+            sums[ch] = flat.sum()
+            np.multiply(flat, flat, out=flat)
+            sumsq[ch] = flat.sum()
+        self._count += feat.n_frames * feat.n_bands
+        self._sum += sums
+        self._sumsq += sumsq
 
     def finish(self) -> ChannelStats:
         if self._roles is None:
@@ -68,12 +77,16 @@ def compute_stats(tensors) -> ChannelStats:
     return acc.finish()
 
 
-def apply_stats(feat: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
-    """Standardize channels in place of a copy: (x - mean) / max(std, floor).
+def apply_stats(
+    feat: FeatureTensor, stats: ChannelStats, *, in_place: bool = False
+) -> FeatureTensor:
+    """Standardize channels: (x - mean) / max(std, floor).
 
     Spectrogram channels are always normalized. Non-spectrogram channels are
     normalized only for the classical feature kinds; the combined eigenvector
-    feature keeps its direction channels untouched.
+    feature keeps its direction channels untouched. Each channel is computed
+    in float64 and stored in the tensor's own dtype, in a copy of feat or,
+    with in_place, in feat itself.
     """
     if len(stats.mean) != feat.n_channels:
         raise ValueError(
@@ -82,11 +95,15 @@ def apply_stats(feat: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
     if stats.channel_roles != list(feat.channel_roles):
         raise ValueError("channel roles of stats and tensor do not match")
     is_salsa = feat.meta.get("feature") == "salsa"
-    out = feat.copy()
+    out = feat if in_place else feat.copy()
     denom = np.maximum(stats.std, STD_FLOOR)
+    x = np.empty(feat.data.shape[1:])  # one float64 channel, reused
     for ch, role in enumerate(feat.channel_roles):
         if is_salsa and role != "spec":
             continue
-        out.data[ch] = (feat.data[ch] - stats.mean[ch]) / denom[ch]
+        np.copyto(x, out.data[ch])
+        x -= stats.mean[ch]
+        x /= denom[ch]
+        out.data[ch] = x
     out.meta["normalized"] = True
     return out

@@ -3,8 +3,10 @@ and the combined spectrogram + eigenvector-direction feature stack.
 
 One batched core computes covariances by gathering each bin's frames
 (`_covariances_at`), Hermitian eigendecompositions (`_principal`), coherence
-ratios (`_dominance`) and direction cues (`_directions`). `salsa` runs it on
-every candidate bin; the per-bin functions below run it on one.
+ratios (`_dominance`) and direction cues (`_directions`). `salsa_stream`
+runs it on the candidate bins of each run of frames as spectrogram blocks
+arrive, `salsa` is its whole-clip form, and the per-bin functions below run
+it on one bin.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import numpy as np
 
 from .stft import (
     ComplexSpectrogram,
+    FeatureStream,
     FeatureTensor,
+    SpectrogramStream,
     compress_high_bands,
     compressed_bands,
-    frame_blocks,
     log_linear_spectrogram,
 )
 
@@ -213,30 +216,74 @@ def track_noise_floor(mag: np.ndarray, cfg: BinSelectionConfig) -> np.ndarray:
     squeeze = mag.ndim == 1
     if squeeze:
         mag = mag[:, None]
-    T = mag.shape[0]
-    if T == 0:
+    if mag.shape[0] == 0:
         raise ValueError("empty magnitude sequence")
-    init = min(max(cfg.noise_init_frames, 1), T)
-    eta = np.empty_like(mag)
-    eta[:init] = mag[:init].mean(axis=0)[None, :]
-    up = 1.0 + cfg.noise_delta_up
-    down = 1.0 - cfg.noise_delta_down
-    for t in range(init, T):
-        prev = eta[t - 1]
-        eta[t] = np.where(mag[t] > prev, prev * up, prev * down)
+    tracker = _NoiseFloor(cfg, mag.shape[0])
+    eta = tracker.rows(mag, 0, mag[: tracker.init])
     return eta[:, 0] if squeeze else eta
+
+
+class _NoiseFloor:
+    """track_noise_floor over consecutive runs of frames.
+
+    The state between runs is the floor row of the last frame given, plus the
+    first init frames' mean (the floor of each of them).
+    """
+
+    def __init__(self, cfg: BinSelectionConfig, n_frames: int):
+        self.init = min(max(cfg.noise_init_frames, 1), n_frames)
+        self.up = 1.0 + cfg.noise_delta_up
+        self.down = 1.0 - cfg.noise_delta_down
+        self.init_row = None
+        self.prev = None
+
+    def rows(self, mag: np.ndarray, start: int, head: np.ndarray) -> np.ndarray:
+        """Floor of frames start, start+1, ... given their magnitudes mag (n, F).
+
+        head holds the magnitudes of the first init frames; it is read only
+        on the first call, which must start at frame 0.
+        """
+        if self.init_row is None:
+            self.init_row = head.mean(axis=0)
+        eta = np.empty_like(mag)
+        for k in range(len(mag)):
+            if start + k < self.init:
+                eta[k] = self.init_row
+            else:
+                prev = self.prev
+                eta[k] = np.where(mag[k] > prev, prev * self.up, prev * self.down)
+            self.prev = eta[k]
+        return eta
+
+
+def _cumulative_squares(mag: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """carry followed by carry plus the running sum of mag**2 along axis 0.
+
+    np.cumsum adds frame after frame, so a run continued from the carried
+    last row has the same bits as one sum over the whole clip.
+    """
+    return np.cumsum(np.concatenate([carry[None], mag * mag]), axis=0)
+
+
+def _windowed_rms(
+    cs: np.ndarray, t: np.ndarray, half: int, n_frames: int, first: int = 0
+) -> np.ndarray:
+    """RMS over frames t-half..t+half (truncated to the clip) of each frame t.
+
+    cs[k - first] is the sum of squares over frames before k.
+    """
+    lo = np.maximum(t - half, 0)
+    hi = np.minimum(t + half, n_frames - 1)
+    counts = (hi - lo + 1).reshape((len(t),) + (1,) * (cs.ndim - 1))
+    return np.sqrt((cs[hi + 1 - first] - cs[lo - first]) / counts)
 
 
 def running_rms(mag: np.ndarray, half_window: int = 1) -> np.ndarray:
     """Centered running RMS along the first axis, window truncated at edges."""
     mag = np.asarray(mag, dtype=np.float64)
-    sq = mag * mag
-    T = sq.shape[0]
-    cs = np.concatenate([np.zeros((1,) + sq.shape[1:]), np.cumsum(sq, axis=0)], axis=0)
-    lo = np.maximum(np.arange(T) - half_window, 0)
-    hi = np.minimum(np.arange(T) + half_window, T - 1)
-    counts = (hi - lo + 1).reshape((T,) + (1,) * (sq.ndim - 1))
-    return np.sqrt((cs[hi + 1] - cs[lo]) / counts)
+    T = mag.shape[0]
+    cs = _cumulative_squares(mag, np.zeros(mag.shape[1:]))
+    return _windowed_rms(cs, np.arange(T), half_window, T)
 
 
 def magnitude_test(
@@ -283,20 +330,29 @@ def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.nda
 
 
 def _covariances_at(
-    data: np.ndarray, t_idx: np.ndarray, f_idx: np.ndarray, half: int
+    data: np.ndarray,
+    t_idx: np.ndarray,
+    f_idx: np.ndarray,
+    half: int,
+    first: int = 0,
+    n_frames: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Local covariances (N, M, M) and frame counts (N,) at the (t, f) bins.
 
-    data is (M, T, F). Each bin averages x x^H over frames t-half..t+half,
-    summed one offset at a time (so the only temporary is one (N, M, M)
-    product), with frames past either end of the clip masked out.
+    data is (M, n, F) and holds frames first..first+n-1 of a clip of n_frames
+    frames (default: the whole clip, first = 0); it must cover every frame
+    within half of each t inside the clip. Each bin averages x x^H over
+    frames t-half..t+half, summed one offset at a time (so the only temporary
+    is one (N, M, M) product), with frames past either end of the clip
+    masked out.
     """
-    M, T, _ = data.shape
+    M = data.shape[0]
+    T = data.shape[1] if n_frames is None else n_frames
     cov = np.zeros((len(t_idx), M, M), dtype=np.complex128)
     for d in range(-half, half + 1):
         frames = t_idx + d
         inside = (frames >= 0) & (frames < T)
-        x = data[:, np.clip(frames, 0, T - 1), f_idx].T * inside[:, None]  # (N, M)
+        x = data[:, np.clip(frames, 0, T - 1) - first, f_idx].T * inside[:, None]  # (N, M)
         cov += x[:, :, None] * x[:, None, :].conj()
     used = np.minimum(t_idx + half, T - 1) - np.maximum(t_idx - half, 0) + 1
     return cov / used[:, None, None], used
@@ -352,6 +408,25 @@ def salsa(
     fmt: ArrayFormat,
     cfg: BinSelectionConfig | None = None,
 ) -> FeatureTensor:
+    """Whole-clip salsa_stream: the feature stack of a complex spectrogram.
+
+    Args:
+        spec: complex spectrogram, channels x frames x bins.
+        fmt: input format; its channel count must match the spectrogram's.
+        cfg: selection config; defaults to the format's standard cutoffs.
+
+    Returns:
+        FeatureTensor with M "spec" channels and M-1 "spatial" channels; its
+        meta holds the gate counts (see salsa_stream).
+    """
+    return salsa_stream(spec.stream(), fmt, cfg).collect()
+
+
+def salsa_stream(
+    spec: SpectrogramStream,
+    fmt: ArrayFormat,
+    cfg: BinSelectionConfig | None = None,
+) -> FeatureStream:
     """Log spectrograms stacked with per-bin principal-eigenvector directions.
 
     Pipeline per TF bin: adaptive noise floor and running-RMS magnitude test
@@ -362,65 +437,117 @@ def salsa(
     channels are zero wherever any test fails or outside [f_low, f_high].
     All channels pass through high-band compression at the end.
 
-    Gating, covariances and eigenvectors are computed over the whole clip.
-    The log-power and direction channels are then built one block of frames
-    at a time and written, compressed, into one preallocated output, so no
-    whole-clip uncompressed stack exists.
+    Every test is local in time, so the features are built as the spectrogram
+    blocks arrive. A frame is finished once the frames its running RMS and
+    covariance window reach have arrived (and the first init frames that
+    seed the noise floor); between blocks only those halo frames, the last
+    noise-floor row and the last row of the cumulative squares are kept.
+    The output has the same bits whatever the block sizes.
+
+    The meta of the result gains three gate counts once every block has been
+    read: in_band_bins (frames x passband bins), candidates (in-band cells
+    that pass the magnitude test) and selected (candidates that also pass
+    the coherence test and so carry a cue).
 
     Args:
-        spec: complex spectrogram, channels x frames x bins.
+        spec: complex spectrogram stream, channels x frames x bins.
         fmt: input format; its channel count must match the spectrogram's.
         cfg: selection config; defaults to the format's standard cutoffs.
 
     Returns:
-        FeatureTensor with M "spec" channels and M-1 "spatial" channels.
+        FeatureStream with M "spec" channels and M-1 "spatial" channels.
     """
     if cfg is None:
         cfg = BinSelectionConfig.for_format(fmt.kind)
-    M, T, F = spec.data.shape
+    M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
     if M != fmt.n_channels:
         raise ValueError(f"{fmt.kind} input must have {fmt.n_channels} channels, got {M}")
+    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
+    meta = {
+        "feature": "salsa",
+        "format": fmt.kind,
+        "bin_hz": spec.bin_hz,
+        "frame_rate": spec.frame_rate,
+        "f_low": cfg.f_low,
+        "f_high": cfg.f_high,
+        "compress_start_bin": cfg.compress_start_bin,
+        "compress_factor": cfg.compress_factor,
+        "speed_of_sound": cfg.speed_of_sound,
+    }
+    return FeatureStream(
+        (2 * M - 1, T, n_bands),
+        ["spec"] * M + ["spatial"] * (M - 1),
+        "linear",
+        meta,
+        _salsa_blocks(spec, fmt, cfg, meta),
+    )
 
-    mag = np.abs(spec.data[0])
-    floor = track_noise_floor(mag, cfg)
-    mag_mask = magnitude_test(mag, floor, cfg)
+
+def _salsa_blocks(
+    spec: SpectrogramStream, fmt: ArrayFormat, cfg: BinSelectionConfig, meta: dict
+):
+    """Output blocks of salsa_stream; adds the gate counts to meta at the end."""
+    M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
+    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
+    half = cfg.cov_half_window
+    reach = max(half, cfg.rms_half_window)  # frames a cell's tests read on each side
     band = passband_bins(F, spec.bin_hz, cfg)
-    t_idx, f_idx = np.nonzero(mag_mask & band[None, :])
-    del mag, floor, mag_mask
-
-    cov, _ = _covariances_at(spec.data, t_idx, f_idx, cfg.cov_half_window)
-    vectors, values = _principal(cov)
-    coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
-    t_idx, f_idx = t_idx[coherent], f_idx[coherent]
-    cues = _directions(
-        vectors[coherent], fmt.kind, cfg.component_eps, f_idx * spec.bin_hz, cfg.speed_of_sound
-    ).T
+    floor = _NoiseFloor(cfg, T)
+    counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
 
     def compress(x):
         return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
 
-    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
-    out = np.empty((2 * M - 1, T, n_bands))
-    for block in frame_blocks(T):
-        out[:M, block] = compress(log_linear_spectrogram(spec.block(block), cfg.log_floor).data)
-        # np.nonzero lists cells frame by frame, so a block's cells are one run.
-        lo, hi = np.searchsorted(t_idx, [block.start, block.stop])
-        spatial = np.zeros((M - 1, block.stop - block.start, F))
-        spatial[:, t_idx[lo:hi] - block.start, f_idx[lo:hi]] = cues[:, lo:hi]
-        out[M:, block] = compress(spatial)
-    return FeatureTensor(
-        out,
-        channel_roles=["spec"] * M + ["spatial"] * (M - 1),
-        scale="linear",
-        meta={
-            "feature": "salsa",
-            "format": fmt.kind,
-            "bin_hz": spec.bin_hz,
-            "frame_rate": spec.frame_rate,
-            "f_low": cfg.f_low,
-            "f_high": cfg.f_high,
-            "compress_start_bin": cfg.compress_start_bin,
-            "compress_factor": cfg.compress_factor,
-            "speed_of_sound": cfg.speed_of_sound,
-        },
-    )
+    # Frames first.. of the spectrogram and of |X_0|; cs[k - first] sums
+    # |X_0|^2 over the frames before k.
+    data = np.empty((M, 0, F), dtype=np.complex128)
+    mag = np.empty((0, F))
+    cs = np.zeros((1, F))
+    first = done = 0
+    for part in spec.blocks:
+        data = np.concatenate([data, part], axis=1)
+        new_mag = np.abs(part[0])
+        mag = np.concatenate([mag, new_mag])
+        cs = np.concatenate([cs, _cumulative_squares(new_mag, cs[-1])[1:]])
+        # Frames done..ready-1 can be finished: their windows end before
+        # the last frame received (or at the clip's end), and the frames
+        # that seed the noise floor have arrived.
+        end = first + data.shape[1]
+        if end == T:
+            ready = T
+        elif end >= floor.init:
+            ready = max(end - reach, done)
+        else:
+            ready = done
+        if ready == done:
+            continue
+
+        rows = slice(done - first, ready - first)
+        eta = floor.rows(mag[rows], done, mag[: floor.init])
+        rms = _windowed_rms(cs, np.arange(done, ready), cfg.rms_half_window, T, first)
+        t_idx, f_idx = np.nonzero((rms > cfg.alpha_mag * eta) & band[None, :])
+        t_idx += done
+        cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
+        vectors, values = _principal(cov)
+        coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
+        cues = _directions(
+            vectors[coherent], fmt.kind, cfg.component_eps,
+            f_idx[coherent] * spec.bin_hz, cfg.speed_of_sound,
+        ).T
+        counts["in_band_bins"] += (ready - done) * int(band.sum())
+        counts["candidates"] += len(t_idx)
+        counts["selected"] += int(coherent.sum())
+
+        block = ComplexSpectrogram(data[:, rows], spec.bin_hz, spec.frame_rate)
+        out = np.empty((2 * M - 1, ready - done, n_bands))
+        out[:M] = compress(log_linear_spectrogram(block, cfg.log_floor).data)
+        spatial = np.zeros((M - 1, ready - done, F))
+        spatial[:, t_idx[coherent] - done, f_idx[coherent]] = cues
+        out[M:] = compress(spatial)
+        yield out
+
+        done = ready  # keep the halo the next frames' windows reach back into
+        drop = max(done - reach, 0) - first
+        data, mag, cs = data[:, drop:], mag[drop:], cs[drop:]
+        first += drop
+    meta.update(counts)

@@ -233,6 +233,13 @@ class SeldLabels:
         return rows
 
 
+def _noise_band(src: SourceSpec, freqs: np.ndarray) -> np.ndarray:
+    """Bins of a noise source's [f_low, f_high] band."""
+    f_lo = float(src.params.get("f_low", 200.0))
+    f_hi = float(src.params.get("f_high", freqs[-1]))
+    return np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
+
+
 def _frame_spectra(
     src: SourceSpec, times: np.ndarray, freqs: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -245,11 +252,7 @@ def _frame_spectra(
     that round to one bin add up in harmonic order), a chirp one bin per frame.
     """
     if src.signal == "noise":
-        f_lo = float(src.params.get("f_low", 200.0))
-        f_hi = float(src.params.get("f_high", freqs[-1]))
-        band = np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
-        if len(band) == 0:
-            raise ValueError("noise band contains no bins")
+        band = _noise_band(src, freqs)
         draws = rng.standard_normal((len(times), len(band), 2))
         values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
         bins = np.broadcast_to(band, values.shape)
@@ -311,6 +314,10 @@ def render_scene(
         if src.signal == "tone" and src.params.get("f0", 440.0) > freqs[-1]:
             raise ValueError(
                 f"source {si}: tone f0 is above Nyquist ({freqs[-1]:g} Hz)"
+            )
+        if src.signal == "noise" and len(_noise_band(src, freqs)) == 0:
+            raise ValueError(
+                f"source {si}: noise band holds no STFT bin ({cfg.bin_hz:g} Hz spacing)"
             )
 
     if scene.noise_power > 0:

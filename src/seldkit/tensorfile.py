@@ -56,24 +56,63 @@ def atomic_write_text(path: str | Path, text: str) -> None:
 def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Serialize an array; dtype must be float32, float64 or complex64.
 
-    The header and then the array's own buffer go to the file; a
-    little-endian C-contiguous array is not copied.
+    tensor_writer with the whole array as its one block: the header and then
+    the array's own buffer go to the file; a little-endian C-contiguous array
+    is not copied.
     """
     array = np.asarray(array)
-    key = array.dtype.str.lstrip("<>|=")
+    with tensor_writer(path, array.shape, array.dtype) as append:
+        append(array)
+
+
+@contextmanager
+def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
+    """Write a tensor file block by block; yields append(block).
+
+    Blocks are consecutive slices along axis 1 (axis 0 of a rank-1 tensor),
+    cast to dtype (float32, float64 or complex64) as they are written. The
+    payload is row-major, so each row of axis 0 of a block is written at its
+    own offset; a block holding all of axis 1 is written in one piece. The
+    file appears at `path` only if every slice was appended and the block
+    raised nothing; otherwise no file is left behind.
+    """
+    dtype = np.dtype(dtype)
+    key = dtype.str.lstrip("<>|=")
     if key not in _CODE_FOR_KIND:
-        raise ValueError(
-            f"unsupported dtype {array.dtype}; use float32, float64 or complex64"
-        )
-    if array.ndim == 0 or array.ndim > _MAX_RANK:
-        raise ValueError(f"rank must be 1..{_MAX_RANK}, got {array.ndim}")
+        raise ValueError(f"unsupported dtype {dtype}; use float32, float64 or complex64")
+    shape = tuple(int(n) for n in shape)
+    if len(shape) == 0 or len(shape) > _MAX_RANK:
+        raise ValueError(f"rank must be 1..{_MAX_RANK}, got {len(shape)}")
     code = _CODE_FOR_KIND[key]
-    header = MAGIC + struct.pack("<BB", code, array.ndim)
-    header += struct.pack(f"<{array.ndim}Q", *array.shape)
-    payload = np.ascontiguousarray(array, dtype=_DTYPE_CODES[code])
+    dtype = _DTYPE_CODES[code]
+    header = MAGIC + struct.pack("<BB", code, len(shape))
+    header += struct.pack(f"<{len(shape)}Q", *shape)
+    rows, length = (shape[0], shape[1]) if len(shape) > 1 else (1, shape[0])
+    slice_bytes = math.prod(shape[2:]) * dtype.itemsize
+    written = 0
+
+    def append(block) -> None:
+        nonlocal written
+        block = np.ascontiguousarray(block, dtype=dtype)
+        n = block.shape[1] if len(shape) > 1 else len(block)
+        want = shape[:1] + (n,) + shape[2:] if len(shape) > 1 else (n,)
+        if block.shape != want or written + n > length:
+            raise ValueError(
+                f"block of shape {block.shape} does not continue a {shape} tensor at {written}"
+            )
+        if n == length:
+            fh.write(block)
+        elif n:
+            for r, row in enumerate(block.reshape(rows, -1)):
+                fh.seek(len(header) + (r * length + written) * slice_bytes)
+                fh.write(row)
+        written += n
+
     with _atomic_file(path) as fh:
         fh.write(header)
-        fh.write(payload)
+        yield append
+        if written != length:
+            raise ValueError(f"tensor {shape} got {written} of its {length} slices")
 
 
 def read_tensor(path: str | Path) -> np.ndarray:

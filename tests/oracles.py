@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import defaultdict
 
 import numpy as np
@@ -328,3 +329,33 @@ def dense_render_scene(scene, cfg):
             )
             X[:, active, :] += np.exp(1j * phase) * S[None, :, :]
     return X
+
+
+# ---------------------------------------------------------------------------
+# file I/O
+
+
+def whole_wav_samples(path):
+    """(rate, (channels, samples) float64) of a WAV file read whole by scipy.
+
+    Integers are scaled by their full range (scipy gives 24-bit samples as
+    left-aligned 32-bit), 8-bit around 128; floats pass through.
+    """
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(path)
+    data = np.atleast_2d(data.T if data.ndim == 2 else data)
+    if data.dtype == np.int16:
+        return rate, data.astype(np.float64) / 2.0**15
+    if data.dtype == np.int32:
+        return rate, data.astype(np.float64) / 2.0**31
+    if data.dtype == np.uint8:
+        return rate, (data.astype(np.float64) - 128.0) / 128.0
+    return rate, data.astype(np.float64)
+
+
+def tensor_file_bytes(array):
+    """The bytes of a float32 tensor file holding array."""
+    array = np.asarray(array, dtype="<f4")
+    head = b"FTB1" + struct.pack("<BB", 0, array.ndim) + struct.pack(f"<{array.ndim}Q", *array.shape)
+    return head + array.tobytes()

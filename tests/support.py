@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
 from seldkit import ArrayFormat, AudioClip, SceneDescription, SourceSpec
@@ -103,3 +105,62 @@ def noise_clip(
     """Independent white noise per channel, for shape and throughput tests."""
     samples = level * rng.standard_normal((n_channels, int(seconds * sample_rate)))
     return AudioClip(samples, sample_rate)
+
+
+# Sample encodings: (format tag, bytes per sample, encoder of float samples).
+def _pcm(bits: int, dtype: str):
+    full = 2.0 ** (bits - 1)
+
+    def encode(x):
+        return np.clip(np.round(x * full), -full, full - 1).astype(dtype)
+
+    return encode
+
+
+WAV_SAMPLE_FORMATS = {
+    "uint8": (1, 1, lambda x: (np.clip(np.round(x * 128.0), -128, 127) + 128).astype("u1")),
+    "int16": (1, 2, _pcm(16, "<i2")),
+    "int24": (1, 3, lambda x: _pcm(24, "<i4")(x).view("u1").reshape(-1, 4)[:, :3]),
+    "int32": (1, 4, _pcm(32, "<i4")),
+    "float32": (3, 4, lambda x: x.astype("<f4")),
+    "float64": (3, 8, lambda x: x.astype("<f8")),
+}
+
+
+def write_wav_blocks(path, sample_rate: int, n_channels: int, blocks, sample_format="float32",
+                     extensible=False):
+    """Write a WAV file from (channels, n) float blocks in [-1, 1], one block at a time.
+
+    The data size goes into the header once the last block is written, so
+    the clip is never held whole. sample_format is a key of
+    WAV_SAMPLE_FORMATS; integer formats are rounded and clipped to full scale.
+    extensible writes a WAVE_FORMAT_EXTENSIBLE fmt chunk with a LIST chunk
+    before the data.
+    """
+    tag, width, encode = WAV_SAMPLE_FORMATS[sample_format]
+    align = width * n_channels
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, n_channels, sample_rate,
+                      sample_rate * align, align, 8 * width)
+    if extensible:
+        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt += struct.pack("<HHI", 22, 8 * width, 0) + guid
+    extra = b"LIST" + struct.pack("<I", 5) + b"INFOx\0" if extensible else b""
+    head = 12 + 8 + len(fmt) + len(extra) + 8
+    with open(path, "wb") as fh:
+        fh.write(b"\0" * head)
+        size = 0
+        for block in blocks:
+            raw = np.ascontiguousarray(encode(np.asarray(block, dtype=np.float64).T.reshape(-1)))
+            fh.write(raw.tobytes())
+            size += raw.nbytes
+        fh.seek(0)
+        fh.write(b"RIFF" + struct.pack("<I", head - 8 + size) + b"WAVE")
+        fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra)
+        fh.write(b"data" + struct.pack("<I", size))
+
+
+def noise_blocks(rng: np.random.Generator, n_channels: int, n_samples: int,
+                 level: float = 0.05, block: int = 240_000):
+    """Independent white noise per channel, generated block by block."""
+    for start in range(0, n_samples, block):
+        yield level * rng.standard_normal((n_channels, min(block, n_samples - start)))

@@ -13,6 +13,8 @@ import seldkit
 from seldkit import AudioClip, read_manifest, read_tensor, rows_to_csv
 from seldkit.cli import main, read_wav, write_wav
 
+import support
+
 SCENE = """\
 version=1
 format=foa
@@ -126,6 +128,34 @@ def test_wav_round_trip(tmp_path):
     np.testing.assert_allclose(back.samples, clip.samples, atol=1e-7)
 
 
+def test_read_wav_extensible_and_truncated_files(tmp_path):
+    samples = np.linspace(-0.9, 0.9, 4 * 300).reshape(4, 300)
+    wav = tmp_path / "ext.wav"
+    support.write_wav_blocks(wav, 16000, 4, [samples], "int24", extensible=True)
+    clip = read_wav(wav)
+    assert clip.sample_rate == 16000
+    np.testing.assert_allclose(clip.samples, samples, atol=2.0**-23)
+    # A data chunk cut short keeps the whole sample frames present.
+    cut = tmp_path / "cut.wav"
+    cut.write_bytes(wav.read_bytes()[: -(3 * 4 * 10 + 5)])
+    assert read_wav(cut).samples.tobytes() == clip.samples[:, :289].tobytes()
+
+
+def test_extract_rejects_unreadable_wav_headers(tmp_path):
+    out = tmp_path / "o"
+    base = ["--format", "foa", "--feature", "salsa", "--out", str(out)]
+    bad = tmp_path / "bad.wav"
+    for payload in (b"", b"RIFF\0\0\0\0WAVEfmt ", b"not a wav file at all"):
+        bad.write_bytes(payload)
+        assert main(["extract", str(bad)] + base) == 2
+    wav = _wav(tmp_path / "w.wav")
+    data = bytearray(wav.read_bytes())
+    data[20:22] = (0x55).to_bytes(2, "little")  # MPEG format tag
+    bad.write_bytes(bytes(data))
+    assert main(["extract", str(bad)] + base) == 2
+    assert not list(out.glob("*"))
+
+
 def test_synth_outputs_and_determinism(tmp_path, capsys):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)
@@ -170,10 +200,12 @@ CHIRP_SCENE = SCENE.replace("signal=noise\nf_low=300\nf_high=7000",
         (TONE_SCENE.replace("harmonics=3", "harmonics=2.7"), "source 0: harmonics"),
         (TONE_SCENE.replace("f0=440", "f0=13000"), "source 0: tone f0"),
         (SCENE.replace("1.2:60:10", "0:60:10"), "source 0: trajectory"),
+        (SCENE.replace("f_low=300\nf_high=7000", "f_low=1000\nf_high=1010"),
+         "source 0: noise band"),
     ],
     ids=["gain-nan", "chirp-f_start-nan", "azimuth-nan", "onset-nan",
          "noise_power-nan", "duration-inf", "mic_radius-nan", "harmonics-0",
-         "harmonics-fraction", "f0-above-nyquist", "knots-same-time"],
+         "harmonics-fraction", "f0-above-nyquist", "knots-same-time", "noise-band-no-bin"],
 )
 def test_synth_rejects_unrenderable_scene_values(tmp_path, capsys, text, message):
     scene = tmp_path / "scene.txt"
