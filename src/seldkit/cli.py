@@ -26,11 +26,13 @@ from .metrics import MetricsConfig, evaluate_many, seld_error
 from .normalize import STD_FLOOR, ChannelStats, StatsAccumulator, apply_stats
 from .spatial import ArrayFormat
 from .stft import AudioClip, FeatureTensor, stft, stft_stream  # noqa: F401
-from .synth import (
+# render_scene is not called here either; perfbench/tracing.py wraps it.
+from .synth import (  # noqa: F401
     N_CLASSES,
     SeldLabels,
     parse_scene,
     render_scene,
+    render_stream,
     rows_from_csv,
     rows_to_csv,
     unit_vector,
@@ -41,6 +43,7 @@ from .tensorfile import (
     manifest_path_for,
     read_manifest,
     read_tensor,
+    tensor_info,
     tensor_writer,
     write_manifest,
     write_tensor,
@@ -264,31 +267,36 @@ def cmd_synth(args) -> None:
     if not scene_path.exists():
         raise InputError(f"{scene_path}: no such file")
     scene = parse_scene(scene_path.read_text())
-    spec, labels = render_scene(scene, cfg.stft_config())
+    stream = render_stream(scene, cfg.stft_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name or scene_path.stem
     tensor_path = out_dir / f"{stem}.ftb"
-    write_tensor(tensor_path, spec.data.astype(np.complex64))
+    # Channel by channel, one frame block at a time, in file order; no
+    # whole-scene spectrogram exists.
+    with tensor_writer(tensor_path, stream.shape, np.complex64) as append:
+        for channel, _, block in stream.pieces:
+            append(block, row=channel)
+    channels, frames, bands = stream.shape
     write_manifest(
         manifest_path_for(tensor_path),
         {
             "kind": "stft",
             "format": scene.fmt.kind,
-            "channels": spec.n_channels,
-            "frames": spec.n_frames,
-            "bands": spec.n_bins,
-            "bin_hz": spec.bin_hz,
-            "frame_rate": spec.frame_rate,
-            "label_fps": labels.frame_rate,
+            "channels": channels,
+            "frames": frames,
+            "bands": bands,
+            "bin_hz": stream.bin_hz,
+            "frame_rate": stream.frame_rate,
+            "label_fps": stream.labels.frame_rate,
             "seed": scene.seed,
             "config": cfg.digest(),
         },
     )
     csv_path = out_dir / f"{stem}.csv"
-    rows = labels.to_rows()
+    rows = stream.labels.to_rows()
     atomic_write_text(csv_path, rows_to_csv(rows))
-    print(f"{tensor_path} {_shape_text(spec.data.shape)}")
+    print(f"{tensor_path} {_shape_text(stream.shape)}")
     print(f"{csv_path} {len(rows)} rows")
 
 
@@ -330,20 +338,17 @@ def cmd_render_image(args) -> None:
     path = Path(args.tensor)
     if not path.exists():
         raise InputError(f"{path}: no such file")
-    arr = read_tensor(path)
-    if np.iscomplexobj(arr):
-        arr = np.log(np.abs(arr) + 1e-12)
-    if arr.ndim == 2:
-        planes = arr[None]
-    elif arr.ndim == 3:
-        planes = arr
-    else:
-        raise ValueError(f"cannot render a rank-{arr.ndim} tensor as an image")
-    if not (0 <= args.channel < planes.shape[0]):
-        raise ValueError(
-            f"channel {args.channel} out of range 0..{planes.shape[0] - 1}"
-        )
-    plane = planes[args.channel].astype(np.float64)
+    shape, _ = tensor_info(path)
+    if len(shape) not in (2, 3):
+        raise ValueError(f"cannot render a rank-{len(shape)} tensor as an image")
+    n_planes = shape[0] if len(shape) == 3 else 1
+    if not (0 <= args.channel < n_planes):
+        raise ValueError(f"channel {args.channel} out of range 0..{n_planes - 1}")
+    # Only the requested plane is read and converted.
+    plane = read_tensor(path, args.channel) if len(shape) == 3 else read_tensor(path)
+    if np.iscomplexobj(plane):
+        plane = np.log(np.abs(plane) + 1e-12)
+    plane = plane.astype(np.float64)
     if not np.isfinite(plane).all():
         raise NumericalError(f"{path}: channel {args.channel} has non-finite values")
     out = (

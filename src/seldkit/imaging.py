@@ -22,6 +22,8 @@ _RAMP_ANCHORS = np.array(
     ],
     dtype=np.float64,
 )
+# Values colored per color_ramp call in render_heatmap.
+_RAMP_CHUNK = 1 << 14
 
 
 def color_ramp(values: np.ndarray) -> np.ndarray:
@@ -52,9 +54,17 @@ def render_heatmap(
     if hi <= lo:
         norm = np.zeros_like(arr)
     else:
-        norm = (arr - lo) / (hi - lo)
+        norm = arr - lo
+        norm /= hi - lo
     # transpose to (bands, frames), flip so low bands sit at the image bottom
-    return color_ramp(norm.T[::-1])
+    norm = norm.T[::-1]
+    # A few rows at a time, so color_ramp's (n, 3) float64 temporaries stay
+    # small next to the plane; the ramp works on each value on its own.
+    image = np.empty(norm.shape + (3,), dtype=np.uint8)
+    step = max(1, _RAMP_CHUNK // max(1, norm.shape[1]))
+    for start in range(0, len(norm), step):
+        image[start : start + step] = color_ramp(norm[start : start + step])
+    return image
 
 
 def write_ppm(path, image: np.ndarray) -> None:

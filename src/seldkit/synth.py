@@ -32,17 +32,27 @@ NaN cells or labels frames that carry no signal.
 
 Each source is rendered only on its support bins: its band for noise, the
 bins of its harmonics for a tone, one bin per frame for a chirp.
+
+render_stream renders in the row-major order of the (channels, frames,
+bins) spectrogram: channel by channel, one frame block (stft.frame_blocks)
+at a time, so a writer can stream it to a tensor file without a whole-scene
+array. It holds one block buffer and each source's support-bin
+contribution; the ambient noise is drawn per block into that buffer. A
+re-oriented foa scene holds its four noise channels whole and mixes them
+one frame block at a time. render_scene collects the same pieces into one
+array, so both give the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spatial import SPEED_OF_SOUND, ArrayFormat
-from .stft import ComplexSpectrogram, StftConfig
+from .stft import ComplexSpectrogram, StftConfig, frame_blocks
 
 LABEL_FPS = 10.0
 N_CLASSES = 12
@@ -280,17 +290,41 @@ def _frame_spectra(
     return bins, values * src.gain
 
 
-def render_scene(
-    scene: SceneDescription, cfg: StftConfig | None = None
-) -> tuple[ComplexSpectrogram, SeldLabels]:
-    """Render a scene directly in the STFT domain.
+@dataclass
+class SceneStream:
+    """A rendered scene delivered channel by channel, one frame block at a time.
+
+    shape is (channels, frames, bins). pieces yields (channel, frames, block)
+    in the row-major order of that shape: every frame block (frame_blocks) of
+    channel 0, then of channel 1, and so on. block is the (n, bins)
+    complex128 spectrogram of that channel and block; its buffer may be
+    reused by the next piece.
+    """
+
+    shape: tuple[int, int, int]
+    bin_hz: float
+    frame_rate: float
+    labels: SeldLabels
+    pieces: Iterator[tuple[int, slice, np.ndarray]]
+
+
+def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> SceneStream:
+    """Render a scene directly in the STFT domain, channel by channel.
 
     Each source contributes S(t, f) * H(f, direction(t)) at its active frames,
     added only on its support bins (where S is non-zero): H is the 4-gain
     vector for foa and the steering phase at those bins' frequencies for mic.
-    The result is bit-identical to multiplying over every bin. Independent
-    complex Gaussian noise of the configured power is added to every channel.
-    Labels are sampled at the label frame centers (10 fps).
+    The result is bit-identical to multiplying over every bin. Each source's
+    contribution is computed once, here; a block adds the frames of it that
+    fall inside the block. Independent complex Gaussian noise of the
+    configured power is added to every channel: it is drawn block by block,
+    channel-major, into one reused buffer, which gives the same numbers as
+    one (channels, frames, bins) draw. A re-oriented foa scene sees its
+    ambient noise re-oriented too: the four noise channels are then drawn
+    whole and mixed one frame block at a time. Labels are sampled at the
+    label frame centers (10 fps).
+
+    The scene is checked before anything is drawn.
 
     Raises:
         ValueError: a tone's f0 is above Nyquist, or a noise band holds no bin.
@@ -300,7 +334,7 @@ def render_scene(
         cfg: analysis parameters; defaults to StftConfig().
 
     Returns:
-        (ComplexSpectrogram, SeldLabels) pair.
+        SceneStream of the scene's (channels, frames, bins) spectrogram.
     """
     if cfg is None:
         cfg = StftConfig()
@@ -320,24 +354,8 @@ def render_scene(
                 f"source {si}: noise band holds no STFT bin ({cfg.bin_hz:g} Hz spacing)"
             )
 
-    if scene.noise_power > 0:
-        # Each (real, imaginary) pair of draws is read in place as one
-        # complex sample, so the noise needs no complex temporaries.
-        rng = np.random.default_rng([scene.seed, 0])
-        X = rng.standard_normal((M, T, F, 2)).view(np.complex128)[..., 0]
-        X *= np.sqrt(scene.noise_power / 2.0)
-        if scene.fmt.kind == "foa" and not np.array_equal(
-            scene.orientation, np.eye(3)
-        ):
-            # The ambient field belongs to the scene, so a re-oriented scene
-            # sees re-oriented noise; keeps swap-vs-rerender equivalence exact.
-            A = np.zeros((4, 4))
-            A[0, 0] = 1.0
-            A[1:, 1:] = scene.orientation
-            X = np.einsum("ij,jtf->itf", A, X)
-    else:
-        X = np.zeros((M, T, F), dtype=np.complex128)
-
+    # (active frames, bins, H * values) per source; frames are sorted.
+    sources = []
     for si, src in enumerate(scene.sources):
         t_idx = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
         if len(t_idx) == 0:
@@ -355,11 +373,73 @@ def render_scene(
                 -2.0 * np.pi * d[:, :, None] * freqs[bins] / scene.fmt.speed_of_sound
             )
             H = np.exp(1j * phase)
-        # Bins are distinct within a frame, so the fancy-index add is exact.
-        X[:, t_idx[:, None], bins] += H * values
+        sources.append((t_idx, bins, H * values))
 
-    labels = _labels_for(scene)
-    return ComplexSpectrogram(X, bin_hz=cfg.bin_hz, frame_rate=cfg.frame_rate), labels
+    rng = np.random.default_rng([scene.seed, 0])
+    scale = np.sqrt(scene.noise_power / 2.0)
+    mixed = None
+    if (
+        scene.noise_power > 0
+        and scene.fmt.kind == "foa"
+        and not np.array_equal(scene.orientation, np.eye(3))
+    ):
+        # The ambient field belongs to the scene, so a re-oriented scene
+        # sees re-oriented noise; keeps swap-vs-rerender equivalence exact.
+        # Each (real, imaginary) pair of draws is read in place as one
+        # complex sample, so the noise needs no complex temporaries.
+        mixed = rng.standard_normal((M, T, F, 2)).view(np.complex128)[..., 0]
+        mixed *= scale
+        A = np.zeros((4, 4))
+        A[0, 0] = 1.0
+        A[1:, 1:] = scene.orientation
+        for frames in frame_blocks(T):
+            mixed[:, frames] = np.einsum("ij,jtf->itf", A, mixed[:, frames])
+
+    def pieces():
+        spans = list(frame_blocks(T))
+        # The first block is the longest; every block's noise is drawn here.
+        buf = np.empty((spans[0].stop if spans else 0, F, 2))
+        for m in range(M):
+            for frames in spans:
+                n = frames.stop - frames.start
+                if mixed is not None:
+                    block = mixed[m, frames]
+                else:
+                    block = buf[:n].view(np.complex128)[..., 0]
+                    if scene.noise_power > 0:
+                        rng.standard_normal(out=buf[:n])
+                        block *= scale
+                    else:
+                        block.fill(0.0)
+                for t_idx, bins, contrib in sources:
+                    lo, hi = np.searchsorted(t_idx, (frames.start, frames.stop))
+                    # Bins are distinct within a frame, so the fancy-index add is exact.
+                    block[t_idx[lo:hi, None] - frames.start, bins[lo:hi]] += contrib[m, lo:hi]
+                yield m, frames, block
+
+    return SceneStream((M, T, F), cfg.bin_hz, cfg.frame_rate, _labels_for(scene), pieces())
+
+
+def render_scene(
+    scene: SceneDescription, cfg: StftConfig | None = None
+) -> tuple[ComplexSpectrogram, SeldLabels]:
+    """Render a whole scene directly in the STFT domain.
+
+    Collects the pieces of render_stream into one array: they come channel
+    by channel, one frame block at a time, with the ambient noise drawn per
+    block (a re-oriented foa scene mixes its noise one frame block at a
+    time). See render_stream for the model and the errors raised.
+
+    Returns:
+        (ComplexSpectrogram, SeldLabels) pair; the spectrogram is
+        (channels, frames, bins) complex128.
+    """
+    stream = render_stream(scene, cfg)
+    X = np.empty(stream.shape, dtype=np.complex128)
+    for m, frames, block in stream.pieces:
+        X[m, frames] = block
+    spec = ComplexSpectrogram(X, bin_hz=stream.bin_hz, frame_rate=stream.frame_rate)
+    return spec, stream.labels
 
 
 def _labels_for(scene: SceneDescription) -> SeldLabels:

@@ -29,12 +29,16 @@ def _atomic_file(path: str | Path):
     """Binary file handle whose contents replace `path` only if the block succeeds.
 
     The data goes to a temp file in the same directory, which is renamed over
-    `path` on success and removed on any error.
+    `path` on success and removed on any error. The file gets the mode open()
+    gives a new file, 0o666 less the umask (mkstemp makes it 0o600).
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -67,14 +71,17 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
 
 @contextmanager
 def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
-    """Write a tensor file block by block; yields append(block).
+    """Write a tensor file block by block; yields append(block, row=None).
 
     Blocks are consecutive slices along axis 1 (axis 0 of a rank-1 tensor),
-    cast to dtype (float32, float64 or complex64) as they are written. The
-    payload is row-major, so each row of axis 0 of a block is written at its
-    own offset; a block holding all of axis 1 is written in one piece. The
-    file appears at `path` only if every slice was appended and the block
-    raised nothing; otherwise no file is left behind.
+    cast to dtype (float32, float64 or complex64) as they are written. A
+    block holds every row of axis 0, or with `row` only that row: then it
+    is the next slices of shape[1:] of row `row`, so a writer that goes row
+    by row writes the payload in file order. Each row keeps its own count of
+    slices and is written at its own offset; a block holding the whole
+    tensor is written in one piece. The file appears at `path` only if every
+    slice of every row was appended and the block raised nothing; otherwise
+    no file is left behind.
     """
     dtype = np.dtype(dtype)
     key = dtype.str.lstrip("<>|=")
@@ -88,61 +95,86 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     header = MAGIC + struct.pack("<BB", code, len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
     rows, length = (shape[0], shape[1]) if len(shape) > 1 else (1, shape[0])
-    slice_bytes = math.prod(shape[2:]) * dtype.itemsize
-    written = 0
+    tail = shape[2:]
+    slice_bytes = math.prod(tail) * dtype.itemsize
+    written = [0] * rows
 
-    def append(block) -> None:
-        nonlocal written
-        block = np.ascontiguousarray(block, dtype=dtype)
-        n = block.shape[1] if len(shape) > 1 else len(block)
-        want = shape[:1] + (n,) + shape[2:] if len(shape) > 1 else (n,)
-        if block.shape != want or written + n > length:
+    def put(r: int, piece: np.ndarray) -> None:
+        n = len(piece)
+        if piece.shape[1:] != tail or written[r] + n > length:
             raise ValueError(
-                f"block of shape {block.shape} does not continue a {shape} tensor at {written}"
+                f"block of shape {piece.shape} does not continue row {r} of a "
+                f"{shape} tensor at {written[r]}"
             )
-        if n == length:
+        fh.seek(len(header) + (r * length + written[r]) * slice_bytes)
+        fh.write(piece)
+        written[r] += n
+
+    def append(block, row: int | None = None) -> None:
+        block = np.ascontiguousarray(block, dtype=dtype)
+        if len(shape) == 1 or row is not None:
+            if row is not None and not (len(shape) > 1 and 0 <= row < rows):
+                raise ValueError(f"row {row} is not a row of a {shape} tensor")
+            put(row or 0, block)
+        elif block.ndim != len(shape) or len(block) != rows:
+            raise ValueError(f"block of shape {block.shape} does not fit a {shape} tensor")
+        elif block.shape == shape and not any(written):
             fh.write(block)
-        elif n:
-            for r, row in enumerate(block.reshape(rows, -1)):
-                fh.seek(len(header) + (r * length + written) * slice_bytes)
-                fh.write(row)
-        written += n
+            written[:] = [length] * rows
+        else:
+            for r, piece in enumerate(block):
+                put(r, piece)
 
     with _atomic_file(path) as fh:
         fh.write(header)
         yield append
-        if written != length:
-            raise ValueError(f"tensor {shape} got {written} of its {length} slices")
+        if any(n != length for n in written):
+            raise ValueError(f"tensor {shape} got {min(written)} of its {length} slices")
 
 
-def read_tensor(path: str | Path) -> np.ndarray:
+def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
+    """Check a tensor file's header and size; leaves fh at the payload."""
+    size = os.fstat(fh.fileno()).st_size
+    fixed = fh.read(6)
+    if len(fixed) < 6 or fixed[:4] != MAGIC:
+        raise ValueError(f"{path}: not a tensor container (bad magic)")
+    code, ndim = struct.unpack_from("<BB", fixed, 4)
+    if code not in _DTYPE_CODES:
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    if not (1 <= ndim <= _MAX_RANK):
+        raise ValueError(f"{path}: bad rank {ndim}")
+    head = 6 + 8 * ndim
+    if size < head:
+        raise ValueError(f"{path}: truncated header")
+    dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+    dtype = _DTYPE_CODES[code]
+    expected = math.prod(dims) * dtype.itemsize
+    if size - head != expected:
+        raise ValueError(f"{path}: payload is {size - head} bytes, expected {expected}")
+    return dims, dtype
+
+
+def tensor_info(path: str | Path) -> tuple[tuple[int, ...], np.dtype]:
+    """Shape and dtype of a tensor file, checked as read_tensor checks them."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
+def read_tensor(path: str | Path, index: int | None = None) -> np.ndarray:
     """Read a tensor; raises ValueError on malformed or truncated files.
 
     The header and the file size are checked before the payload is read, in
-    one read, into a new writeable array.
+    one read, into a new writeable array. With `index`, only the slice
+    tensor[index] of axis 0 is read, from its own offset.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        fixed = fh.read(6)
-        if len(fixed) < 6 or fixed[:4] != MAGIC:
-            raise ValueError(f"{path}: not a tensor container (bad magic)")
-        code, ndim = struct.unpack_from("<BB", fixed, 4)
-        if code not in _DTYPE_CODES:
-            raise ValueError(f"{path}: unknown dtype code {code}")
-        if not (1 <= ndim <= _MAX_RANK):
-            raise ValueError(f"{path}: bad rank {ndim}")
-        head = 6 + 8 * ndim
-        if size < head:
-            raise ValueError(f"{path}: truncated header")
-        dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-        dtype = _DTYPE_CODES[code]
-        count = math.prod(dims)
-        expected = count * dtype.itemsize
-        if size - head != expected:
-            raise ValueError(
-                f"{path}: payload is {size - head} bytes, expected {expected}"
-            )
-        return np.fromfile(fh, dtype=dtype, count=count).reshape(dims)
+        dims, dtype = _read_header(fh, path)
+        if index is not None:
+            if not 0 <= index < dims[0]:
+                raise ValueError(f"{path}: index {index} out of range 0..{dims[0] - 1}")
+            dims = dims[1:]
+            fh.seek(index * math.prod(dims) * dtype.itemsize, os.SEEK_CUR)
+        return np.fromfile(fh, dtype=dtype, count=math.prod(dims)).reshape(dims)
 
 
 def format_value(value) -> str:

@@ -355,7 +355,10 @@ def whole_wav_samples(path):
 
 
 def tensor_file_bytes(array):
-    """The bytes of a float32 tensor file holding array."""
-    array = np.asarray(array, dtype="<f4")
-    head = b"FTB1" + struct.pack("<BB", 0, array.ndim) + struct.pack(f"<{array.ndim}Q", *array.shape)
+    """The bytes of a tensor file holding array: complex64 for a complex64
+    array, float32 for any other."""
+    array = np.asarray(array)
+    code, dtype = (2, "<c8") if array.dtype == np.complex64 else (0, "<f4")
+    array = np.asarray(array, dtype=dtype)
+    head = b"FTB1" + struct.pack("<BB", code, array.ndim) + struct.pack(f"<{array.ndim}Q", *array.shape)
     return head + array.tobytes()

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 
+import seldkit
 from seldkit import ArrayFormat, AudioClip, SceneDescription, SourceSpec
 
 
@@ -164,3 +170,48 @@ def noise_blocks(rng: np.random.Generator, n_channels: int, n_samples: int,
     """Independent white noise per channel, generated block by block."""
     for start in range(0, n_samples, block):
         yield level * rng.standard_normal((n_channels, min(block, n_samples - start)))
+
+
+# ---------------------------------------------------------------------------
+# peak memory of one CLI call
+
+# VmHWM is this process's own peak RSS; ru_maxrss of a process started by
+# exec keeps the peak of the process that started it (here pytest's).
+HAS_VMHWM = Path("/proc/self/status").exists()
+
+# Allowance for allocator and interpreter noise between two calls that hold
+# the same working set.
+FLAT_MARGIN_BYTES = 16 * 2**20
+
+_PEAK_CHILD = textwrap.dedent(
+    """
+    import sys
+    from seldkit.cli import main
+
+    def high_water_kb():
+        with open("/proc/self/status") as fh:
+            return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+
+    before = high_water_kb()
+    code = main(sys.argv[1:])
+    print(code, (high_water_kb() - before) * 1024)
+    """
+)
+
+
+def child_peak_growth(argv):
+    """Exit code and VmHWM growth in bytes of one CLI call in a fresh process.
+
+    The growth is measured from after `import seldkit.cli`, so the
+    interpreter and the imports do not count.
+    """
+    src = str(Path(seldkit.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", _PEAK_CHILD, *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    code, growth = res.stdout.split()[-2:]
+    return int(code), int(growth)

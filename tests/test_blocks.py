@@ -2,16 +2,10 @@
 and bounded memory."""
 
 import importlib
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import seldkit
 from seldkit import (
     FEATURE_KINDS,
     ArrayFormat,
@@ -177,78 +171,35 @@ def test_streaming_extract_nan_in_last_block_leaves_nothing(monkeypatch, tmp_pat
     assert list(out.iterdir()) == []
 
 
-_CHILD = textwrap.dedent(
-    """
-    import sys
-    from seldkit.cli import main
-
-    def high_water_kb():
-        with open("/proc/self/status") as fh:
-            return next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
-
-    before = high_water_kb()
-    code = main(sys.argv[1:])
-    print(code, (high_water_kb() - before) * 1024)
-    """
-)
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
 def test_extract_peak_memory_is_bounded(tmp_path):
-    # VmHWM is this process's own peak RSS; ru_maxrss of a process started
-    # by exec keeps the peak of the process that started it (here pytest's).
     rng = np.random.default_rng(4)
     seconds, channels = 60, 4
     wav = tmp_path / "long.wav"
     write_wav(wav, AudioClip(0.05 * rng.standard_normal((channels, seconds * 24000)), 24000))
-    src = str(Path(seldkit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["extract", str(wav), "--format", "foa", "--feature", "salsa", "--out", str(tmp_path)]
-    res = subprocess.run(
-        [sys.executable, "-c", _CHILD, *argv], capture_output=True, text=True, env=env, timeout=300
+    code, growth = support.child_peak_growth(
+        ["extract", wav, "--format", "foa", "--feature", "salsa", "--out", tmp_path]
     )
-    assert res.returncode == 0, res.stderr
-    code, growth = res.stdout.split()[-2:]
-    assert code == "0"
+    assert code == 0
     cfg = StftConfig()
     spec_bytes = channels * cfg.n_frames(seconds * 24000) * cfg.n_bins * 16
-    assert int(growth) < 3 * spec_bytes
+    assert growth < 3 * spec_bytes
 
 
-def _child_peak_growth(argv):
-    """Exit code and VmHWM growth in bytes of one CLI call in a fresh process."""
-    src = str(Path(seldkit.__file__).resolve().parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", _CHILD, *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=600,
-    )
-    assert res.returncode == 0, res.stderr
-    code, growth = res.stdout.split()[-2:]
-    return int(code), int(growth)
-
-
-# Allowance for allocator and interpreter noise between two calls that hold
-# the same working set.
-FLAT_MARGIN_BYTES = 16 * 2**20
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
 def test_streaming_extract_peak_memory_is_flat_in_clip_length(tmp_path):
     growth = {}
     for seconds in (60, 600):
         wav = tmp_path / f"noise{seconds}.wav"
         blocks = support.noise_blocks(np.random.default_rng(seconds), 4, seconds * 24000)
         support.write_wav_blocks(wav, 24000, 4, blocks, "int16")
-        code, growth[seconds] = _child_peak_growth(
+        code, growth[seconds] = support.child_peak_growth(
             ["extract", wav, "--format", "foa", "--feature", "salsa", "--out", tmp_path / "out"]
         )
         assert code == 0
         (tmp_path / "out" / f"noise{seconds}.ftb").unlink()
         wav.unlink()
-    assert growth[600] < growth[60] + FLAT_MARGIN_BYTES, growth
+    assert growth[600] < growth[60] + support.FLAT_MARGIN_BYTES, growth
 
 
 # stats --apply and augment hold one float32 tensor plus per-channel and
@@ -256,7 +207,7 @@ def test_streaming_extract_peak_memory_is_flat_in_clip_length(tmp_path):
 TENSOR_PEAK_MULTIPLE = 2
 
 
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+@pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
 @pytest.mark.parametrize("kind", ["salsa", "melspecgcc"])
 def test_stats_and_augment_peak_memory_is_bounded_by_the_tensor(tmp_path, kind):
     wav_dir, feat = tmp_path / "wav", tmp_path / "feat"
@@ -270,6 +221,6 @@ def test_stats_and_augment_peak_memory_is_bounded_by_the_tensor(tmp_path, kind):
         ["stats", feat, "--out", tmp_path / "stats.ftb", "--apply", tmp_path / "normed"],
         ["augment", feat, "--out", tmp_path / "aug", "--seed", "1", "--set", "p_apply=1"],
     ):
-        code, growth = _child_peak_growth(argv)
+        code, growth = support.child_peak_growth(argv)
         assert code == 0
         assert growth < TENSOR_PEAK_MULTIPLE * size, (argv[0], growth / size)

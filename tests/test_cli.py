@@ -216,6 +216,21 @@ def test_synth_rejects_unrenderable_scene_values(tmp_path, capsys, text, message
     assert not out.exists()
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    old = os.umask(umask)
+    try:
+        assert main(["synth", str(scene), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        os.umask(old)
+    names = sorted(p.name for p in (tmp_path / "o").iterdir())
+    assert names == ["scene.csv", "scene.ftb", "scene.manifest.txt"]
+    for name in names:
+        assert (tmp_path / "o" / name).stat().st_mode & 0o777 == mode, name
+
+
 def test_synth_name_override(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)

@@ -1,7 +1,11 @@
 """Scene rendering, trajectories, label sampling and the text formats."""
 
+import importlib
+
 import numpy as np
 import pytest
+
+import seldkit.cli
 
 from seldkit import (
     ArrayFormat,
@@ -20,8 +24,13 @@ from seldkit import (
     unit_vector,
 )
 
+import oracles
+import support
 from oracles import dense_render_scene
 from support import random_scene, single_source_scene
+
+# The package re-exports the function `stft`, which hides the module.
+stft_module = importlib.import_module("seldkit.stft")
 
 
 def test_unit_vector_round_trip():
@@ -198,6 +207,95 @@ def test_render_matches_dense_oracle_bit_for_bit(case, kind):
     want = dense_render_scene(scene, cfg)
     assert np.count_nonzero(want) > 0
     np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
+
+
+# One frame, a size that leaves a ragged last block, and more than T.
+BLOCKS = (1, 7, 10_000)
+SYNTH_CASES = [
+    ("foa", "overlapping-sources"),
+    ("mic", "overlapping-sources"),
+    ("foa", "re-oriented"),
+    ("foa", "no-ambient-noise"),
+    ("mic", "no-ambient-noise"),
+    ("mic", "chirp-past-nyquist"),
+]
+
+
+def _synth(tmp_path, scene_path):
+    out = tmp_path / "out"
+    code = seldkit.cli.main(["synth", str(scene_path), "--out", str(out)])
+    return code, out
+
+
+@pytest.mark.parametrize("kind, case", SYNTH_CASES)
+def test_synth_file_matches_dense_oracle_at_every_block_size(monkeypatch, tmp_path, kind, case):
+    scene = RENDER_CASES[case](kind)
+    path = tmp_path / "scene.txt"
+    path.write_text(format_scene(scene))
+    # Scene files carry no orientation: the CLI gets it back through its parser.
+    read = parse_scene(path.read_text()).transformed(scene.orientation)
+    monkeypatch.setattr(seldkit.cli, "parse_scene", lambda text: read)
+    dense = dense_render_scene(read, StftConfig())
+    assert dense.shape[1] > stft_module._BLOCK_FRAMES  # the default splits too
+    assert np.count_nonzero(dense) > 0
+    want = oracles.tensor_file_bytes(dense.astype(np.complex64))
+    for block in BLOCKS:
+        monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
+        code, out = _synth(tmp_path, path)
+        assert code == 0
+        assert (out / "scene.ftb").read_bytes() == want, f"block of {block} frames"
+
+
+@pytest.mark.parametrize(
+    "params", [{"f0": 13000.0}, {"f_low": 1000.0, "f_high": 1010.0}], ids=["tone", "noise"]
+)
+def test_synth_scene_failing_validation_leaves_no_file(tmp_path, capsys, params):
+    signal = "tone" if "f0" in params else "noise"
+    scene = _scene("foa", [_src(0, signal, params)])
+    path = tmp_path / "scene.txt"
+    path.write_text(format_scene(scene))
+    (tmp_path / "out").mkdir()
+    code, out = _synth(tmp_path, path)
+    assert code == 3
+    assert "source 0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
+def test_synth_peak_memory_is_flat_in_scene_length(tmp_path):
+    sources = [
+        _src(0, "noise", {"f_low": 300.0, "f_high": 6000.0}, onset=1.0, offset=9.0),
+        _src(1, "tone", {"f0": 440.0, "harmonics": 5}, onset=5.0, offset=15.0),
+        _src(2, "chirp", {"f_start": 500.0, "f_end": 3000.0}, onset=20.0, offset=30.0),
+    ]
+    growth = {}
+    for seconds in (60, 300):
+        scene = SceneDescription(ArrayFormat("foa"), duration=float(seconds),
+                                 sources=sources, noise_power=1e-3, seed=5)
+        path = tmp_path / f"scene{seconds}.txt"
+        path.write_text(format_scene(scene))
+        code, growth[seconds] = support.child_peak_growth(
+            ["synth", path, "--out", tmp_path / "out"]
+        )
+        assert code == 0
+        (tmp_path / "out" / f"scene{seconds}.ftb").unlink()
+    assert growth[300] < growth[60] + support.FLAT_MARGIN_BYTES, growth
+
+
+@pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
+def test_render_image_peak_memory_is_below_the_tensor(tmp_path):
+    scene = SceneDescription(ArrayFormat("foa"), duration=60.0, sources=[
+        _src(0, "noise", {"f_low": 300.0, "f_high": 6000.0}, onset=1.0, offset=30.0),
+    ], noise_power=1e-3, seed=5)
+    path = tmp_path / "scene.txt"
+    path.write_text(format_scene(scene))
+    code, out = _synth(tmp_path, path)
+    assert code == 0
+    tensor = out / "scene.ftb"
+    code, growth = support.child_peak_growth(["render-image", tensor, "--channel", "2"])
+    assert code == 0
+    assert (out / "scene.ch2.ppm").exists()
+    assert growth < tensor.stat().st_size, growth / tensor.stat().st_size
 
 
 def test_labels_sample_trajectory_at_frame_centers():

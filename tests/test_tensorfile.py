@@ -16,7 +16,7 @@ from seldkit import (
     write_manifest,
     write_tensor,
 )
-from seldkit.tensorfile import MAGIC
+from seldkit.tensorfile import MAGIC, tensor_info, tensor_writer
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64])
@@ -95,6 +95,61 @@ def test_malformed_files_rejected(tmp_path):
     bad.write_bytes(blob[:8])
     with pytest.raises(ValueError, match="truncated"):
         read_tensor(bad)
+
+
+def _complex_tensor(shape):
+    rng = np.random.default_rng(1)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+
+
+@pytest.mark.parametrize("step", [1, 3, 7])
+def test_tensor_writer_row_pieces_give_the_write_tensor_bytes(tmp_path, step):
+    arr = _complex_tensor((3, 7, 5))
+    write_tensor(tmp_path / "want.ftb", arr)
+    # Row by row in file order, and rows in reverse, both in ragged pieces
+    # of complex128 that are cast as they are written.
+    for order in ([0, 1, 2], [2, 0, 1]):
+        with tensor_writer(tmp_path / "got.ftb", arr.shape, np.complex64) as append:
+            for r in order:
+                for start in range(0, 7, step):
+                    append(arr[r, start : start + step].astype(np.complex128), row=r)
+        assert (tmp_path / "got.ftb").read_bytes() == (tmp_path / "want.ftb").read_bytes()
+    with tensor_writer(tmp_path / "got.ftb", arr.shape, np.complex64) as append:
+        append(arr[:, :2])
+        append(arr[1, 2:], row=1)
+        append(arr[0, 2:], row=0)
+        append(arr[2, 2:], row=2)
+    assert (tmp_path / "got.ftb").read_bytes() == (tmp_path / "want.ftb").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "pieces, message",
+    [
+        ([(np.zeros((7, 5)), 0), (np.zeros((7, 5)), 1)], "got"),  # row 2 never written
+        ([(np.zeros((6, 5)), r) for r in range(3)], "got"),  # one slice short per row
+        ([(np.zeros((8, 5)), 0)], "continue row 0"),
+        ([(np.zeros((7, 4)), 0)], "continue row 0"),
+        ([(np.zeros((7, 5)), 3)], "row 3"),
+        ([(np.zeros((2, 7, 5)), None)], "does not fit"),
+    ],
+    ids=["row-missing", "rows-short", "row-too-long", "wrong-tail", "no-such-row", "rows-missing"],
+)
+def test_tensor_writer_short_or_wrong_writes_raise_and_leave_no_file(tmp_path, pieces, message):
+    with pytest.raises(ValueError, match=message):
+        with tensor_writer(tmp_path / "t.ftb", (3, 7, 5), np.complex64) as append:
+            for block, row in pieces:
+                append(block, row=row)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_read_one_slice_of_axis_0(tmp_path):
+    arr = _complex_tensor((3, 4, 5))
+    write_tensor(tmp_path / "t.ftb", arr)
+    assert tensor_info(tmp_path / "t.ftb") == ((3, 4, 5), np.dtype("<c8"))
+    for i in range(3):
+        assert read_tensor(tmp_path / "t.ftb", i).tobytes() == arr[i].tobytes()
+    with pytest.raises(ValueError, match="index 3"):
+        read_tensor(tmp_path / "t.ftb", 3)
 
 
 def test_no_temp_files_left_behind(tmp_path):
