@@ -86,75 +86,3 @@ from .tensorfile import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AugmentConfig",
-    "SpatialTransform",
-    "augment_pipeline",
-    "channel_swap",
-    "foa_transforms",
-    "frequency_shift",
-    "mic_transforms",
-    "random_cutout",
-    "transforms_for",
-    "FEATURE_KINDS",
-    "assemble",
-    "channel_pairs",
-    "gcc_phat",
-    "intensity_vector",
-    "mel_intensity_vector",
-    "PipelineConfig",
-    "render_heatmap",
-    "write_ppm",
-    "MetricsConfig",
-    "MetricsReport",
-    "angular_distance",
-    "evaluate",
-    "evaluate_many",
-    "seld_error",
-    "STD_FLOOR",
-    "ChannelStats",
-    "StatsAccumulator",
-    "apply_stats",
-    "compute_stats",
-    "SPEED_OF_SOUND",
-    "ArrayFormat",
-    "BinSelectionConfig",
-    "dominance_ratio",
-    "eigen_summary",
-    "eigenvector_intensity_vector",
-    "eigenvector_phase_vector",
-    "local_covariance",
-    "magnitude_test",
-    "passband_bins",
-    "salsa",
-    "tetra_positions",
-    "track_noise_floor",
-    "AudioClip",
-    "ComplexSpectrogram",
-    "FeatureTensor",
-    "StftConfig",
-    "compress_high_bands",
-    "log_linear_spectrogram",
-    "log_mel_spectrogram",
-    "mel_filterbank",
-    "stft",
-    "SceneDescription",
-    "SeldLabels",
-    "SourceSpec",
-    "angles_from_unit",
-    "foa_steering",
-    "format_scene",
-    "mic_steering",
-    "parse_scene",
-    "render_scene",
-    "rows_from_csv",
-    "rows_to_csv",
-    "unit_vector",
-    "manifest_path_for",
-    "read_manifest",
-    "read_tensor",
-    "write_manifest",
-    "write_tensor",
-    "__version__",
-]

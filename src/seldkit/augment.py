@@ -198,13 +198,16 @@ def _swap_mic(
         # Only the uncompressed low bands carry per-bin phase; averaged
         # high bands have no single frequency to wrap against.
         freqs = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
-        pos = freqs > 0
         for m in range(1, M):
             new_d = delay(perm[m]) - delay(perm[0])
             head = new_d[..., : len(freqs)]
-            phase = -2.0 * np.pi * freqs[pos] * head[..., pos] / speed_of_sound
+            # Cells without a cue hold +-0.0, which the re-wrap maps to
+            # itself, so only the non-zero cells above 0 Hz are re-wrapped.
+            cells = np.nonzero((head != 0) & (freqs > 0))
+            f = freqs[cells[1]]
+            phase = -2.0 * np.pi * f * head[cells] / speed_of_sound
             wrapped = np.arctan2(np.sin(phase), np.cos(phase))
-            head[..., pos] = -speed_of_sound * wrapped / (2.0 * np.pi * freqs[pos])
+            head[cells] = -speed_of_sound * wrapped / (2.0 * np.pi * f)
             out[sp[m - 1]] = new_d
 
     gcc = groups["gcc"]
@@ -365,7 +368,9 @@ def augment_pipeline(
     independently with probability cfg.p_apply, in that order.
 
     The stages work on one tensor in its own dtype: a copy of feat or, with
-    in_place, feat itself.
+    in_place, feat itself. A mic swap re-wraps the delay cues with the speed
+    of sound they were extracted with, feat.meta["speed_of_sound"]
+    (SPEED_OF_SOUND when the tensor does not record one).
     """
     if cfg is None:
         cfg = AugmentConfig()
@@ -374,7 +379,8 @@ def augment_pipeline(
     if rng.random() < cfg.p_apply:
         options = transforms_for(feat.meta.get("format"))
         tx = options[int(rng.integers(len(options)))]
-        labels = _swap_channels(feat, labels, tx, SPEED_OF_SOUND)
+        c = feat.meta.get("speed_of_sound", SPEED_OF_SOUND)
+        labels = _swap_channels(feat, labels, tx, c)
     if rng.random() < cfg.p_apply:
         shift = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         _shift_bands(feat, shift)

@@ -20,6 +20,8 @@ from .stft import (
 )
 
 FEATURE_KINDS = ("melspeciv", "linspeciv", "melspecgcc", "linspecgcc", "salsa")
+# Mel bands of the mel kinds (and lags of melspecgcc) unless the caller sets n_mels.
+N_MELS = 128
 
 
 def intensity_vector(spec: ComplexSpectrogram, eps: float = 1e-12) -> np.ndarray:
@@ -124,7 +126,7 @@ def assemble(
     kind: str,
     fmt: spatial.ArrayFormat,
     cfg: spatial.BinSelectionConfig | None = None,
-    n_mels: int = 128,
+    n_mels: int = N_MELS,
 ) -> FeatureTensor:
     """Whole-clip assemble_stream: a named feature stack of a complex spectrogram."""
     return assemble_stream(spec.stream(), kind, fmt, cfg, n_mels).collect()
@@ -135,7 +137,7 @@ def assemble_stream(
     kind: str,
     fmt: spatial.ArrayFormat,
     cfg: spatial.BinSelectionConfig | None = None,
-    n_mels: int = 128,
+    n_mels: int = N_MELS,
 ) -> FeatureStream:
     """Build a named feature stack from a complex spectrogram stream.
 

@@ -22,10 +22,10 @@ from .augment import augment_pipeline
 from .baseline import FEATURE_KINDS, assemble, assemble_stream  # noqa: F401
 from .config import PipelineConfig
 from .imaging import render_heatmap, write_ppm
-from .metrics import MetricsConfig, evaluate_many, seld_error
+from .metrics import evaluate_many, seld_error
 from .normalize import STD_FLOOR, ChannelStats, StatsAccumulator, apply_stats
 from .spatial import ArrayFormat
-from .stft import AudioClip, FeatureTensor, stft, stft_stream  # noqa: F401
+from .stft import AudioClip, stft, stft_stream  # noqa: F401
 # render_scene is not called here either; perfbench/tracing.py wraps it.
 from .synth import (  # noqa: F401
     N_CLASSES,
@@ -41,10 +41,12 @@ from .tensorfile import (
     atomic_write_bytes,
     atomic_write_text,
     manifest_path_for,
-    read_manifest,
+    read_feature,
     read_tensor,
     tensor_info,
     tensor_writer,
+    write_feature,
+    write_feature_manifest,
     write_manifest,
     write_tensor,
 )
@@ -116,58 +118,6 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     from scipy.io import wavfile  # only writers need scipy.io; it is slow to import
 
     wavfile.write(path, clip.sample_rate, clip.samples.T.astype(np.float32))
-
-
-_MANIFEST_INT = (
-    "sample_rate", "n_mels", "n_lags", "compress_start_bin", "compress_factor", "seed",
-    "in_band_bins", "candidates", "selected",
-)
-_MANIFEST_FLOAT = ("bin_hz", "frame_rate", "f_low", "f_high", "speed_of_sound")
-_MANIFEST_BOOL = ("normalized", "augmented")
-_MANIFEST_STR = ("feature", "format", "config")
-
-
-def _write_feature_manifest(path: Path, shape, roles, scale: str, meta: dict) -> None:
-    entries = {
-        "kind": "feature",
-        "scale": scale,
-        "channel_roles": roles,
-        "channels": shape[0],
-        "frames": shape[1],
-        "bands": shape[2],
-    }
-    for key in _MANIFEST_STR + _MANIFEST_INT + _MANIFEST_FLOAT + _MANIFEST_BOOL:
-        if key in meta:
-            entries[key] = meta[key]
-    write_manifest(manifest_path_for(path), entries)
-
-
-def write_feature(path: str | Path, feat: FeatureTensor) -> None:
-    """Store a feature tensor as float32 with its sidecar manifest."""
-    path = Path(path)
-    write_tensor(path, feat.data.astype(np.float32, copy=False))
-    _write_feature_manifest(path, feat.data.shape, feat.channel_roles, feat.scale, feat.meta)
-
-
-def read_feature(path: str | Path) -> FeatureTensor:
-    """Load a feature tensor as float32 and rebuild roles and metadata from its manifest."""
-    path = Path(path)
-    data = read_tensor(path).astype(np.float32, copy=False)
-    manifest = read_manifest(manifest_path_for(path))
-    if manifest.get("kind") != "feature":
-        raise ValueError(f"{path}: manifest does not describe a feature tensor")
-    roles = manifest["channel_roles"].split(",")
-    meta: dict = {}
-    for key, value in manifest.items():
-        if key in _MANIFEST_INT:
-            meta[key] = int(value)
-        elif key in _MANIFEST_FLOAT:
-            meta[key] = float(value)
-        elif key in _MANIFEST_BOOL:
-            meta[key] = value == "True"
-        elif key in _MANIFEST_STR:
-            meta[key] = value
-    return FeatureTensor(data, roles, manifest.get("scale", "linear"), meta)
 
 
 def _labels_from_rows(rows) -> SeldLabels:
@@ -257,7 +207,7 @@ def cmd_extract(args) -> None:
                     if not np.isfinite(block).all():
                         raise NumericalError(f"{path}: feature tensor has non-finite values")
                     append(block)
-        _write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, feat.meta)
+        write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, feat.meta)
         print(f"{out_path} {_shape_text(feat.shape)}")
 
 
@@ -267,6 +217,7 @@ def cmd_synth(args) -> None:
     if not scene_path.exists():
         raise InputError(f"{scene_path}: no such file")
     scene = parse_scene(scene_path.read_text())
+    scene.fmt.speed_of_sound = cfg.speed_of_sound
     stream = render_stream(scene, cfg.stft_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,11 +259,7 @@ def cmd_eval(args) -> None:
     if not args.pred or not args.ref:
         raise ValueError("eval needs --pred and --ref (or --aggregate-only)")
     cfg = _load_config(args)
-    mcfg = MetricsConfig(
-        doa_threshold_deg=cfg.doa_threshold_deg,
-        segment_seconds=cfg.segment_seconds,
-        convention=args.metrics,
-    )
+    mcfg = cfg.metrics_config(args.metrics)
     pred_files = _collect_inputs([args.pred], ".csv")
     ref_root = Path(args.ref)
     pairs = []

@@ -1,52 +1,66 @@
-"""Flat key=value pipeline configuration with override and hashing support."""
+"""Flat key=value pipeline configuration with override and hashing support.
+
+PipelineConfig defines no default of its own: each key's default is read
+from the component that owns it (StftConfig, BinSelectionConfig.for_format,
+AugmentConfig, MetricsConfig, baseline.N_MELS), and each *_config method
+hands a component every key it shares with it by name. A default changes
+only in its component; the configuration, those methods and the digest
+follow.
+"""
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .augment import AugmentConfig
+from .baseline import N_MELS
+from .metrics import MetricsConfig
 from .spatial import BinSelectionConfig
 from .stft import StftConfig
+
+_STFT = StftConfig()
+_FOA = BinSelectionConfig.for_format("foa")
+_MIC = BinSelectionConfig.for_format("mic")
+_AUGMENT = AugmentConfig()
+_METRICS = MetricsConfig()
 
 
 @dataclass
 class PipelineConfig:
     """Every tunable of the extraction, augmentation and scoring pipeline.
 
-    Mirrors the library defaults; files hold one key=value per line with
-    '#' comments, and command lines may override single keys via --set.
+    Files hold one key=value per line with '#' comments, and command lines
+    may override single keys via --set. The bin-selection keys shared by
+    both formats take the foa defaults; f_high_foa and f_high_mic are the
+    two formats' upper cutoffs.
     """
 
-    sample_rate: int = 24000
-    window_length: int = 512
-    hop_length: int = 300
-    fft_size: int = 512
-    window: str = "hann"
-    n_mels: int = 128
-    log_floor: float = 1e-12
-    f_low: float = 50.0
-    f_high_foa: float = 9000.0
-    f_high_mic: float = 4000.0
-    alpha_mag: float = 1.5
-    beta_ratio: float = 5.0
-    cov_half_window: int = 3
-    rms_half_window: int = 1
-    noise_init_frames: int = 5
-    noise_delta_up: float = 0.05
-    noise_delta_down: float = 0.002
-    compress_start_bin: int = 192
-    compress_factor: int = 8
-    speed_of_sound: float = 343.0
-    p_apply: float = 0.5
-    max_shift: int = 10
-    doa_threshold_deg: float = 20.0
-    segment_seconds: float = 1.0
-
-    @classmethod
-    def _field_types(cls):
-        return {f.name: f.type for f in fields(cls)}
+    sample_rate: int = _STFT.sample_rate
+    window_length: int = _STFT.window_length
+    hop_length: int = _STFT.hop_length
+    fft_size: int = _STFT.fft_size
+    window: str = _STFT.window
+    n_mels: int = N_MELS
+    log_floor: float = _FOA.log_floor
+    f_low: float = _FOA.f_low
+    f_high_foa: float = _FOA.f_high
+    f_high_mic: float = _MIC.f_high
+    alpha_mag: float = _FOA.alpha_mag
+    beta_ratio: float = _FOA.beta_ratio
+    cov_half_window: int = _FOA.cov_half_window
+    rms_half_window: int = _FOA.rms_half_window
+    noise_init_frames: int = _FOA.noise_init_frames
+    noise_delta_up: float = _FOA.noise_delta_up
+    noise_delta_down: float = _FOA.noise_delta_down
+    compress_start_bin: int = _FOA.compress_start_bin
+    compress_factor: int = _FOA.compress_factor
+    speed_of_sound: float = _FOA.speed_of_sound
+    p_apply: float = _AUGMENT.p_apply
+    max_shift: int = _AUGMENT.max_shift
+    doa_threshold_deg: float = _METRICS.doa_threshold_deg
+    segment_seconds: float = _METRICS.segment_seconds
 
     @classmethod
     def from_items(cls, items: dict[str, str]) -> "PipelineConfig":
@@ -56,20 +70,12 @@ class PipelineConfig:
         return cfg
 
     def update(self, items: dict[str, str]) -> None:
-        known = {f.name: f for f in fields(self)}
+        known = {f.name for f in fields(self)}
         for key, raw in items.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            current = getattr(self, key)
             try:
-                if isinstance(current, bool):
-                    value = raw.lower() in ("1", "true", "yes")
-                elif isinstance(current, int):
-                    value = int(raw)
-                elif isinstance(current, float):
-                    value = float(raw)
-                else:
-                    value = raw
+                value = type(getattr(self, key))(raw)  # int, float or str
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: bad value {raw!r}") from exc
             setattr(self, key, value)
@@ -112,33 +118,22 @@ class PipelineConfig:
 
     # builders for the per-module configs
 
+    def _onto(self, component, **extra):
+        """`component` with every field it shares by name with this config
+        taken from here, then the fields in `extra`."""
+        names = {f.name for f in fields(component)}
+        shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in names}
+        return replace(component, **{**shared, **extra})
+
     def stft_config(self, sample_rate: int | None = None) -> StftConfig:
-        return StftConfig(
-            sample_rate=sample_rate or self.sample_rate,
-            window_length=self.window_length,
-            hop_length=self.hop_length,
-            fft_size=self.fft_size,
-            window=self.window,
-        )
+        return self._onto(_STFT, sample_rate=sample_rate or self.sample_rate)
 
     def selection_config(self, kind: str) -> BinSelectionConfig:
-        if kind not in ("foa", "mic"):
-            raise ValueError(f"unknown format kind {kind!r}")
-        return BinSelectionConfig(
-            f_low=self.f_low,
-            f_high=self.f_high_foa if kind == "foa" else self.f_high_mic,
-            alpha_mag=self.alpha_mag,
-            beta_ratio=self.beta_ratio,
-            cov_half_window=self.cov_half_window,
-            rms_half_window=self.rms_half_window,
-            noise_init_frames=self.noise_init_frames,
-            noise_delta_up=self.noise_delta_up,
-            noise_delta_down=self.noise_delta_down,
-            log_floor=self.log_floor,
-            compress_start_bin=self.compress_start_bin,
-            compress_factor=self.compress_factor,
-            speed_of_sound=self.speed_of_sound,
-        )
+        f_high = self.f_high_foa if kind == "foa" else self.f_high_mic
+        return self._onto(BinSelectionConfig.for_format(kind), f_high=f_high)
 
     def augment_config(self) -> AugmentConfig:
-        return AugmentConfig(p_apply=self.p_apply, max_shift=self.max_shift)
+        return self._onto(_AUGMENT)
+
+    def metrics_config(self, convention: str = _METRICS.convention) -> MetricsConfig:
+        return self._onto(_METRICS, convention=convention)

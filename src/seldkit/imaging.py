@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensorfile import atomic_write_bytes
@@ -44,13 +46,16 @@ def render_heatmap(
     """RGB image of a (frames, bands) plane; bands increase upward.
 
     Returns (bands, frames, 3) uint8. A constant plane renders at the ramp
-    bottom.
+    bottom. Raises ValueError if a bound (given, or the plane's min or max)
+    is not finite.
     """
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("heatmap input must be 2-D (frames, bands)")
     lo = float(arr.min()) if vmin is None else float(vmin)
     hi = float(arr.max()) if vmax is None else float(vmax)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"color scale bounds must be finite, got {lo!r}..{hi!r}")
     if hi <= lo:
         norm = np.zeros_like(arr)
     else:

@@ -303,7 +303,7 @@ def log_linear_spectrogram(
 def mel_filterbank(
     sample_rate: int,
     fft_size: int,
-    n_mels: int = 128,
+    n_mels: int,
     f_min: float = 0.0,
     f_max: float | None = None,
 ) -> np.ndarray:

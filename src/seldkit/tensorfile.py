@@ -1,9 +1,14 @@
-"""Binary tensor container and text manifests.
+"""Binary tensor container, text manifests and feature-tensor files.
 
 Layout: 4 magic bytes "FTB1", one u8 dtype code (0=f32, 1=f64, 2=c64), one u8
 rank, rank u64 little-endian dimensions, then the row-major little-endian
 payload. Manifests are plain "key=value" text files next to the tensor.
 All writes are atomic (temp file + rename).
+
+A feature tensor is a float32 tensor file whose manifest starts with
+kind=feature, scale, channel_roles, channels, frames and bands, followed by
+the keys of FEATURE_META that its meta holds, in the table's order;
+read_feature parses each back to the table's type.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+
+from .stft import FeatureTensor
 
 MAGIC = b"FTB1"
 
@@ -209,3 +216,53 @@ def manifest_path_for(tensor_path: str | Path) -> Path:
     p = Path(tensor_path)
     stem = p.name[: -len(".ftb")] if p.name.endswith(".ftb") else p.name
     return p.with_name(stem + ".manifest.txt")
+
+
+# Feature metadata a manifest carries, in the order it is written, and the
+# type each value is read back as.
+FEATURE_META: dict[str, type] = {
+    "feature": str, "format": str, "config": str,
+    "sample_rate": int, "n_mels": int, "n_lags": int, "compress_start_bin": int,
+    "compress_factor": int, "seed": int, "in_band_bins": int, "candidates": int,
+    "selected": int,
+    "bin_hz": float, "frame_rate": float, "f_low": float, "f_high": float,
+    "speed_of_sound": float,
+    "normalized": bool, "augmented": bool,
+}
+
+
+def write_feature_manifest(path: str | Path, shape, roles, scale: str, meta: dict) -> None:
+    """Write the manifest of the feature tensor file at `path`."""
+    entries = {
+        "kind": "feature",
+        "scale": scale,
+        "channel_roles": roles,
+        "channels": shape[0],
+        "frames": shape[1],
+        "bands": shape[2],
+    }
+    entries.update((key, meta[key]) for key in FEATURE_META if key in meta)
+    write_manifest(manifest_path_for(path), entries)
+
+
+def write_feature(path: str | Path, feat: FeatureTensor) -> None:
+    """Store a feature tensor as float32 with its sidecar manifest."""
+    write_tensor(path, feat.data.astype(np.float32, copy=False))
+    write_feature_manifest(path, feat.data.shape, feat.channel_roles, feat.scale, feat.meta)
+
+
+def read_feature(path: str | Path) -> FeatureTensor:
+    """Load a feature tensor as float32 and rebuild roles and metadata from its manifest."""
+    data = read_tensor(path).astype(np.float32, copy=False)
+    manifest = read_manifest(manifest_path_for(path))
+    if manifest.get("kind") != "feature":
+        raise ValueError(f"{path}: manifest does not describe a feature tensor")
+    meta = {}
+    for key, value in manifest.items():
+        kind = FEATURE_META.get(key)
+        if kind is bool:
+            meta[key] = value == "True"
+        elif kind is not None:
+            meta[key] = kind(value)
+    roles = manifest["channel_roles"].split(",")
+    return FeatureTensor(data, roles, manifest.get("scale", "linear"), meta)

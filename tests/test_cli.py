@@ -10,8 +10,24 @@ import numpy as np
 import pytest
 
 import seldkit
-from seldkit import AudioClip, read_manifest, read_tensor, rows_to_csv
+from seldkit import (
+    ArrayFormat,
+    AudioClip,
+    AugmentConfig,
+    PipelineConfig,
+    StftConfig,
+    channel_swap,
+    mic_transforms,
+    parse_scene,
+    random_cutout,
+    read_manifest,
+    read_tensor,
+    render_scene,
+    rows_to_csv,
+    unit_vector,
+)
 from seldkit.cli import main, read_wav, write_wav
+from seldkit.tensorfile import read_feature
 
 import support
 
@@ -313,6 +329,19 @@ def test_render_image(tmp_path, capsys):
     assert main(["render-image", str(tmp_path / "no.ftb"), "--channel", "0"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--vmin", "--vmax"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_render_image_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    main(["synth", str(scene), "--out", str(tmp_path / "o")])
+    capsys.readouterr()
+    tensor = tmp_path / "o" / "scene.ftb"
+    assert main(["render-image", str(tensor), "--channel", "0", flag, value]) == 3
+    assert "finite" in capsys.readouterr().err
+    assert not list((tmp_path / "o").glob("*.ppm"))
+
+
 def test_stats_and_apply(corpus, tmp_path):
     feat = tmp_path / "feat"
     main(["extract", str(corpus), "--format", "foa", "--feature", "linspeciv",
@@ -369,6 +398,67 @@ def test_augment_seeded_reproducible(corpus, tmp_path):
     manifest = read_manifest(tmp_path / "x" / "a.manifest.txt")
     assert manifest["augmented"] == "True"
     assert int(manifest["seed"]) == 3
+
+
+def _mic_source_wav(path, seconds=1.0, rate=24000):
+    """A noise source at (60, 20) degrees on the default tetrahedral array:
+    one white noise delayed per capsule (in the frequency domain), plus a
+    little independent noise per capsule."""
+    rng = np.random.default_rng(11)
+    n = int(seconds * rate)
+    spectrum = np.fft.rfft(rng.standard_normal(n))
+    freqs = np.fft.rfftfreq(n, 1.0 / rate)
+    delays = (ArrayFormat("mic").mic_positions @ unit_vector(60.0, 20.0)) / 343.0
+    capsules = [np.fft.irfft(spectrum * np.exp(2j * np.pi * freqs * d), n) for d in delays]
+    samples = 0.1 * np.array(capsules) + 1e-3 * rng.standard_normal((4, n))
+    write_wav(path, AudioClip(samples, rate))
+
+
+def test_augment_rewraps_mic_cues_with_the_tensors_speed_of_sound(tmp_path):
+    wavs = tmp_path / "wavs"
+    wavs.mkdir()
+    _mic_source_wav(wavs / "m.wav")
+    feat_dir, out = tmp_path / "feat", tmp_path / "aug"
+    assert main(["extract", str(wavs), "--format", "mic", "--feature", "salsa",
+                 "--out", str(feat_dir), "--set", "speed_of_sound=300"]) == 0
+    feat = read_feature(feat_dir / "m.ftb")
+    assert feat.meta["speed_of_sound"] == 300.0
+    # Seed 1 draws rot270_zflip, a swap that re-references the delays.
+    assert main(["augment", str(feat_dir), "--out", str(out), "--seed", "1",
+                 "--set", "p_apply=1", "--set", "max_shift=0"]) == 0
+    # The pipeline's draws (augment_pipeline: swap, shift, cutout), with the
+    # swap at the tensor's 300 m/s.
+    rng = np.random.default_rng([1, 0])
+    rng.random()
+    options = mic_transforms()
+    tx = options[int(rng.integers(len(options)))]
+    want, _ = channel_swap(feat, None, tx, speed_of_sound=300.0)
+    rng.random()
+    assert int(rng.integers(0, 1)) == 0  # max_shift=0: the shift is a no-op
+    rng.random()
+    want = random_cutout(want, rng, AugmentConfig(p_apply=1.0, max_shift=0))
+    got = read_tensor(out / "m.ftb")
+    np.testing.assert_array_equal(got, want.data)
+    # At 343 m/s the re-wrapped cues differ, so the test tells the two apart.
+    at_343, _ = channel_swap(feat, None, tx)
+    keep = want.data[4:] != 0
+    assert np.any(at_343.data[4:][keep] != want.data[4:][keep])
+
+
+def test_synth_renders_with_the_configured_speed_of_sound(tmp_path):
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE.replace("format=foa", "format=mic"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["synth", str(scene), "--out", str(a)]) == 0
+    assert main(["synth", str(scene), "--out", str(b), "--set", "speed_of_sound=300"]) == 0
+    parsed = parse_scene(scene.read_text())
+    parsed.fmt.speed_of_sound = 300.0
+    want = render_scene(parsed, StftConfig())[0].data.astype(np.complex64)
+    np.testing.assert_array_equal(read_tensor(b / "scene.ftb"), want)
+    assert not np.array_equal(read_tensor(a / "scene.ftb"), want)
+    digests = {read_manifest(d / "scene.manifest.txt")["config"] for d in (a, b)}
+    assert digests == {PipelineConfig().digest(),
+                       PipelineConfig().with_overrides(["speed_of_sound=300"]).digest()}
 
 
 def test_augment_missing_labels(corpus, tmp_path):

@@ -2,17 +2,52 @@
 
 import pytest
 
-from seldkit import PipelineConfig
+from seldkit import (
+    AugmentConfig,
+    BinSelectionConfig,
+    MetricsConfig,
+    PipelineConfig,
+    StftConfig,
+)
+from seldkit.baseline import N_MELS
 
 
 def test_defaults_match_library_constants():
+    # Each default is its component's: the *_config methods of a default
+    # config give the components' own defaults, field for field.
     cfg = PipelineConfig()
-    assert cfg.sample_rate == 24000
-    assert (cfg.window_length, cfg.hop_length, cfg.fft_size) == (512, 300, 512)
-    assert cfg.n_mels == 128
-    assert (cfg.f_high_foa, cfg.f_high_mic) == (9000.0, 4000.0)
-    assert (cfg.alpha_mag, cfg.beta_ratio) == (1.5, 5.0)
-    assert (cfg.compress_start_bin, cfg.compress_factor) == (192, 8)
+    assert cfg.stft_config() == StftConfig()
+    for kind in ("foa", "mic"):
+        assert cfg.selection_config(kind) == BinSelectionConfig.for_format(kind)
+    assert cfg.augment_config() == AugmentConfig()
+    assert cfg.metrics_config() == MetricsConfig()
+    assert cfg.metrics_config("2020") == MetricsConfig(convention="2020")
+    assert cfg.n_mels == N_MELS
+
+
+def test_default_digest_is_pinned():
+    # Every manifest written at the default configuration records this.
+    assert PipelineConfig().digest() == "fdc65fc9b7df368b"
+
+
+def test_fields_and_types_are_pinned():
+    import dataclasses
+
+    got = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
+    assert got == {
+        "sample_rate": "int", "window_length": "int", "hop_length": "int",
+        "fft_size": "int", "window": "str", "n_mels": "int", "log_floor": "float",
+        "f_low": "float", "f_high_foa": "float", "f_high_mic": "float",
+        "alpha_mag": "float", "beta_ratio": "float", "cov_half_window": "int",
+        "rms_half_window": "int", "noise_init_frames": "int",
+        "noise_delta_up": "float", "noise_delta_down": "float",
+        "compress_start_bin": "int", "compress_factor": "int",
+        "speed_of_sound": "float", "p_apply": "float", "max_shift": "int",
+        "doa_threshold_deg": "float", "segment_seconds": "float",
+    }
+    cfg = PipelineConfig()
+    for name, kind in got.items():
+        assert type(getattr(cfg, name)).__name__ == kind, name
 
 
 def test_load_file_with_comments(tmp_path):
@@ -94,5 +129,15 @@ def test_builders_propagate_values():
     assert cfg.selection_config("foa").f_high == 9000.0
     aug = cfg.augment_config()
     assert (aug.p_apply, aug.max_shift) == (0.1, 4)
+    scoring = PipelineConfig().with_overrides(
+        ["doa_threshold_deg=15", "segment_seconds=0.5"]
+    ).metrics_config("2020")
+    assert scoring == MetricsConfig(
+        doa_threshold_deg=15.0, segment_seconds=0.5, convention="2020"
+    )
+    sel = PipelineConfig().with_overrides(
+        ["alpha_mag=2", "speed_of_sound=300", "log_floor=1e-9"]
+    ).selection_config("foa")
+    assert (sel.alpha_mag, sel.speed_of_sound, sel.log_floor) == (2.0, 300.0, 1e-9)
     with pytest.raises(ValueError, match="format"):
         cfg.selection_config("stereo")

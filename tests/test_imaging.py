@@ -73,3 +73,13 @@ def test_write_ppm(tmp_path):
     assert len(blob) == len(b"P6\n3 4\n255\n") + 3 * 4 * 3
     with pytest.raises(ValueError):
         write_ppm(path, img.astype(np.float32))
+
+
+@pytest.mark.parametrize("bounds", [
+    {"vmin": float("nan")}, {"vmax": float("nan")},
+    {"vmin": float("-inf")}, {"vmax": float("inf")},
+])
+def test_non_finite_bounds_are_rejected(bounds):
+    plane = np.arange(12.0).reshape(4, 3)
+    with pytest.raises(ValueError, match="finite"):
+        render_heatmap(plane, **bounds)

@@ -16,7 +16,15 @@ from seldkit import (
     write_manifest,
     write_tensor,
 )
-from seldkit.tensorfile import MAGIC, tensor_info, tensor_writer
+from seldkit.stft import FeatureTensor
+from seldkit.tensorfile import (
+    FEATURE_META,
+    MAGIC,
+    read_feature,
+    tensor_info,
+    tensor_writer,
+    write_feature,
+)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex64])
@@ -193,3 +201,37 @@ def test_float_values_survive_exactly(tmp_path):
     value = 0.1 + 0.2
     write_manifest(path, {"x": value})
     assert float(read_manifest(path)["x"]) == value
+
+
+def test_feature_round_trip_over_every_manifest_key(tmp_path):
+    # One value of each key's type, with a few that a careless parser would
+    # turn into another type (an int-looking float, a False bool).
+    samples = {str: "salsa", int: 7, float: 2.0, bool: False}
+    meta = {key: samples[kind] for key, kind in FEATURE_META.items()}
+    meta["augmented"] = True
+    meta["bin_hz"] = 0.1 + 0.2
+    data = np.random.default_rng(0).standard_normal((3, 5, 4)).astype(np.float32)
+    path = tmp_path / "f.ftb"
+    write_feature(path, FeatureTensor(data, ["spec", "spatial", "gcc"], "mel", meta))
+    lines = manifest_path_for(path).read_text().splitlines()
+    assert [line.split("=", 1)[0] for line in lines] == [
+        "kind", "scale", "channel_roles", "channels", "frames", "bands", *FEATURE_META
+    ]
+    back = read_feature(path)
+    np.testing.assert_array_equal(back.data, data)
+    assert back.data.dtype == np.float32
+    assert back.channel_roles == ["spec", "spatial", "gcc"]
+    assert back.scale == "mel"
+    assert back.meta == meta
+    for key, kind in FEATURE_META.items():
+        assert type(back.meta[key]) is kind, key
+
+
+def test_feature_manifest_skips_unknown_and_missing_keys(tmp_path):
+    path = tmp_path / "f.ftb"
+    data = np.zeros((1, 2, 3), dtype=np.float32)
+    write_feature(path, FeatureTensor(data, ["spec"], "linear", {"seed": 4, "other": 1}))
+    assert read_feature(path).meta == {"seed": 4}
+    write_manifest(manifest_path_for(path), {"kind": "stats"})
+    with pytest.raises(ValueError, match="feature tensor"):
+        read_feature(path)
