@@ -10,7 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
+import signal
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +70,14 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponents and infinities, so it would
+        # take "-1e3" or "-inf" for an option instead of a value.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
     def error(self, message):
         raise UsageError(message)
 
@@ -153,20 +165,109 @@ def _shape_text(shape) -> str:
 
 
 def _finite_reads(wav: WavReader):
-    """wav.read that refuses non-finite samples with a NumericalError.
+    """Positional reads of wav for stft_stream that refuse non-finite samples.
 
     A NaN inside a covariance window would otherwise stop the eigen step
     (exit 3) or reach an output block (exit 4), depending on where block
-    edges fall; checked as read, non-finite audio always exits 4.
+    edges fall; checked as read, non-finite audio always exits 4 (a
+    NumericalError).
     """
 
-    def read(count: int) -> np.ndarray:
+    def read(start: int, count: int) -> np.ndarray:
+        wav.seek(start)
         samples = wav.read(count)
         if not np.isfinite(samples).all():
             raise NumericalError(f"{wav.path}: audio has non-finite samples")
         return samples
 
     return read
+
+
+def _cpus() -> int:
+    """Processes to split each clip between: one per CPU of this process's
+    affinity set. One where that set cannot be read (every platform that
+    has it also has fork), and one while other threads run, because a
+    forked child holds a copy of the calling thread only."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _frame_ranges(n_frames: int, n: int) -> list[slice]:
+    """min(n, n_frames) contiguous near-equal frame slices covering [0, n_frames)."""
+    n = min(n, n_frames)
+    edges = [n_frames * k // n for k in range(n + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+# Errors a helper reports by class name; main maps each to its exit code.
+_REPORTED = (InputError, NumericalError, OSError, ValueError)
+
+
+def _in_ranges(work, n: int) -> list:
+    """[work(0), ..., work(n - 1)]: work(0) here, every other in a forked helper.
+
+    Each helper sends its result, or the class and message of its error,
+    as JSON through a pipe and ends with os._exit, so it prints nothing and
+    runs none of the caller's cleanup. Once work(0) is done, the reports
+    are read in range order and the first error is raised here as the same
+    class (RuntimeError for a class main does not map, or for a helper that
+    died without reporting). Every helper is killed if still running and
+    reaped before this returns or raises, on any error or interrupt.
+    """
+    helpers = {}  # pid -> read end of its pipe, for helpers not reaped yet
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _run_helper(work, k, w)
+            os.close(w)
+            helpers[pid] = os.fdopen(r, "rb")
+        results = [work(0)]
+        for k, (pid, pipe) in enumerate(list(helpers.items()), 1):
+            report = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del helpers[pid]
+            pipe.close()
+            if status != 0:
+                raise RuntimeError(f"helper for range {k} ended with wait status {status}")
+            report = json.loads(report)
+            if "error" in report:
+                cls = next((c for c in _REPORTED if c.__name__ == report["error"]), RuntimeError)
+                raise cls(report["message"])
+            results.append(report["result"])
+        return results
+    finally:
+        for pid in helpers:
+            os.kill(pid, signal.SIGKILL)
+        for pid, pipe in helpers.items():
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _run_helper(work, k: int, w: int):
+    """A forked helper's whole life: report work(k) through the pipe end w, then exit."""
+    status = 1
+    try:
+        try:
+            report = {"result": work(k)}
+        except BaseException as exc:
+            cls = next((c for c in _REPORTED if isinstance(exc, c)), None)
+            report = {
+                "error": cls.__name__ if cls else "RuntimeError",
+                "message": str(exc) if cls else f"{type(exc).__name__}: {exc}",
+            }
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(json.dumps(report).encode())
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def cmd_extract(args) -> None:
@@ -193,21 +294,36 @@ def cmd_extract(args) -> None:
                 eff = replace(cfg, sample_rate=wav.sample_rate)
             # Samples flow block by block from the file through the STFT and
             # the feature stack into the tensor file; no whole-clip array.
+            # Each range of frames is built and written by its own process.
             spec = stft_stream(
                 _finite_reads(wav), wav.n_channels, wav.n_samples, eff.stft_config()
             )
-            feat = assemble_stream(
-                spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels
-            )
-            feat.meta["sample_rate"] = wav.sample_rate
-            feat.meta["config"] = eff.digest()
+            ranges = _frame_ranges(spec.n_frames, _cpus())
+            streams = [
+                assemble_stream(
+                    spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels,
+                    frames,
+                )
+                for frames in ranges
+            ]
+            feat = streams[0]
             out_path = out_dir / (path.stem + ".ftb")
             with tensor_writer(out_path, feat.shape, np.float32) as append:
-                for block in feat.blocks:
-                    if not np.isfinite(block).all():
-                        raise NumericalError(f"{path}: feature tensor has non-finite values")
-                    append(block)
-        write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, feat.meta)
+                parts = [append.part(frames) for frames in ranges]
+
+                def work(k: int) -> dict:
+                    for block in streams[k].blocks:
+                        if not np.isfinite(block).all():
+                            raise NumericalError(f"{path}: feature tensor has non-finite values")
+                        parts[k](block)
+                    return {"counts": streams[k].counts, "written": parts[k].written}
+
+                meta = dict(feat.meta, sample_rate=wav.sample_rate, config=eff.digest())
+                for part, result in zip(parts, _in_ranges(work, len(ranges))):
+                    part.written = result["written"]
+                    for key, n in result["counts"].items():
+                        meta[key] = meta.get(key, 0) + n
+        write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, meta)
         print(f"{out_path} {_shape_text(feat.shape)}")
 
 

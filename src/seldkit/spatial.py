@@ -278,6 +278,57 @@ def _windowed_rms(
     return np.sqrt((cs[hi + 1 - first] - cs[lo - first]) / counts)
 
 
+class _Gate:
+    """The magnitude test of salsa_stream, on channel 0's passband bins.
+
+    It is given the channel-0 spectrogram of every frame in order from frame
+    0 and keeps, from frame `first` on, |X_0| on the `bins` slice, its noise
+    floor (_NoiseFloor, advanced as frames arrive once the first init frames
+    have) and its cumulative squares: cs[k - first] sums |X_0|^2 over the
+    frames before k. Outside the passband the test's result is never used.
+    """
+
+    def __init__(self, cfg: BinSelectionConfig, n_frames: int, bins: slice):
+        self.cfg, self.n_frames, self.bins = cfg, n_frames, bins
+        width = bins.stop - bins.start
+        self.floor = _NoiseFloor(cfg, n_frames)
+        self.first = 0
+        self.mag = np.empty((0, width))
+        self.eta = np.empty((0, width))  # floor of frames first..first+len(eta)-1
+        self.cs = np.zeros((1, width))
+
+    @property
+    def end(self) -> int:
+        """One past the last frame given."""
+        return self.first + len(self.mag)
+
+    def add(self, spec0: np.ndarray) -> None:
+        """Take channel 0's spectrogram (n, F) of the next n frames."""
+        new = np.abs(spec0[:, self.bins])
+        self.mag = np.concatenate([self.mag, new])
+        self.cs = np.concatenate([self.cs, _cumulative_squares(new, self.cs[-1])[1:]])
+        if self.end >= self.floor.init:
+            known = len(self.eta)
+            rows = self.floor.rows(self.mag[known:], self.first + known, self.mag[: self.floor.init])
+            self.eta = np.concatenate([self.eta, rows])
+
+    def passes(self, lo: int, hi: int) -> np.ndarray:
+        """Test of frames lo..hi-1, (hi - lo, bins): smoothed |X_0| above alpha_mag times the floor.
+
+        Needs the frames within rms_half_window after hi - 1 (or the clip's end).
+        """
+        rows = np.arange(lo, hi)
+        rms = _windowed_rms(self.cs, rows, self.cfg.rms_half_window, self.n_frames, self.first)
+        return rms > self.cfg.alpha_mag * self.eta[lo - self.first : hi - self.first]
+
+    def drop(self, frame: int) -> None:
+        """Forget the frames before `frame` that the floor has passed."""
+        k = min(frame - self.first, len(self.eta))
+        if k > 0:
+            self.mag, self.eta, self.cs = self.mag[k:], self.eta[k:], self.cs[k:]
+            self.first += k
+
+
 def running_rms(mag: np.ndarray, half_window: int = 1) -> np.ndarray:
     """Centered running RMS along the first axis, window truncated at edges."""
     mag = np.asarray(mag, dtype=np.float64)
@@ -329,6 +380,12 @@ def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.nda
     return (freqs >= cfg.f_low) & (freqs <= cfg.f_high)
 
 
+# Bins per gather in _covariances_at: the products of 256 bins' 7-frame
+# windows of 4 channels take 0.5 MB, while a whole block's bins can take
+# tens of MB at a loud onset.
+_COV_BINS = 256
+
+
 def _covariances_at(
     data: np.ndarray,
     t_idx: np.ndarray,
@@ -342,18 +399,22 @@ def _covariances_at(
     data is (M, n, F) and holds frames first..first+n-1 of a clip of n_frames
     frames (default: the whole clip, first = 0); it must cover every frame
     within half of each t inside the clip. Each bin averages x x^H over
-    frames t-half..t+half, summed one offset at a time (so the only temporary
-    is one (N, M, M) product), with frames past either end of the clip
-    masked out.
+    frames t-half..t+half, with frames past either end of the clip masked
+    out. The 2*half+1 frames of up to _COV_BINS bins are gathered at once,
+    and their products are added to zero in offset order (the offset axis
+    is the outermost, so the reduction adds one whole offset at a time),
+    which gives the same bits for any number of bins.
     """
     M = data.shape[0]
     T = data.shape[1] if n_frames is None else n_frames
-    cov = np.zeros((len(t_idx), M, M), dtype=np.complex128)
-    for d in range(-half, half + 1):
-        frames = t_idx + d
-        inside = (frames >= 0) & (frames < T)
-        x = data[:, np.clip(frames, 0, T - 1) - first, f_idx].T * inside[:, None]  # (N, M)
-        cov += x[:, :, None] * x[:, None, :].conj()
+    offsets = np.arange(-half, half + 1)[:, None]
+    cov = np.empty((len(t_idx), M, M), dtype=np.complex128)
+    for lo in range(0, len(t_idx), _COV_BINS):
+        part = slice(lo, lo + _COV_BINS)
+        frames = t_idx[part] + offsets  # (2*half+1, n)
+        x = data[:, np.clip(frames, 0, T - 1) - first, f_idx[part]]
+        x = np.moveaxis(x * ((frames >= 0) & (frames < T)), 0, -1)  # (2*half+1, n, M)
+        cov[part] = np.add.reduce(x[..., :, None] * x[..., None, :].conj(), axis=0, initial=0)
     used = np.minimum(t_idx + half, T - 1) - np.maximum(t_idx - half, 0) + 1
     return cov / used[:, None, None], used
 
@@ -426,6 +487,7 @@ def salsa_stream(
     spec: SpectrogramStream,
     fmt: ArrayFormat,
     cfg: BinSelectionConfig | None = None,
+    frames: slice = slice(None),
 ) -> FeatureStream:
     """Log spectrograms stacked with per-bin principal-eigenvector directions.
 
@@ -441,18 +503,26 @@ def salsa_stream(
     blocks arrive. A frame is finished once the frames its running RMS and
     covariance window reach have arrived (and the first init frames that
     seed the noise floor); between blocks only those halo frames, the last
-    noise-floor row and the last row of the cumulative squares are kept.
-    The output has the same bits whatever the block sizes.
+    noise-floor row and the last row of the cumulative squares are kept,
+    the last two on passband bins only. The output has the same bits
+    whatever the block sizes.
 
-    The meta of the result gains three gate counts once every block has been
-    read: in_band_bins (frames x passband bins), candidates (in-band cells
-    that pass the magnitude test) and selected (candidates that also pass
-    the coherence test and so carry a cue).
+    With `frames`, only those frames are built: the noise floor and the
+    cumulative squares at the range's halo come from a pass over channel 0
+    alone up to there, and the full spectrogram is read from the halo on.
+    The blocks hold the same bits as the whole tensor's rows.
+
+    The counts of the result are three gate counts over the frames built,
+    filled once every block has been read: in_band_bins (frames x passband
+    bins), candidates (in-band cells that pass the magnitude test) and
+    selected (candidates that also pass the coherence test and so carry a
+    cue).
 
     Args:
         spec: complex spectrogram stream, channels x frames x bins.
         fmt: input format; its channel count must match the spectrogram's.
         cfg: selection config; defaults to the format's standard cutoffs.
+        frames: the frames to build (default all).
 
     Returns:
         FeatureStream with M "spec" channels and M-1 "spatial" channels.
@@ -474,59 +544,65 @@ def salsa_stream(
         "compress_factor": cfg.compress_factor,
         "speed_of_sound": cfg.speed_of_sound,
     }
+    counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
     return FeatureStream(
         (2 * M - 1, T, n_bands),
         ["spec"] * M + ["spatial"] * (M - 1),
         "linear",
         meta,
-        _salsa_blocks(spec, fmt, cfg, meta),
+        _salsa_blocks(spec, fmt, cfg, frames, counts),
+        counts,
     )
 
 
 def _salsa_blocks(
-    spec: SpectrogramStream, fmt: ArrayFormat, cfg: BinSelectionConfig, meta: dict
+    spec: SpectrogramStream,
+    fmt: ArrayFormat,
+    cfg: BinSelectionConfig,
+    frames: slice,
+    counts: dict,
 ):
-    """Output blocks of salsa_stream; adds the gate counts to meta at the end."""
+    """Output blocks of salsa_stream for `frames`; adds the gate counts to counts."""
     M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
+    lo, hi, _ = frames.indices(T)
     n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
     half = cfg.cov_half_window
     reach = max(half, cfg.rms_half_window)  # frames a cell's tests read on each side
-    band = passband_bins(F, spec.bin_hz, cfg)
-    floor = _NoiseFloor(cfg, T)
-    counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
+    band = np.flatnonzero(passband_bins(F, spec.bin_hz, cfg))
+    bins = slice(band[0], band[-1] + 1) if len(band) else slice(0, 0)
+    gate = _Gate(cfg, T, bins)
+    # The full spectrogram is read from the range's halo, frame `first`, on;
+    # a pass over channel 0 alone gives the gate every frame before it.
+    first = max(lo - reach, 0)
+    for part in spec.blocks(slice(0, first), channels=1):
+        gate.add(part[0])
+        gate.drop(gate.end)
 
     def compress(x):
         return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
 
-    # Frames first.. of the spectrogram and of |X_0|; cs[k - first] sums
-    # |X_0|^2 over the frames before k.
     data = np.empty((M, 0, F), dtype=np.complex128)
-    mag = np.empty((0, F))
-    cs = np.zeros((1, F))
-    first = done = 0
-    for part in spec.blocks:
+    done = lo
+    for part in spec.blocks(slice(first, max(hi + reach, gate.floor.init))):
         data = np.concatenate([data, part], axis=1)
-        new_mag = np.abs(part[0])
-        mag = np.concatenate([mag, new_mag])
-        cs = np.concatenate([cs, _cumulative_squares(new_mag, cs[-1])[1:]])
+        gate.add(part[0])
         # Frames done..ready-1 can be finished: their windows end before
         # the last frame received (or at the clip's end), and the frames
         # that seed the noise floor have arrived.
         end = first + data.shape[1]
         if end == T:
             ready = T
-        elif end >= floor.init:
+        elif end >= gate.floor.init:
             ready = max(end - reach, done)
         else:
             ready = done
+        ready = min(ready, hi)
         if ready == done:
             continue
 
-        rows = slice(done - first, ready - first)
-        eta = floor.rows(mag[rows], done, mag[: floor.init])
-        rms = _windowed_rms(cs, np.arange(done, ready), cfg.rms_half_window, T, first)
-        t_idx, f_idx = np.nonzero((rms > cfg.alpha_mag * eta) & band[None, :])
+        t_idx, f_idx = np.nonzero(gate.passes(done, ready))
         t_idx += done
+        f_idx += bins.start
         cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
         vectors, values = _principal(cov)
         coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
@@ -534,10 +610,11 @@ def _salsa_blocks(
             vectors[coherent], fmt.kind, cfg.component_eps,
             f_idx[coherent] * spec.bin_hz, cfg.speed_of_sound,
         ).T
-        counts["in_band_bins"] += (ready - done) * int(band.sum())
+        counts["in_band_bins"] += (ready - done) * len(band)
         counts["candidates"] += len(t_idx)
         counts["selected"] += int(coherent.sum())
 
+        rows = slice(done - first, ready - first)
         block = ComplexSpectrogram(data[:, rows], spec.bin_hz, spec.frame_rate)
         out = np.empty((2 * M - 1, ready - done, n_bands))
         out[:M] = compress(log_linear_spectrogram(block, cfg.log_floor).data)
@@ -548,6 +625,6 @@ def _salsa_blocks(
 
         done = ready  # keep the halo the next frames' windows reach back into
         drop = max(done - reach, 0) - first
-        data, mag, cs = data[:, drop:], mag[drop:], cs[drop:]
+        data = data[:, drop:]
         first += drop
-    meta.update(counts)
+        gate.drop(first)

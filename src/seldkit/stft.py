@@ -105,18 +105,23 @@ class ComplexSpectrogram:
 
     def stream(self) -> "SpectrogramStream":
         """The spectrogram as a stream of frame-block views."""
+
+        def source(start, stop, channels):
+            return (self.data[:channels, block] for block in frame_blocks(stop, start))
+
         return SpectrogramStream(
-            self.n_channels, self.n_frames, self.n_bins, self.bin_hz, self.frame_rate,
-            (self.data[:, block] for block in frame_blocks(self.n_frames)),
+            self.n_channels, self.n_frames, self.n_bins, self.bin_hz, self.frame_rate, source
         )
 
 
 @dataclass
 class SpectrogramStream:
-    """A complex spectrogram delivered as consecutive frame blocks.
+    """A complex spectrogram of n_frames frames, delivered as frame blocks.
 
-    blocks yields (channels, n, bins) complex arrays in frame order, n >= 1,
-    together covering n_frames frames; each is read once.
+    source(start, stop, channels) yields the first `channels` channels of
+    frames start..stop-1 as consecutive (channels, n, bins) complex arrays,
+    n >= 1, in frame order; blocks() is its usual entry. Each call is a new
+    pass over the source, so a consumer may read any range of frames.
     """
 
     n_channels: int
@@ -124,7 +129,14 @@ class SpectrogramStream:
     n_bins: int
     bin_hz: float
     frame_rate: float
-    blocks: Iterator[np.ndarray]
+    source: Callable[[int, int, int], Iterator[np.ndarray]]
+
+    def blocks(
+        self, frames: slice = slice(None), channels: int | None = None
+    ) -> Iterator[np.ndarray]:
+        """Blocks of the frames in `frames` (default all), every channel or the first `channels`."""
+        start, stop, _ = frames.indices(self.n_frames)
+        return self.source(start, stop, self.n_channels if channels is None else channels)
 
 
 @dataclass
@@ -172,8 +184,10 @@ class FeatureStream:
 
     shape, channel_roles, scale and meta describe the whole tensor as in
     FeatureTensor; blocks yields (channels, n, bands) float64 arrays in frame
-    order. Entries that are known only at the end (the salsa gate counts) are
-    added to meta once blocks is exhausted.
+    order, covering the frames the stream was built for (all, unless it was
+    built for a range of them). counts holds figures known only at the end
+    (the salsa gate counts): it is filled once blocks is exhausted, and the
+    counts of consecutive frame ranges add up to those of the whole tensor.
     """
 
     shape: tuple[int, int, int]
@@ -181,15 +195,16 @@ class FeatureStream:
     scale: str
     meta: dict
     blocks: Iterator[np.ndarray]
+    counts: dict = field(default_factory=dict)
 
     def collect(self) -> FeatureTensor:
-        """Read every block into one whole-clip FeatureTensor."""
+        """Read every block of a whole-tensor stream into one FeatureTensor; meta gains the counts."""
         out = np.empty(self.shape)
         start = 0
         for part in self.blocks:
             out[:, start : start + part.shape[1]] = part
             start += part.shape[1]
-        return FeatureTensor(out, self.channel_roles, self.scale, self.meta)
+        return FeatureTensor(out, self.channel_roles, self.scale, {**self.meta, **self.counts})
 
 
 # Frames per block of the STFT and of every feature stack built from it.
@@ -199,10 +214,10 @@ class FeatureStream:
 _BLOCK_FRAMES = 64
 
 
-def frame_blocks(n_frames: int):
-    """Yield consecutive frame slices of at most _BLOCK_FRAMES covering [0, n_frames)."""
-    for start in range(0, n_frames, _BLOCK_FRAMES):
-        yield slice(start, min(start + _BLOCK_FRAMES, n_frames))
+def frame_blocks(n_frames: int, start: int = 0):
+    """Yield consecutive frame slices of at most _BLOCK_FRAMES covering [start, n_frames)."""
+    for first in range(start, n_frames, _BLOCK_FRAMES):
+        yield slice(first, min(first + _BLOCK_FRAMES, n_frames))
 
 
 def _analysis_window(name: str, length: int) -> np.ndarray:
@@ -215,21 +230,23 @@ def _analysis_window(name: str, length: int) -> np.ndarray:
 
 
 def stft_stream(
-    read: Callable[[int], np.ndarray], n_channels: int, n_samples: int, cfg: StftConfig
+    read: Callable[[int, int], np.ndarray], n_channels: int, n_samples: int, cfg: StftConfig
 ) -> SpectrogramStream:
     """Short-time Fourier transform of samples pulled block by block.
 
     No padding or centering is applied: frame t covers samples
     [t*hop, t*hop + window). The transform is an unnormalized rfft of the
-    windowed frame, zero-padded to fft_size. For each block of frames
-    (frame_blocks) the samples it still needs are pulled with read(count),
-    which returns the next count samples as (channels, count) float64; only
-    those samples and the window overlap with the next block are kept. rfft
-    treats every frame on its own, so the blocking does not change any
-    output bit.
+    windowed frame, zero-padded to fft_size. A pass over a range of frames
+    (SpectrogramStream.blocks) starts at the first sample of its first frame;
+    for each block of frames (frame_blocks) the samples it still needs are
+    pulled with read(start, count), which returns samples start..start+count-1
+    as (channels, count) float64. Only those samples and the window overlap
+    with the next block are kept. rfft treats every frame and channel on its
+    own, so neither the blocking nor the range nor the channel count changes
+    any output bit.
 
     Args:
-        read: source of the next samples, in order.
+        read: source of the clip's samples by position.
         n_channels, n_samples: size of the whole clip.
         cfg: analysis parameters; the samples are taken to be at its rate.
 
@@ -240,20 +257,20 @@ def stft_stream(
     win = _analysis_window(cfg.window, cfg.window_length)
     hop, width = cfg.hop_length, cfg.window_length
 
-    def blocks():
-        buf = np.empty((n_channels, 0))  # samples from the current block's first frame
-        for block in frame_blocks(n_frames):
-            need = (block.stop - block.start - 1) * hop + width - buf.shape[1]
+    def blocks(start, stop, channels):
+        buf = np.empty((channels, 0))  # samples from the current block's first frame
+        pos = start * hop  # first sample not read yet
+        for block in frame_blocks(stop, start):
+            need = (block.stop - 1) * hop + width - pos
             if need > 0:
-                new = read(need)
+                new = read(pos, need)[:channels]
+                pos += need
                 buf = np.concatenate([buf, new], axis=1) if buf.shape[1] else new
             frames = np.lib.stride_tricks.sliding_window_view(buf, width, axis=-1)[:, ::hop]
             yield np.fft.rfft(frames * win, n=cfg.fft_size, axis=-1)
             buf = buf[:, (block.stop - block.start) * hop :]
 
-    return SpectrogramStream(
-        n_channels, n_frames, cfg.n_bins, cfg.bin_hz, cfg.frame_rate, blocks()
-    )
+    return SpectrogramStream(n_channels, n_frames, cfg.n_bins, cfg.bin_hz, cfg.frame_rate, blocks)
 
 
 def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:
@@ -270,16 +287,12 @@ def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:
         raise ValueError(
             f"clip rate {clip.sample_rate} != configured rate {cfg.sample_rate}"
         )
-    pos = 0
-
-    def read(count):
-        nonlocal pos
-        pos += count
-        return clip.samples[:, pos - count : pos]
-
-    stream = stft_stream(read, clip.n_channels, clip.n_samples, cfg)
+    stream = stft_stream(
+        lambda start, count: clip.samples[:, start : start + count],
+        clip.n_channels, clip.n_samples, cfg,
+    )
     data = np.empty((clip.n_channels, stream.n_frames, cfg.n_bins), dtype=np.complex128)
-    for block, part in zip(frame_blocks(stream.n_frames), stream.blocks):
+    for block, part in zip(frame_blocks(stream.n_frames), stream.blocks()):
         data[:, block] = part
     return ComplexSpectrogram(data, bin_hz=cfg.bin_hz, frame_rate=cfg.frame_rate)
 

@@ -76,6 +76,58 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
         append(array)
 
 
+class _Appender:
+    """The append of tensor_writer, for the slices lo..hi-1 of every row."""
+
+    def __init__(self, fd: int, offset: int, shape: tuple[int, ...], dtype, frames: slice):
+        self._fd, self._offset, self.shape, self.dtype = fd, offset, shape, dtype
+        self.rows, self.length = (shape[0], shape[1]) if len(shape) > 1 else (1, shape[0])
+        self.lo, self.hi, _ = frames.indices(self.length)
+        self._tail = shape[2:]
+        self._slice_bytes = math.prod(self._tail) * dtype.itemsize
+        self.written = [0] * self.rows  # slices appended to each row
+        self.parts: list[_Appender] = []
+
+    def part(self, frames: slice) -> "_Appender":
+        """An append of the slices `frames` of every row of the same file."""
+        piece = _Appender(self._fd, self._offset, self.shape, self.dtype, frames)
+        self.parts.append(piece)
+        return piece
+
+    def _put(self, r: int, piece: np.ndarray) -> None:
+        at = self.lo + self.written[r]
+        if piece.shape[1:] != self._tail or at + len(piece) > self.hi:
+            raise ValueError(
+                f"block of shape {piece.shape} does not continue row {r} of a "
+                f"{self.shape} tensor at {at}"
+            )
+        _pwrite_all(self._fd, piece, self._offset + (r * self.length + at) * self._slice_bytes)
+        self.written[r] += len(piece)
+
+    def __call__(self, block, row: int | None = None) -> None:
+        block = np.ascontiguousarray(block, dtype=self.dtype)
+        if len(self.shape) == 1 or row is not None:
+            if row is not None and not (len(self.shape) > 1 and 0 <= row < self.rows):
+                raise ValueError(f"row {row} is not a row of a {self.shape} tensor")
+            self._put(row or 0, block)
+        elif block.ndim != len(self.shape) or len(block) != self.rows:
+            raise ValueError(f"block of shape {block.shape} does not fit a {self.shape} tensor")
+        elif block.shape == self.shape and self.hi - self.lo == self.length and not any(self.written):
+            _pwrite_all(self._fd, block, self._offset)
+            self.written = [self.length] * self.rows
+        else:
+            for r, piece in enumerate(block):
+                self._put(r, piece)
+
+
+def _pwrite_all(fd: int, array: np.ndarray, offset: int) -> None:
+    """Write a C-contiguous array's bytes at `offset`, however many calls it takes."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        n = os.pwrite(fd, view, offset)
+        view, offset = view[n:], offset + n
+
+
 @contextmanager
 def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     """Write a tensor file block by block; yields append(block, row=None).
@@ -85,10 +137,18 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     block holds every row of axis 0, or with `row` only that row: then it
     is the next slices of shape[1:] of row `row`, so a writer that goes row
     by row writes the payload in file order. Each row keeps its own count of
-    slices and is written at its own offset; a block holding the whole
-    tensor is written in one piece. The file appears at `path` only if every
-    slice of every row was appended and the block raised nothing; otherwise
-    no file is left behind.
+    slices and is written at its own offset (os.pwrite); a block holding the
+    whole tensor is written in one piece.
+
+    append.part(frames) returns an append of the same form for the slices
+    `frames` of every row only. Writes are positional, so a part may be
+    used by a forked process sharing the file; its `written` (slices per
+    row) then has to be set in this process to the counts that process
+    reports. Parts must not overlap each other or the direct appends.
+
+    The file appears at `path` only if every slice of every row was appended
+    (directly or through a part) and the block raised nothing; otherwise no
+    file is left behind.
     """
     dtype = np.dtype(dtype)
     key = dtype.str.lstrip("<>|=")
@@ -98,45 +158,15 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     if len(shape) == 0 or len(shape) > _MAX_RANK:
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {len(shape)}")
     code = _CODE_FOR_KIND[key]
-    dtype = _DTYPE_CODES[code]
     header = MAGIC + struct.pack("<BB", code, len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
-    rows, length = (shape[0], shape[1]) if len(shape) > 1 else (1, shape[0])
-    tail = shape[2:]
-    slice_bytes = math.prod(tail) * dtype.itemsize
-    written = [0] * rows
-
-    def put(r: int, piece: np.ndarray) -> None:
-        n = len(piece)
-        if piece.shape[1:] != tail or written[r] + n > length:
-            raise ValueError(
-                f"block of shape {piece.shape} does not continue row {r} of a "
-                f"{shape} tensor at {written[r]}"
-            )
-        fh.seek(len(header) + (r * length + written[r]) * slice_bytes)
-        fh.write(piece)
-        written[r] += n
-
-    def append(block, row: int | None = None) -> None:
-        block = np.ascontiguousarray(block, dtype=dtype)
-        if len(shape) == 1 or row is not None:
-            if row is not None and not (len(shape) > 1 and 0 <= row < rows):
-                raise ValueError(f"row {row} is not a row of a {shape} tensor")
-            put(row or 0, block)
-        elif block.ndim != len(shape) or len(block) != rows:
-            raise ValueError(f"block of shape {block.shape} does not fit a {shape} tensor")
-        elif block.shape == shape and not any(written):
-            fh.write(block)
-            written[:] = [length] * rows
-        else:
-            for r, piece in enumerate(block):
-                put(r, piece)
-
     with _atomic_file(path) as fh:
-        fh.write(header)
+        _pwrite_all(fh.fileno(), np.frombuffer(header, dtype=np.uint8), 0)
+        append = _Appender(fh.fileno(), len(header), shape, _DTYPE_CODES[code], slice(None))
         yield append
-        if any(n != length for n in written):
-            raise ValueError(f"tensor {shape} got {min(written)} of its {length} slices")
+        got = [sum(n) for n in zip(append.written, *(p.written for p in append.parts))]
+        if any(n != append.length for n in got):
+            raise ValueError(f"tensor {shape} got {min(got)} of its {append.length} slices")
 
 
 def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:

@@ -5,7 +5,9 @@ IEEE-float data, WAVE_FORMAT_EXTENSIBLE included) and then returns the
 samples of consecutive reads as (channels, samples) float64 in [-1, 1]:
 8-bit PCM is unsigned around 128, 16-, 24- and 32-bit PCM are scaled by
 their full range, float samples pass through unscaled. The file is never
-mapped, so only the samples of one read are held in memory.
+mapped, so only the samples of one read are held in memory. Reads are
+positional (os.pread) from the reader's own sample position, so copies of
+a reader in forked processes read independently of each other.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ class WavReader:
         n_samples: whole sample frames in the data chunk; a data chunk that
             runs past the end of the file counts only the frames present.
 
+    Each read starts where the previous one ended, or where seek put it.
+
     Raises ValueError on a malformed header or an unsupported sample format.
     """
 
@@ -45,7 +49,7 @@ class WavReader:
         except BaseException:
             self._fh.close()
             raise
-        self._left = self.n_samples
+        self._pos = 0  # next sample frame to read
 
     def __enter__(self) -> "WavReader":
         return self
@@ -117,6 +121,7 @@ class WavReader:
         self.sample_rate = rate
         self.n_samples = min(size, present) // block_align
         self._block_align = block_align
+        self._data_start = fh.tell()
 
     def _parse_fmt(self, size: int, big: bool) -> tuple[int, int, int, int, int]:
         if size < 16:
@@ -139,17 +144,24 @@ class WavReader:
         self._fh.seek(size - read + size % 2, os.SEEK_CUR)
         return tag, channels, rate, block_align, bits
 
+    def seek(self, frame: int) -> None:
+        """Make the next read start at sample frame `frame`, 0..n_samples."""
+        if not 0 <= frame <= self.n_samples:
+            raise ValueError(f"sample frame {frame} outside 0..{self.n_samples}")
+        self._pos = frame
+
     def read(self, count: int) -> np.ndarray:
         """The next `count` sample frames (fewer at the end) as (channels, n) float64.
 
         Raises OSError if the file ends before the frames its header counted.
         """
-        count = max(0, min(count, self._left))
+        count = max(0, min(count, self.n_samples - self._pos))
         nbytes = count * self._block_align
-        raw = self._fh.read(nbytes)
+        offset = self._data_start + self._pos * self._block_align
+        raw = os.pread(self._fh.fileno(), nbytes, offset)
         if len(raw) < nbytes:
             raise OSError(f"{self.path}: file ended inside the data chunk")
-        self._left -= count
+        self._pos += count
         if self._raw.kind == "V":
             # 24-bit samples, left-aligned in 32-bit integers.
             wide = np.zeros((count * self.n_channels, 4), dtype=np.uint8)

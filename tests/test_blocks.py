@@ -1,7 +1,9 @@
-"""Frame-block feature assembly and streaming extract: block-size invariance
-and bounded memory."""
+"""Frame-block feature assembly and streaming extract: block-size and
+frame-range invariance, helper processes, and bounded memory."""
 
 import importlib
+import os
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from seldkit import (
     render_scene,
     stft,
 )
+from seldkit import cli
+from seldkit.baseline import assemble_stream
 from seldkit.cli import main, read_wav, write_wav
 
 import oracles
@@ -169,6 +173,129 @@ def test_streaming_extract_nan_in_last_block_leaves_nothing(monkeypatch, tmp_pat
     code, out = _extract(tmp_path, wav, "mic", kind)
     assert code == 4
     assert list(out.iterdir()) == []
+
+
+RANGE_CASES = [("foa", "salsa"), ("mic", "salsa"), ("mic", "melspecgcc")]
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("fmt_kind, kind", RANGE_CASES)
+def test_extract_in_frame_ranges_is_byte_identical(monkeypatch, tmp_path, fmt_kind, kind):
+    wav = tmp_path / "clip.wav"
+    support.write_wav_blocks(wav, 24000, 4, [_directional_clip(fmt_kind)])
+    want = None
+    for n_ranges in (1, 2, 3, 5):
+        # Whatever the CPU count, the process count comes from _cpus.
+        monkeypatch.setattr(cli, "_cpus", lambda: n_ranges)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
+            code, out = _extract(tmp_path, wav, fmt_kind, kind)
+            assert code == 0
+            got = [(out / name).read_bytes() for name in ("clip.ftb", "clip.manifest.txt")]
+            if want is None:
+                want = got
+                if kind == "salsa":
+                    assert b"selected=" in got[1]
+            assert got == want, f"{n_ranges} ranges, blocks of {block} frames"
+    _no_children_left()
+
+
+@pytest.mark.parametrize("fmt_kind, kind", RANGE_CASES)
+def test_frame_ranges_give_the_whole_tensors_rows(monkeypatch, spectrograms, fmt_kind, kind):
+    # Splits inside the five noise-floor init frames, where a range's ±3
+    # covariance halo reaches back into them, one frame apart, and late.
+    spec = spectrograms[fmt_kind]
+    fmt = ArrayFormat(fmt_kind)
+    whole = assemble_stream(spec.stream(), kind, fmt).collect()
+    edges = [0, 2, 4, 7, 9, 40, 41, 250, spec.n_frames]
+    for block in (1, 7, 64):
+        monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
+        rows, counts = [], {}
+        for lo, hi in zip(edges, edges[1:]):
+            part = assemble_stream(spec.stream(), kind, fmt, frames=slice(lo, hi))
+            rows.extend(part.blocks)
+            for key, n in part.counts.items():
+                counts[key] = counts.get(key, 0) + n
+        assert np.concatenate(rows, axis=1).tobytes() == whole.data.tobytes(), block
+        assert counts == {k: whole.meta[k] for k in counts}
+    if kind == "salsa":
+        assert whole.meta["selected"] > 1000
+
+
+def _truncate_after_open(monkeypatch, keep_samples):
+    """open_wav that cuts the file to its first keep_samples sample frames
+    right after parsing the header, which still counts them all."""
+    real = cli.open_wav
+
+    def open_then_truncate(path):
+        wav = real(path)
+        os.truncate(path, wav._data_start + keep_samples * wav._block_align)
+        return wav
+
+    monkeypatch.setattr(cli, "open_wav", open_then_truncate)
+
+
+@pytest.mark.parametrize("fault", ["nan", "truncated"])
+def test_extract_helper_failure_matches_the_serial_run(monkeypatch, tmp_path, capfd, fault):
+    clip = _directional_clip("mic")
+    n = clip.shape[1]
+    if fault == "nan":
+        clip[2, n - 300] = np.nan  # read by the last of up to five ranges only
+    wav = tmp_path / "clip.wav"
+    results = {}
+    for n_ranges in (1, 2, 3, 5):
+        support.write_wav_blocks(wav, 24000, 4, [clip])
+        if fault == "truncated":
+            _truncate_after_open(monkeypatch, n - 1000)
+        monkeypatch.setattr(cli, "_cpus", lambda: n_ranges)
+        code, out = _extract(tmp_path, wav, "mic", "salsa")
+        captured = capfd.readouterr()
+        results[n_ranges] = (code, captured.out, captured.err)
+        assert list(out.iterdir()) == []
+        _no_children_left()
+    assert results[1][0] == (4 if fault == "nan" else 2)
+    assert ("non-finite" if fault == "nan" else "ended inside") in results[1][2]
+    assert all(r == results[1] for r in results.values()), results
+
+
+def test_in_ranges_results_errors_and_reaping():
+    assert cli._in_ranges(lambda k: k * k, 4) == [0, 1, 4, 9]
+
+    def fail_from(k_bad, exc_type):
+        def work(k):
+            if k >= k_bad:
+                # The last range fails first; range order decides.
+                time.sleep(0.2 * (k_bad + 3 - k))
+                raise exc_type(f"range {k}")
+            return k
+        return work
+
+    with pytest.raises(cli.NumericalError, match="^range 2$"):
+        cli._in_ranges(fail_from(2, cli.NumericalError), 4)
+    with pytest.raises(OSError, match="^range 1$"):
+        cli._in_ranges(fail_from(1, FileNotFoundError), 3)
+    with pytest.raises(RuntimeError, match="^ZeroDivisionError: range 1$"):
+        cli._in_ranges(fail_from(1, ZeroDivisionError), 2)
+    with pytest.raises(RuntimeError, match="wait status"):
+        cli._in_ranges(lambda k: os._exit(3) if k else 0, 2)
+    _no_children_left()
+
+    # An interrupt in this process kills and reaps helpers that still run.
+    t0 = time.perf_counter()
+
+    def interrupted(k):
+        if k == 0:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    with pytest.raises(KeyboardInterrupt):
+        cli._in_ranges(interrupted, 3)
+    assert time.perf_counter() - t0 < 30
+    _no_children_left()
 
 
 @pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")

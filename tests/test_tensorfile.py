@@ -130,6 +130,28 @@ def test_tensor_writer_row_pieces_give_the_write_tensor_bytes(tmp_path, step):
     assert (tmp_path / "got.ftb").read_bytes() == (tmp_path / "want.ftb").read_bytes()
 
 
+def test_tensor_writer_parts_give_the_write_tensor_bytes(tmp_path):
+    arr = _complex_tensor((3, 7, 5))
+    write_tensor(tmp_path / "want.ftb", arr)
+    ranges = [(0, 2), (2, 3), (3, 7)]
+    with tensor_writer(tmp_path / "got.ftb", arr.shape, np.complex64) as append:
+        parts = [append.part(slice(lo, hi)) for lo, hi in ranges]
+        # Last range first.
+        for part, (lo, hi) in reversed(list(zip(parts, ranges))):
+            part(arr[:, lo:hi])
+    assert (tmp_path / "got.ftb").read_bytes() == (tmp_path / "want.ftb").read_bytes()
+    (tmp_path / "got.ftb").unlink()
+    with pytest.raises(ValueError, match="got 6 of its 7"):
+        with tensor_writer(tmp_path / "got.ftb", arr.shape, np.complex64) as append:
+            head, tail = append.part(slice(0, 3)), append.part(slice(3, 7))
+            head(arr[:, :3])
+            tail(arr[:, 3:6])
+    with pytest.raises(ValueError, match="continue row 0"):
+        with tensor_writer(tmp_path / "got.ftb", arr.shape, np.complex64) as append:
+            append.part(slice(3, 7))(arr)  # the whole tensor into a part
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["want.ftb"]
+
+
 @pytest.mark.parametrize(
     "pieces, message",
     [
