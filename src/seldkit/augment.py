@@ -2,19 +2,22 @@
 
 Channel swaps are exact direction transforms: permuting (and sign-flipping)
 input channels is equivalent to rotating/mirroring the acoustic scene, so the
-feature tensor and its labels transform together. Frequency shifting and
-random cutout perturb the time-frequency content only.
+feature tensor and its labels transform together. The foa swaps are the 16
+signed permutations made of quarter turns in azimuth, azimuth mirroring and
+elevation flip. The mic swaps are the 8 of them that map the tetrahedral
+array (spatial.tetra_positions) onto itself; each one's channel permutation
+is derived from the array's corners. Frequency shifting and random cutout
+perturb the time-frequency content only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
 from .baseline import channel_pairs
-from .spatial import SPEED_OF_SOUND
+from .spatial import SPEED_OF_SOUND, tetra_positions
 from .stft import FeatureTensor, frame_blocks
 from .synth import SeldLabels
 
@@ -63,57 +66,40 @@ def _direction_matrix(dphi: int, mirror: bool, zflip: bool) -> np.ndarray:
     return (rot @ flip).astype(np.int64)
 
 
+def _transform(kind: str, dphi: int, mirror: bool, zflip: bool, mic_perm=None):
+    name = f"rot{dphi:03d}" + ("_mirror" if mirror else "") + ("_zflip" if zflip else "")
+    return SpatialTransform(name, kind, _direction_matrix(dphi, mirror, zflip), mic_perm)
+
+
 def foa_transforms() -> list[SpatialTransform]:
     """All 16 ambisonic channel swaps: azimuth rotations by multiples of 90
     degrees, azimuth mirroring, and elevation flip."""
-    out = []
-    for dphi in (0, 90, 180, 270):
-        for mirror in (False, True):
-            for zflip in (False, True):
-                name = f"rot{dphi:03d}" + ("_mirror" if mirror else "") + (
-                    "_zflip" if zflip else ""
-                )
-                out.append(
-                    SpatialTransform(
-                        name=name,
-                        kind="foa",
-                        matrix=_direction_matrix(dphi, mirror, zflip),
-                    )
-                )
-    return out
+    return [
+        _transform("foa", dphi, mirror, zflip)
+        for dphi in (0, 90, 180, 270)
+        for mirror in (False, True)
+        for zflip in (False, True)
+    ]
 
 
 def mic_transforms() -> list[SpatialTransform]:
-    """The 8 channel swaps of the tetrahedral array, loaded from the shipped
-    table and validated against the direction group."""
-    text = resources.files("seldkit").joinpath("data/mic_swap_table.txt").read_text()
+    """The 8 channel swaps of the tetrahedral array (spatial.tetra_positions).
+
+    They are the direction transforms that map its corners onto each other:
+    those with an even number of axis sign flips, so a quarter turn comes
+    with an elevation flip unless it is mirrored. With A the direction
+    matrix, capsule m takes the channel of corner k where corner k equals
+    A^T . corner m.
+    """
+    corners = np.sign(tetra_positions())
     out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = dict(
-            part.strip().split("=", 1) for part in line.split(";") if part.strip()
-        )
-        perm = tuple(int(x) for x in fields["perm"].split())
-        if sorted(perm) != [0, 1, 2, 3]:
-            raise ValueError(f"bad permutation in swap table: {perm}")
-        dphi = int(fields["dphi"])
-        mirror = fields["mirror"] == "1"
-        zflip = fields["zflip"] == "1"
-        name = f"rot{dphi:03d}" + ("_mirror" if mirror else "") + (
-            "_zflip" if zflip else ""
-        )
-        out.append(
-            SpatialTransform(
-                name=name,
-                kind="mic",
-                matrix=_direction_matrix(dphi, mirror, zflip),
-                mic_perm=perm,
-            )
-        )
-    if len(out) != 8:
-        raise ValueError(f"swap table must define 8 transforms, found {len(out)}")
+    # The order is part of augment_pipeline's seeded draw, which indexes this list.
+    for dphi in (0, 180, 90, 270):
+        for mirror in (False, True):
+            zflip = mirror != (dphi % 180 == 90)
+            A = _direction_matrix(dphi, mirror, zflip)
+            perm = tuple(int(np.flatnonzero((corners == c).all(axis=1))[0]) for c in corners @ A)
+            out.append(_transform("mic", dphi, mirror, zflip, perm))
     return out
 
 

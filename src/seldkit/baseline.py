@@ -24,7 +24,7 @@ FEATURE_KINDS = ("melspeciv", "linspeciv", "melspecgcc", "linspecgcc", "salsa")
 N_MELS = 128
 
 
-def intensity_vector(spec: ComplexSpectrogram, eps: float = 1e-12) -> np.ndarray:
+def intensity_vector(spec: ComplexSpectrogram) -> np.ndarray:
     """Active acoustic intensity direction from ambisonic channels.
 
     Computes Re[conj(W) * (X, Y, Z)] per TF bin and scales each bin to unit
@@ -33,7 +33,6 @@ def intensity_vector(spec: ComplexSpectrogram, eps: float = 1e-12) -> np.ndarray
 
     Args:
         spec: 4-channel ambisonic spectrogram (W, X, Y, Z order).
-        eps: norm floor below which the bin is zeroed.
 
     Returns:
         (3, frames, bins) array of unit vectors or zeros.
@@ -42,15 +41,13 @@ def intensity_vector(spec: ComplexSpectrogram, eps: float = 1e-12) -> np.ndarray
         raise ValueError("intensity vector needs 4 ambisonic channels")
     iv = np.real(np.conj(spec.data[0])[None, :, :] * spec.data[1:4])
     norms = np.linalg.norm(iv, axis=0)
-    good = norms >= eps
+    good = norms >= spatial._EPS
     out = np.zeros_like(iv)
     np.divide(iv, norms[None, :, :], out=out, where=good[None, :, :])
     return out
 
 
-def mel_intensity_vector(
-    iv: np.ndarray, filterbank: np.ndarray, eps: float = 1e-12
-) -> np.ndarray:
+def mel_intensity_vector(iv: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     """Project an intensity-vector field through a mel filterbank.
 
     Each Cartesian component is filtered independently, then each mel bin is
@@ -61,20 +58,18 @@ def mel_intensity_vector(
         raise ValueError("filterbank rows must match intensity vector bins")
     proj = apply_filterbank(iv, filterbank)
     norms = np.linalg.norm(proj, axis=0)
-    good = norms >= eps
+    good = norms >= spatial._EPS
     out = np.zeros_like(proj)
     np.divide(proj, norms[None, :, :], out=out, where=good[None, :, :])
     return out
 
 
-def gcc_phat(
-    spec: ComplexSpectrogram, i: int, j: int, n_lags: int, eps: float = 1e-12
-) -> np.ndarray:
+def gcc_phat(spec: ComplexSpectrogram, i: int, j: int, n_lags: int) -> np.ndarray:
     """Phase-transform cross-correlation between two channels, per frame.
 
     Whitens the cross spectrum conj(X_i) * X_j to unit modulus and inverse
     transforms; when channel j is channel i delayed by d samples the peak sits
-    at lag +d. Cross-spectrum entries below eps in magnitude are treated as
+    at lag +d. Cross-spectrum entries below 1e-12 in magnitude are treated as
     zero phase. Values are bounded by 1 in magnitude.
 
     Args:
@@ -91,12 +86,10 @@ def gcc_phat(
     fft_size = 2 * (spec.n_bins - 1)
     if not (0 < n_lags <= fft_size):
         raise ValueError(f"n_lags must be in (0, {fft_size}]")
-    return _gcc_pairs(spec.data, [(i, j)], n_lags, eps)[0]
+    return _gcc_pairs(spec.data, [(i, j)], n_lags)[0]
 
 
-def _gcc_pairs(
-    data: np.ndarray, pairs: list[tuple[int, int]], n_lags: int, eps: float = 1e-12
-) -> np.ndarray:
+def _gcc_pairs(data: np.ndarray, pairs: list[tuple[int, int]], n_lags: int) -> np.ndarray:
     """gcc_phat of every (i, j) pair of data (M, T, F) at once, (pairs, T, n_lags).
 
     One cross-spectrum, one whitening and one inverse rfft cover the whole
@@ -110,8 +103,8 @@ def _gcc_pairs(
     cross = np.conj(data[i])
     cross *= data[j]
     mag = np.abs(cross)
-    degenerate = mag < eps
-    np.reciprocal(np.maximum(mag, eps, out=mag), out=mag)
+    degenerate = mag < spatial._EPS
+    np.reciprocal(np.maximum(mag, spatial._EPS, out=mag), out=mag)
     cross *= mag
     cross[degenerate] = 1.0  # zero phase
     full = np.fft.irfft(cross, n=fft_size, axis=-1)

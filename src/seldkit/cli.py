@@ -122,7 +122,7 @@ def read_wav(path: str | Path) -> AudioClip:
     (24-bit as left-aligned 32-bit), float samples pass through unscaled.
     """
     with open_wav(path) as wav:
-        return AudioClip(wav.read(wav.n_samples), wav.sample_rate)
+        return AudioClip(wav.read(0, wav.n_samples), wav.sample_rate)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
@@ -174,8 +174,7 @@ def _finite_reads(wav: WavReader):
     """
 
     def read(start: int, count: int) -> np.ndarray:
-        wav.seek(start)
-        samples = wav.read(count)
+        samples = wav.read(start, count)
         if not np.isfinite(samples).all():
             raise NumericalError(f"{wav.path}: audio has non-finite samples")
         return samples

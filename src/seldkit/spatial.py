@@ -26,6 +26,9 @@ from .stft import (
 )
 
 SPEED_OF_SOUND = 343.0
+# Magnitude below which a norm, a reference component or an eigenvalue
+# denominator counts as zero, here and in the baseline stacks.
+_EPS = 1e-12
 
 # Unit directions of a regular tetrahedron; scaled by the array radius these
 # are the default 4-mic positions (matches a 4.2 cm spherical array subset).
@@ -90,8 +93,6 @@ class BinSelectionConfig:
     noise_init_frames: int = 5
     noise_delta_up: float = 0.05
     noise_delta_down: float = 0.002
-    ratio_eps: float = 1e-12
-    component_eps: float = 1e-12
     log_floor: float = 1e-12
     compress_start_bin: int = 192
     compress_factor: int = 8
@@ -146,7 +147,7 @@ def local_covariance(
     return CovarianceEstimate(matrix=cov[0], frames_used=int(used[0]))
 
 
-def eigen_summary(matrix: np.ndarray, check: bool = True) -> EigenSummary:
+def eigen_summary(matrix: np.ndarray) -> EigenSummary:
     """Hermitian eigendecomposition of a PSD matrix.
 
     The principal vector belongs to the largest eigenvalue. Its phase is fixed
@@ -156,8 +157,9 @@ def eigen_summary(matrix: np.ndarray, check: bool = True) -> EigenSummary:
     singular values.
 
     Args:
-        matrix: (M, M) Hermitian positive semi-definite.
-        check: validate Hermitian symmetry (small tolerance).
+        matrix: (M, M) Hermitian positive semi-definite; raises ValueError
+            if it differs from its conjugate transpose by more than
+            1e-10 * (1 + max |entry|) anywhere (or holds a NaN).
 
     Returns:
         EigenSummary with unit-norm principal vector and descending values.
@@ -165,19 +167,19 @@ def eigen_summary(matrix: np.ndarray, check: bool = True) -> EigenSummary:
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if check and not np.allclose(matrix, matrix.conj().T, atol=1e-10 * (1 + np.abs(matrix).max())):
+    if not np.abs(matrix - matrix.conj().T).max() <= 1e-10 * (1 + np.abs(matrix).max()):
         raise ValueError("matrix is not Hermitian")
     vectors, values = _principal(matrix[None])
     return EigenSummary(vector=_fix_phase(vectors)[0], values=values[0])
 
 
-def _fix_phase(vectors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    """Rotate each row so its first component with |.| >= eps is real >= 0."""
+def _fix_phase(vectors: np.ndarray) -> np.ndarray:
+    """Rotate each row so its first component with |.| >= _EPS is real >= 0."""
     out = vectors.copy()
     fixed = np.zeros(len(out), dtype=bool)
     for k in range(out.shape[1]):
         comp = out[:, k]
-        use = (~fixed) & (np.abs(comp) >= eps)
+        use = (~fixed) & (np.abs(comp) >= _EPS)
         if np.any(use):
             phase = comp[use] / np.abs(comp[use])
             out[use] *= np.conj(phase)[:, None]
@@ -187,15 +189,15 @@ def _fix_phase(vectors: np.ndarray, eps: float = 1e-12) -> np.ndarray:
     return out
 
 
-def dominance_ratio(summary: EigenSummary, eps: float = 1e-12) -> float:
-    """Ratio of the two largest absolute eigenvalues, lambda1 / (lambda2 + eps).
+def dominance_ratio(summary: EigenSummary) -> float:
+    """Ratio of the two largest absolute eigenvalues, lambda1 / (lambda2 + 1e-12).
 
     Large ratios indicate a single dominant propagation direction at the bin;
     the selection threshold compares against BinSelectionConfig.beta_ratio.
     """
     if len(summary.values) < 2:
         raise ValueError("need at least a 2x2 covariance")
-    return float(_dominance(summary.values, eps))
+    return float(_dominance(summary.values))
 
 
 def track_noise_floor(mag: np.ndarray, cfg: BinSelectionConfig) -> np.ndarray:
@@ -345,23 +347,20 @@ def magnitude_test(
     return rms > cfg.alpha_mag * floor
 
 
-def eigenvector_intensity_vector(
-    summary: EigenSummary, eps: float = 1e-12
-) -> np.ndarray:
+def eigenvector_intensity_vector(summary: EigenSummary) -> np.ndarray:
     """Direction estimate from a principal eigenvector of ambisonic channels.
 
     Normalizes the eigenvector by its omnidirectional (first) component, takes
     the real part of the remaining components and scales to unit norm. Returns
     the zero vector when the first component or the real part is degenerate.
     """
-    return _directions(summary.vector[None], "foa", eps)[0]
+    return _directions(summary.vector[None], "foa")[0]
 
 
 def eigenvector_phase_vector(
     summary: EigenSummary,
     f_hz: float,
     speed_of_sound: float = SPEED_OF_SOUND,
-    eps: float = 1e-12,
 ) -> np.ndarray:
     """Inter-channel delay estimate (metres) from a principal eigenvector.
 
@@ -371,7 +370,7 @@ def eigenvector_phase_vector(
     Returns zeros for non-positive frequencies or a degenerate reference
     component.
     """
-    return _directions(summary.vector[None], "mic", eps, np.array([f_hz]), speed_of_sound)[0]
+    return _directions(summary.vector[None], "mic", np.array([f_hz]), speed_of_sound)[0]
 
 
 def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.ndarray:
@@ -428,15 +427,14 @@ def _principal(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return v[:, :, -1], np.sort(np.abs(w), axis=1)[:, ::-1]
 
 
-def _dominance(values: np.ndarray, eps: float) -> np.ndarray:
-    """lambda1 / (lambda2 + eps) of descending eigenvalues (..., M)."""
-    return values[..., 0] / (values[..., 1] + eps)
+def _dominance(values: np.ndarray) -> np.ndarray:
+    """lambda1 / (lambda2 + _EPS) of descending eigenvalues (..., M)."""
+    return values[..., 0] / (values[..., 1] + _EPS)
 
 
 def _directions(
     vectors: np.ndarray,
     kind: str,
-    eps: float,
     f_hz: np.ndarray | None = None,
     speed_of_sound: float = SPEED_OF_SOUND,
 ) -> np.ndarray:
@@ -445,11 +443,11 @@ def _directions(
     Each vector is divided by its first (reference) component. foa keeps the
     real part scaled to unit norm; mic converts the phases to path-length
     differences in metres at f_hz (N,). Rows with a reference component below
-    eps, a foa real part of norm below eps or a non-positive mic frequency are
-    zero.
+    _EPS, a foa real part of norm below _EPS or a non-positive mic frequency
+    are zero.
     """
     u0 = vectors[:, 0]
-    ok = np.abs(u0) >= eps
+    ok = np.abs(u0) >= _EPS
     if kind == "mic":
         ok &= f_hz > 0
     ubar = vectors[ok, 1:] / u0[ok, None]
@@ -457,7 +455,7 @@ def _directions(
     if kind == "foa":
         v = np.real(ubar)
         norms = np.linalg.norm(v, axis=1, keepdims=True)
-        v = np.divide(v, norms, out=np.zeros_like(v), where=norms >= eps)
+        v = np.divide(v, norms, out=np.zeros_like(v), where=norms >= _EPS)
     else:
         v = -speed_of_sound * np.angle(ubar) / (2.0 * np.pi * f_hz[ok, None])
     out[ok] = v
@@ -605,10 +603,9 @@ def _salsa_blocks(
         f_idx += bins.start
         cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
         vectors, values = _principal(cov)
-        coherent = _dominance(values, cfg.ratio_eps) > cfg.beta_ratio
+        coherent = _dominance(values) > cfg.beta_ratio
         cues = _directions(
-            vectors[coherent], fmt.kind, cfg.component_eps,
-            f_idx[coherent] * spec.bin_hz, cfg.speed_of_sound,
+            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, cfg.speed_of_sound
         ).T
         counts["in_band_bins"] += (ready - done) * len(band)
         counts["candidates"] += len(t_idx)

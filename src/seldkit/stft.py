@@ -99,10 +99,6 @@ class ComplexSpectrogram:
     def n_bins(self) -> int:
         return self.data.shape[2]
 
-    def block(self, frames: slice) -> "ComplexSpectrogram":
-        """View of the frames in the given range."""
-        return ComplexSpectrogram(self.data[:, frames], self.bin_hz, self.frame_rate)
-
     def stream(self) -> "SpectrogramStream":
         """The spectrogram as a stream of frame-block views."""
 

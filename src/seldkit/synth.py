@@ -33,14 +33,13 @@ NaN cells or labels frames that carry no signal.
 Each source is rendered only on its support bins: its band for noise, the
 bins of its harmonics for a tone, one bin per frame for a chirp.
 
-render_stream renders in the row-major order of the (channels, frames,
-bins) spectrogram: channel by channel, one frame block (stft.frame_blocks)
-at a time, so a writer can stream it to a tensor file without a whole-scene
-array. It holds one block buffer and each source's support-bin
-contribution; the ambient noise is drawn per block into that buffer. A
-re-oriented foa scene holds its four noise channels whole and mixes them
-one frame block at a time. render_scene collects the same pieces into one
-array, so both give the same bits.
+render_stream renders the (channels, frames, bins) spectrogram channel by
+channel, one frame block (stft.frame_blocks) at a time, so a writer can
+stream it to a tensor file without a whole-scene array. It holds one block
+buffer and each source's support-bin contribution; the ambient noise is
+drawn per block into that buffer, also in a re-oriented scene.
+render_scene collects the same pieces into one array, so both give the
+same bits.
 """
 
 from __future__ import annotations
@@ -181,6 +180,11 @@ class SceneDescription:
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
+        A = np.asarray(self.orientation)
+        # Entries in {-1, 0, 1} and orthonormal rows: one +-1 per row and column.
+        signed = A.shape == (3, 3) and np.isin(A, (-1, 0, 1)).all()
+        if not (signed and np.array_equal(A @ A.T, np.eye(3))):
+            raise ValueError("orientation must be a 3x3 signed permutation matrix")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(
                 f"duration must be finite and positive, got {self.duration!r}"
@@ -295,8 +299,10 @@ class SceneStream:
     """A rendered scene delivered channel by channel, one frame block at a time.
 
     shape is (channels, frames, bins). pieces yields (channel, frames, block)
-    in the row-major order of that shape: every frame block (frame_blocks) of
-    channel 0, then of channel 1, and so on. block is the (n, bins)
+    channel by channel: every frame block (frame_blocks) of one channel, then
+    of the next. The channels come in order, 0 first, except in a re-oriented
+    foa scene, where they come in the order their noise is drawn (see
+    render_stream). block is the (n, bins)
     complex128 spectrogram of that channel and block; its buffer may be
     reused by the next piece.
     """
@@ -320,9 +326,10 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
     configured power is added to every channel: it is drawn block by block,
     channel-major, into one reused buffer, which gives the same numbers as
     one (channels, frames, bins) draw. A re-oriented foa scene sees its
-    ambient noise re-oriented too: the four noise channels are then drawn
-    whole and mixed one frame block at a time. Labels are sampled at the
-    label frame centers (10 fps).
+    ambient noise re-oriented too: noise channel j, drawn j-th, lands
+    (negated where the signed permutation says) on the channel the
+    orientation maps it to, so the pieces then come in that channel order.
+    Labels are sampled at the label frame centers (10 fps).
 
     The scene is checked before anything is drawn.
 
@@ -377,40 +384,31 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
 
     rng = np.random.default_rng([scene.seed, 0])
     scale = np.sqrt(scene.noise_power / 2.0)
-    mixed = None
-    if (
-        scene.noise_power > 0
-        and scene.fmt.kind == "foa"
-        and not np.array_equal(scene.orientation, np.eye(3))
-    ):
-        # The ambient field belongs to the scene, so a re-oriented scene
-        # sees re-oriented noise; keeps swap-vs-rerender equivalence exact.
-        # Each (real, imaginary) pair of draws is read in place as one
-        # complex sample, so the noise needs no complex temporaries.
-        mixed = rng.standard_normal((M, T, F, 2)).view(np.complex128)[..., 0]
-        mixed *= scale
-        A = np.zeros((4, 4))
-        A[0, 0] = 1.0
-        A[1:, 1:] = scene.orientation
-        for frames in frame_blocks(T):
-            mixed[:, frames] = np.einsum("ij,jtf->itf", A, mixed[:, frames])
+    # The ambient field belongs to the scene, so a re-oriented foa scene sees
+    # re-oriented noise; keeps swap-vs-rerender equivalence exact. Noise
+    # channel j goes to channel dest[j], the row of column j's one non-zero
+    # entry of the signed permutation, times that entry, sign[j].
+    dest, sign = np.arange(M), np.ones(M)
+    if scene.fmt.kind == "foa":
+        dest[1:] = 1 + np.argmax(np.abs(scene.orientation), axis=0)
+        sign[1:] = scene.orientation[dest[1:] - 1, np.arange(3)]
 
     def pieces():
         spans = list(frame_blocks(T))
         # The first block is the longest; every block's noise is drawn here.
+        # Each (real, imaginary) pair of draws is read in place as one
+        # complex sample, so the noise needs no complex temporaries.
         buf = np.empty((spans[0].stop if spans else 0, F, 2))
-        for m in range(M):
+        for j in range(M):
+            m = int(dest[j])
             for frames in spans:
                 n = frames.stop - frames.start
-                if mixed is not None:
-                    block = mixed[m, frames]
+                block = buf[:n].view(np.complex128)[..., 0]
+                if scene.noise_power > 0:
+                    rng.standard_normal(out=buf[:n])
+                    block *= sign[j] * scale
                 else:
-                    block = buf[:n].view(np.complex128)[..., 0]
-                    if scene.noise_power > 0:
-                        rng.standard_normal(out=buf[:n])
-                        block *= scale
-                    else:
-                        block.fill(0.0)
+                    block.fill(0.0)
                 for t_idx, bins, contrib in sources:
                     lo, hi = np.searchsorted(t_idx, (frames.start, frames.stop))
                     # Bins are distinct within a frame, so the fancy-index add is exact.
@@ -427,8 +425,7 @@ def render_scene(
 
     Collects the pieces of render_stream into one array: they come channel
     by channel, one frame block at a time, with the ambient noise drawn per
-    block (a re-oriented foa scene mixes its noise one frame block at a
-    time). See render_stream for the model and the errors raised.
+    block. See render_stream for the model and the errors raised.
 
     Returns:
         (ComplexSpectrogram, SeldLabels) pair; the spectrogram is

@@ -68,8 +68,8 @@ def write_tensor(path: str | Path, array: np.ndarray) -> None:
     """Serialize an array; dtype must be float32, float64 or complex64.
 
     tensor_writer with the whole array as its one block: the header and then
-    the array's own buffer go to the file; a little-endian C-contiguous array
-    is not copied.
+    each row of the array's own buffer go to the file; a little-endian
+    C-contiguous array is not copied.
     """
     array = np.asarray(array)
     with tensor_writer(path, array.shape, array.dtype) as append:
@@ -112,9 +112,6 @@ class _Appender:
             self._put(row or 0, block)
         elif block.ndim != len(self.shape) or len(block) != self.rows:
             raise ValueError(f"block of shape {block.shape} does not fit a {self.shape} tensor")
-        elif block.shape == self.shape and self.hi - self.lo == self.length and not any(self.written):
-            _pwrite_all(self._fd, block, self._offset)
-            self.written = [self.length] * self.rows
         else:
             for r, piece in enumerate(block):
                 self._put(r, piece)
@@ -137,8 +134,7 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     block holds every row of axis 0, or with `row` only that row: then it
     is the next slices of shape[1:] of row `row`, so a writer that goes row
     by row writes the payload in file order. Each row keeps its own count of
-    slices and is written at its own offset (os.pwrite); a block holding the
-    whole tensor is written in one piece.
+    slices and is written at its own offset (os.pwrite).
 
     append.part(frames) returns an append of the same form for the slices
     `frames` of every row only. Writes are positional, so a part may be

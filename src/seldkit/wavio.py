@@ -2,12 +2,13 @@
 
 `WavReader` parses the RIFF header (RIFF, RIFX and RF64 containers, PCM and
 IEEE-float data, WAVE_FORMAT_EXTENSIBLE included) and then returns the
-samples of consecutive reads as (channels, samples) float64 in [-1, 1]:
-8-bit PCM is unsigned around 128, 16-, 24- and 32-bit PCM are scaled by
-their full range, float samples pass through unscaled. The file is never
-mapped, so only the samples of one read are held in memory. Reads are
-positional (os.pread) from the reader's own sample position, so copies of
-a reader in forked processes read independently of each other.
+samples of any range of sample frames as (channels, samples) float64 in
+[-1, 1]: 8-bit PCM is unsigned around 128, 16-, 24- and 32-bit PCM are
+scaled by their full range, float samples pass through unscaled. The file
+is never mapped, so only the samples of one read are held in memory. Every
+read names its first sample frame and is positional (os.pread); a reader
+keeps no position, so copies of it in forked processes read independently
+of each other.
 """
 
 from __future__ import annotations
@@ -29,14 +30,12 @@ _GUID_TAIL = {
 
 
 class WavReader:
-    """Sequential sample reader over one WAV file.
+    """Positional sample reader over one WAV file.
 
     Attributes:
         n_channels, sample_rate: from the fmt chunk.
         n_samples: whole sample frames in the data chunk; a data chunk that
             runs past the end of the file counts only the frames present.
-
-    Each read starts where the previous one ended, or where seek put it.
 
     Raises ValueError on a malformed header or an unsupported sample format.
     """
@@ -49,7 +48,6 @@ class WavReader:
         except BaseException:
             self._fh.close()
             raise
-        self._pos = 0  # next sample frame to read
 
     def __enter__(self) -> "WavReader":
         return self
@@ -144,24 +142,20 @@ class WavReader:
         self._fh.seek(size - read + size % 2, os.SEEK_CUR)
         return tag, channels, rate, block_align, bits
 
-    def seek(self, frame: int) -> None:
-        """Make the next read start at sample frame `frame`, 0..n_samples."""
-        if not 0 <= frame <= self.n_samples:
-            raise ValueError(f"sample frame {frame} outside 0..{self.n_samples}")
-        self._pos = frame
+    def read(self, start: int, count: int) -> np.ndarray:
+        """Sample frames start..start+count-1 (fewer at the end) as (channels, n) float64.
 
-    def read(self, count: int) -> np.ndarray:
-        """The next `count` sample frames (fewer at the end) as (channels, n) float64.
-
-        Raises OSError if the file ends before the frames its header counted.
+        Raises ValueError if start is outside 0..n_samples, and OSError if
+        the file ends before the frames its header counted.
         """
-        count = max(0, min(count, self.n_samples - self._pos))
+        if not 0 <= start <= self.n_samples:
+            raise ValueError(f"sample frame {start} outside 0..{self.n_samples}")
+        count = max(0, min(count, self.n_samples - start))
         nbytes = count * self._block_align
-        offset = self._data_start + self._pos * self._block_align
+        offset = self._data_start + start * self._block_align
         raw = os.pread(self._fh.fileno(), nbytes, offset)
         if len(raw) < nbytes:
             raise OSError(f"{self.path}: file ended inside the data chunk")
-        self._pos += count
         if self._raw.kind == "V":
             # 24-bit samples, left-aligned in 32-bit integers.
             wide = np.zeros((count * self.n_channels, 4), dtype=np.uint8)

@@ -16,6 +16,7 @@ from seldkit import (
     random_cutout,
     render_scene,
     salsa,
+    tetra_positions,
     transforms_for,
 )
 
@@ -44,9 +45,17 @@ def test_mic_transform_table():
     perms = {t.mic_perm for t in txs}
     assert len(perms) == 8
     assert (0, 1, 2, 3) in perms
+    # augment_pipeline draws an index into this list, so the order is pinned.
+    assert [t.name for t in txs] == [
+        "rot000", "rot000_mirror_zflip", "rot180", "rot180_mirror_zflip",
+        "rot090_zflip", "rot090_mirror", "rot270_zflip", "rot270_mirror",
+    ]
+    corners = tetra_positions()
     for t in txs:
         assert sorted(t.mic_perm) == [0, 1, 2, 3]
         assert abs(round(np.linalg.det(t.matrix))) == 1
+        # Capsule m takes the channel of the corner that A maps onto its own.
+        np.testing.assert_array_equal(corners[list(t.mic_perm)] @ t.matrix.T, corners)
 
 
 def test_transforms_for_dispatch():

@@ -28,6 +28,7 @@ from seldkit import (
 )
 from seldkit.cli import main, read_wav, write_wav
 from seldkit.tensorfile import read_feature
+from seldkit.wavio import WavReader
 
 import support
 
@@ -151,6 +152,14 @@ def test_read_wav_extensible_and_truncated_files(tmp_path):
     clip = read_wav(wav)
     assert clip.sample_rate == 16000
     np.testing.assert_allclose(clip.samples, samples, atol=2.0**-23)
+    with WavReader(wav) as reader:
+        for start in (-1, 301):
+            with pytest.raises(ValueError, match="outside 0..300"):
+                reader.read(start, 1)
+        # Each read names its first frame, so reads out of order give the same samples.
+        later, earlier = reader.read(200, 150), reader.read(0, 200)
+        assert np.concatenate([earlier, later], axis=1).tobytes() == clip.samples.tobytes()
+        assert reader.read(300, 5).shape == (4, 0)
     # A data chunk cut short keeps the whole sample frames present.
     cut = tmp_path / "cut.wav"
     cut.write_bytes(wav.read_bytes()[: -(3 * 4 * 10 + 5)])

@@ -26,7 +26,7 @@ from seldkit import (
     tetra_positions,
     track_noise_floor,
 )
-from seldkit.spatial import _covariances_at, running_rms
+from seldkit.spatial import _EPS, _covariances_at, running_rms
 
 import oracles
 from support import single_source_scene
@@ -288,15 +288,15 @@ def _reference_salsa_spatial(spec, fmt):
     for t, f in zip(*np.nonzero(cand)):
         cov, _ = oracles.naive_local_covariance(spec.data, t, f, cfg.cov_half_window)
         u, s, _ = np.linalg.svd(cov)
-        if not s[0] > cfg.beta_ratio * (s[1] + cfg.ratio_eps):
+        if not s[0] > cfg.beta_ratio * (s[1] + _EPS):
             continue
-        if abs(u[0, 0]) < cfg.component_eps:
+        if abs(u[0, 0]) < _EPS:
             continue
         ubar = u[1:, 0] / u[0, 0]
         if fmt.kind == "foa":
             v = np.real(ubar)
             norm = np.linalg.norm(v)
-            spatial[:, t, f] = v / norm if norm >= cfg.component_eps else 0.0
+            spatial[:, t, f] = v / norm if norm >= _EPS else 0.0
         elif f > 0:
             spatial[:, t, f] = -cfg.speed_of_sound * np.angle(ubar) / (2 * np.pi * f * spec.bin_hz)
     return spatial, int(cand.sum())

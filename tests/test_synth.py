@@ -321,6 +321,22 @@ def test_labels_transform_matches_scene_orientation():
     np.testing.assert_array_equal(turned.doa, base.transformed(rot).doa)
 
 
+def test_scene_rejects_orientation_that_is_not_a_signed_permutation():
+    # Ambient noise is re-oriented by moving whole channels, which only a
+    # signed permutation of the axes can do.
+    c = np.sqrt(0.5)
+    turn45 = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+    scene = random_scene(np.random.default_rng(7), "foa", duration=1.0)
+    with pytest.raises(ValueError, match="signed permutation"):
+        SceneDescription(scene.fmt, scene.duration, scene.sources, orientation=turn45)
+    with pytest.raises(ValueError, match="signed permutation"):
+        scene.transformed(turn45)
+    with pytest.raises(ValueError, match="signed permutation"):
+        scene.transformed(2 * np.eye(3))
+    flip = np.diag([1.0, -1.0, -1.0])
+    assert np.array_equal(scene.transformed(flip).orientation, flip)
+
+
 def test_scene_file_round_trip_foa():
     rng = np.random.default_rng(8)
     scene = random_scene(rng, "foa", duration=1.5)
