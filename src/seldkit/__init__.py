@@ -64,6 +64,7 @@ from .stft import (
     stft,
 )
 from .synth import (
+    LabelRows,
     SceneDescription,
     SeldLabels,
     SourceSpec,

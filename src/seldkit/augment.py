@@ -19,21 +19,21 @@ import numpy as np
 from .baseline import channel_pairs
 from .spatial import SPEED_OF_SOUND, tetra_positions
 from .stft import FeatureTensor, frame_blocks
-from .synth import SeldLabels
+from .synth import LabelRows, SeldLabels
+
+# random_cutout's size limits (see its docstring).
+_RECT_MAX_FRAC = 0.25
+_CROSS_STRIPES = 2
+_CROSS_MAX_BANDS = 20
+_CROSS_MAX_FRAMES = 64
 
 
 @dataclass
 class AugmentConfig:
-    """Probabilities and size limits for the augmentation pipeline."""
+    """Application probability and shift limit of the augmentation pipeline."""
 
     p_apply: float = 0.5
     max_shift: int = 10
-    rect_max_time_frac: float = 0.25
-    rect_max_band_frac: float = 0.25
-    cross_max_freq_bands: int = 2
-    cross_max_freq_width: int = 20
-    cross_max_time_bands: int = 2
-    cross_max_time_width: int = 64
 
     def __post_init__(self):
         if not (0.0 <= self.p_apply <= 1.0):
@@ -213,10 +213,10 @@ def _swap_mic(
 
 def _swap_channels(
     feat: FeatureTensor,
-    labels: SeldLabels | None,
+    labels: SeldLabels | LabelRows | None,
     tx: SpatialTransform,
     speed_of_sound: float,
-) -> SeldLabels | None:
+) -> SeldLabels | LabelRows | None:
     """channel_swap of feat.data in place, one block of frames at a time.
 
     Every swap step maps each frame on its own, so each block is widened to
@@ -235,10 +235,10 @@ def _swap_channels(
 
 def channel_swap(
     feat: FeatureTensor,
-    labels: SeldLabels | None,
+    labels: SeldLabels | LabelRows | None,
     tx: SpatialTransform,
     speed_of_sound: float = SPEED_OF_SOUND,
-) -> tuple[FeatureTensor, SeldLabels | None]:
+) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
     """Apply a direction transform by rearranging feature channels.
 
     Equivalent to rendering the transformed scene: spectrogram channels are
@@ -248,7 +248,7 @@ def channel_swap(
 
     Args:
         feat: feature tensor to transform (any supported kind).
-        labels: matching labels, or None.
+        labels: matching SeldLabels or LabelRows, or None.
         tx: transform whose kind matches feat.meta["format"].
 
     Returns:
@@ -297,23 +297,23 @@ def frequency_shift(
     return out
 
 
-def _cut_out(feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig) -> None:
+def _cut_out(feat: FeatureTensor, rng: np.random.Generator) -> None:
     """random_cutout of feat.data in place."""
     T, B = feat.n_frames, feat.n_bands
     mask = np.zeros((T, B), dtype=bool)
     if rng.random() < 0.5:
-        ht = int(rng.integers(1, max(1, int(cfg.rect_max_time_frac * T)) + 1))
-        wb = int(rng.integers(1, max(1, int(cfg.rect_max_band_frac * B)) + 1))
+        ht = int(rng.integers(1, max(1, int(_RECT_MAX_FRAC * T)) + 1))
+        wb = int(rng.integers(1, max(1, int(_RECT_MAX_FRAC * B)) + 1))
         t0 = int(rng.integers(0, T - ht + 1))
         b0 = int(rng.integers(0, B - wb + 1))
         mask[t0 : t0 + ht, b0 : b0 + wb] = True
     else:
-        for _ in range(int(rng.integers(1, cfg.cross_max_freq_bands + 1))):
-            w = int(rng.integers(1, min(cfg.cross_max_freq_width, B) + 1))
+        for _ in range(int(rng.integers(1, _CROSS_STRIPES + 1))):
+            w = int(rng.integers(1, min(_CROSS_MAX_BANDS, B) + 1))
             b0 = int(rng.integers(0, B - w + 1))
             mask[:, b0 : b0 + w] = True
-        for _ in range(int(rng.integers(1, cfg.cross_max_time_bands + 1))):
-            w = int(rng.integers(1, min(cfg.cross_max_time_width, T) + 1))
+        for _ in range(int(rng.integers(1, _CROSS_STRIPES + 1))):
+            w = int(rng.integers(1, min(_CROSS_MAX_FRAMES, T) + 1))
             t0 = int(rng.integers(0, T - w + 1))
             mask[t0 : t0 + w, :] = True
 
@@ -326,37 +326,36 @@ def _cut_out(feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig) 
         feat.data[ch][mask] = value
 
 
-def random_cutout(
-    feat: FeatureTensor, rng: np.random.Generator, cfg: AugmentConfig | None = None
-) -> FeatureTensor:
+def random_cutout(feat: FeatureTensor, rng: np.random.Generator) -> FeatureTensor:
     """Mask one random region, identical across channels.
 
     With equal probability the region is a single rectangle (up to a quarter
-    of each axis) or a cross of up to cross_max_freq_bands frequency stripes
-    and cross_max_time_bands time stripes. Spectrogram channels are filled
-    with a per-channel uniform draw from their observed value range; other
-    channels are zeroed.
+    of each axis) or a cross of one or two frequency stripes (up to 20 bands
+    wide each) and one or two time stripes (up to 64 frames wide each).
+    Spectrogram channels are filled with a per-channel uniform draw from
+    their observed value range; other channels are zeroed.
     """
     out = feat.copy()
-    _cut_out(out, rng, cfg if cfg is not None else AugmentConfig())
+    _cut_out(out, rng)
     return out
 
 
 def augment_pipeline(
     feat: FeatureTensor,
-    labels: SeldLabels | None,
+    labels: SeldLabels | LabelRows | None,
     rng: np.random.Generator,
     cfg: AugmentConfig | None = None,
     *,
     in_place: bool = False,
-) -> tuple[FeatureTensor, SeldLabels | None]:
+) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
     """Channel swap, frequency shift, and random cutout, each applied
     independently with probability cfg.p_apply, in that order.
 
     The stages work on one tensor in its own dtype: a copy of feat or, with
     in_place, feat itself. A mic swap re-wraps the delay cues with the speed
     of sound they were extracted with, feat.meta["speed_of_sound"]
-    (SPEED_OF_SOUND when the tensor does not record one).
+    (SPEED_OF_SOUND when the tensor does not record one). labels
+    (SeldLabels, LabelRows or None) turn with the swap, if one is drawn.
     """
     if cfg is None:
         cfg = AugmentConfig()
@@ -371,5 +370,5 @@ def augment_pipeline(
         shift = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         _shift_bands(feat, shift)
     if rng.random() < cfg.p_apply:
-        _cut_out(feat, rng, cfg)
+        _cut_out(feat, rng)
     return feat, labels

@@ -145,7 +145,8 @@ def assemble_stream(
       linspecgcc  4 log-linear + 6 GCC-PHAT (F' lags)    -> 10 x T x F'
       salsa       4 log-linear + 3 eigenvector direction -> 7 x T x F'
     where F' is the band count after high-band compression. Intensity-vector
-    kinds require the foa format; mic inputs must have one channel per capsule.
+    kinds require the foa format, and every kind takes the format's channel
+    count (ArrayFormat.check_channels): 4 for foa, one per capsule for mic.
     Every channel of the four classical kinds depends on its own frame only,
     so each spectrogram block of `frames` gives one output block; salsa is
     spatial.salsa_stream. The stream's shape is the whole tensor's either
@@ -162,8 +163,7 @@ def assemble_stream(
         raise ValueError(f"{kind} requires the foa format")
 
     M = spec.n_channels
-    if fmt.kind == "mic" and M != fmt.n_channels:
-        raise ValueError(f"mic input must have {fmt.n_channels} channels, got {M}")
+    fmt.check_channels(M)
     fft_size = 2 * (spec.n_bins - 1)
     sample_rate = spec.bin_hz * fft_size
     meta = {

@@ -32,14 +32,13 @@ from .spatial import ArrayFormat
 from .stft import AudioClip, stft, stft_stream  # noqa: F401
 # render_scene is not called here either; perfbench/tracing.py wraps it.
 from .synth import (  # noqa: F401
-    N_CLASSES,
-    SeldLabels,
+    LABEL_FPS,
+    LabelRows,
     parse_scene,
     render_scene,
     render_stream,
     rows_from_csv,
     rows_to_csv,
-    unit_vector,
 )
 from .tensorfile import (
     atomic_write_bytes,
@@ -130,25 +129,6 @@ def write_wav(path: str | Path, clip: AudioClip) -> None:
     from scipy.io import wavfile  # only writers need scipy.io; it is slow to import
 
     wavfile.write(path, clip.sample_rate, clip.samples.T.astype(np.float32))
-
-
-def _labels_from_rows(rows) -> SeldLabels:
-    """Label rows back to frame-rate arrays; one instance per frame and class."""
-    n_frames = max((r[0] for r in rows), default=-1) + 1
-    n_classes = max(N_CLASSES, max((r[1] for r in rows), default=0) + 1)
-    activity = np.zeros((n_frames, n_classes), dtype=np.uint8)
-    doa = np.zeros((n_frames, n_classes, 3))
-    track = np.zeros((n_frames, n_classes), dtype=np.int16)
-    for frame, cls, trk, az, el in rows:
-        if activity[frame, cls]:
-            raise ValueError(
-                f"label frame {frame} has two instances of class {cls}; "
-                "only one instance per class is supported"
-            )
-        activity[frame, cls] = 1
-        doa[frame, cls] = unit_vector(az, el)
-        track[frame, cls] = trk
-    return SeldLabels(activity, doa, track)
 
 
 def _load_config(args) -> PipelineConfig:
@@ -279,10 +259,6 @@ def cmd_extract(args) -> None:
     fmt = ArrayFormat(args.format, speed_of_sound=cfg.speed_of_sound)
     for path in inputs:
         with open_wav(path) as wav:
-            if args.format == "foa" and wav.n_channels != 4:
-                raise ValueError(
-                    f"{path}: foa input must have 4 channels, got {wav.n_channels}"
-                )
             eff = cfg
             if wav.sample_rate != cfg.sample_rate:
                 if not args.allow_any_rate:
@@ -354,7 +330,7 @@ def cmd_synth(args) -> None:
             "bands": bands,
             "bin_hz": stream.bin_hz,
             "frame_rate": stream.frame_rate,
-            "label_fps": stream.labels.frame_rate,
+            "label_fps": LABEL_FPS,
             "seed": scene.seed,
             "config": cfg.digest(),
         },
@@ -476,7 +452,7 @@ def cmd_augment(args) -> None:
         label_path = labels_dir / (path.stem + ".csv") if labels_dir else None
         if label_path is not None and not label_path.exists():
             raise InputError(f"{label_path}: missing label file")
-        rows = rows_from_csv(label_path.read_text()) if label_path is not None else None
+        labels = LabelRows(rows_from_csv(label_path.read_text())) if label_path else None
         if acfg.p_apply == 0.0:
             # Nothing can be applied; outputs are verbatim copies.
             atomic_write_bytes(out_dir / path.name, path.read_bytes())
@@ -491,16 +467,13 @@ def cmd_augment(args) -> None:
                 )
             print(f"{out_dir / path.name} copied")
             continue
-        labels = _labels_from_rows(rows) if rows is not None else None
         rng = np.random.default_rng([args.seed, index])
         feat, labels = augment_pipeline(read_feature(path), labels, rng, acfg, in_place=True)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
         write_feature(out_dir / path.name, feat)
         if labels is not None:
-            atomic_write_text(
-                out_dir / (path.stem + ".csv"), rows_to_csv(labels.to_rows())
-            )
+            atomic_write_text(out_dir / (path.stem + ".csv"), rows_to_csv(labels))
         print(f"{out_dir / path.name} augmented")
 
 

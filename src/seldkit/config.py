@@ -2,10 +2,10 @@
 
 PipelineConfig defines no default of its own: each key's default is read
 from the component that owns it (StftConfig, BinSelectionConfig.for_format,
-AugmentConfig, MetricsConfig, baseline.N_MELS), and each *_config method
-hands a component every key it shares with it by name. A default changes
-only in its component; the configuration, those methods and the digest
-follow.
+ArrayFormat, AugmentConfig, MetricsConfig, baseline.N_MELS), and each
+*_config method hands a component every key it shares with it by name. A
+default changes only in its component; the configuration, those methods and
+the digest follow.
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from pathlib import Path
 from .augment import AugmentConfig
 from .baseline import N_MELS
 from .metrics import MetricsConfig
-from .spatial import BinSelectionConfig
+from .spatial import ArrayFormat, BinSelectionConfig
 from .stft import StftConfig
 
+_ARRAY = ArrayFormat("foa")
 _STFT = StftConfig()
 _FOA = BinSelectionConfig.for_format("foa")
 _MIC = BinSelectionConfig.for_format("mic")
@@ -34,7 +35,7 @@ class PipelineConfig:
     Files hold one key=value per line with '#' comments, and command lines
     may override single keys via --set. The bin-selection keys shared by
     both formats take the foa defaults; f_high_foa and f_high_mic are the
-    two formats' upper cutoffs.
+    two formats' upper cutoffs. speed_of_sound is the ArrayFormat's.
     """
 
     sample_rate: int = _STFT.sample_rate
@@ -56,7 +57,7 @@ class PipelineConfig:
     noise_delta_down: float = _FOA.noise_delta_down
     compress_start_bin: int = _FOA.compress_start_bin
     compress_factor: int = _FOA.compress_factor
-    speed_of_sound: float = _FOA.speed_of_sound
+    speed_of_sound: float = _ARRAY.speed_of_sound
     p_apply: float = _AUGMENT.p_apply
     max_shift: int = _AUGMENT.max_shift
     doa_threshold_deg: float = _METRICS.doa_threshold_deg
@@ -125,8 +126,8 @@ class PipelineConfig:
         shared = {f.name: getattr(self, f.name) for f in fields(self) if f.name in names}
         return replace(component, **{**shared, **extra})
 
-    def stft_config(self, sample_rate: int | None = None) -> StftConfig:
-        return self._onto(_STFT, sample_rate=sample_rate or self.sample_rate)
+    def stft_config(self) -> StftConfig:
+        return self._onto(_STFT)
 
     def selection_config(self, kind: str) -> BinSelectionConfig:
         f_high = self.f_high_foa if kind == "foa" else self.f_high_mic

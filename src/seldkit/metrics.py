@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .synth import unit_vector
+from .synth import LABEL_FPS, unit_vector
 
 
 @dataclass
@@ -34,7 +34,6 @@ class MetricsConfig:
 
     doa_threshold_deg: float = 20.0
     segment_seconds: float = 1.0
-    label_fps: float = 10.0
     convention: str = "2021"  # "2020" or "2021"
 
     def __post_init__(self):
@@ -45,7 +44,7 @@ class MetricsConfig:
 
     @property
     def frames_per_segment(self) -> int:
-        n = int(round(self.segment_seconds * self.label_fps))
+        n = int(round(self.segment_seconds * LABEL_FPS))
         if n < 1:
             raise ValueError("segment must cover at least one label frame")
         return n

@@ -66,6 +66,21 @@ class ArrayFormat:
     def n_channels(self) -> int:
         return 4 if self.kind == "foa" else self.mic_positions.shape[0]
 
+    def check_channels(self, n: int) -> None:
+        """Raise ValueError unless an input of n channels fits this format."""
+        if n != self.n_channels:
+            raise ValueError(f"{self.kind} input must have {self.n_channels} channels, got {n}")
+
+    def steering(self, u: np.ndarray, f_hz: np.ndarray) -> np.ndarray:
+        """Channel gains of far-field sources at directions u (n, 3) and
+        frequencies f_hz (n, K): (1, x, y, z) for foa, as (4, n, 1); for mic,
+        (M, n, K) phases exp(-j 2 pi f d_m / c), d_m = (p_0 - p_m) . u."""
+        if self.kind == "foa":
+            return np.concatenate([np.ones((len(u), 1)), u], axis=1).T[:, :, None]
+        d = (self.mic_positions[0] - self.mic_positions) @ u.T  # (M, n)
+        # One expression, so the phase array is freed before the exponential.
+        return np.exp(1j * (-2.0 * np.pi * d[:, :, None] * f_hz / self.speed_of_sound))
+
     def aliasing_frequency(self) -> float:
         """c / (2 r) with r the largest capsule distance from the centroid."""
         if self.kind == "foa":
@@ -96,7 +111,14 @@ class BinSelectionConfig:
     log_floor: float = 1e-12
     compress_start_bin: int = 192
     compress_factor: int = 8
-    speed_of_sound: float = SPEED_OF_SOUND
+
+    def __post_init__(self):
+        if self.cov_half_window < 0 or self.rms_half_window < 0:
+            raise ValueError("cov_half_window and rms_half_window must be >= 0")
+        if not (0 <= self.noise_delta_up < np.inf):
+            raise ValueError("noise_delta_up must be finite and >= 0")
+        if not (0 <= self.noise_delta_down < 1):
+            raise ValueError("noise_delta_down must be in [0, 1)")
 
     @classmethod
     def for_format(cls, kind: str) -> "BinSelectionConfig":
@@ -518,7 +540,9 @@ def salsa_stream(
 
     Args:
         spec: complex spectrogram stream, channels x frames x bins.
-        fmt: input format; its channel count must match the spectrogram's.
+        fmt: input format; its channel count must match the spectrogram's
+            (ArrayFormat.check_channels), and the mic cues convert phases
+            to delays at its speed_of_sound, which the meta records.
         cfg: selection config; defaults to the format's standard cutoffs.
         frames: the frames to build (default all).
 
@@ -528,8 +552,7 @@ def salsa_stream(
     if cfg is None:
         cfg = BinSelectionConfig.for_format(fmt.kind)
     M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
-    if M != fmt.n_channels:
-        raise ValueError(f"{fmt.kind} input must have {fmt.n_channels} channels, got {M}")
+    fmt.check_channels(M)
     n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
     meta = {
         "feature": "salsa",
@@ -540,7 +563,7 @@ def salsa_stream(
         "f_high": cfg.f_high,
         "compress_start_bin": cfg.compress_start_bin,
         "compress_factor": cfg.compress_factor,
-        "speed_of_sound": cfg.speed_of_sound,
+        "speed_of_sound": fmt.speed_of_sound,
     }
     counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
     return FeatureStream(
@@ -605,7 +628,7 @@ def _salsa_blocks(
         vectors, values = _principal(cov)
         coherent = _dominance(values) > cfg.beta_ratio
         cues = _directions(
-            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, cfg.speed_of_sound
+            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, fmt.speed_of_sound
         ).T
         counts["in_band_bins"] += (ready - done) * len(band)
         counts["candidates"] += len(t_idx)

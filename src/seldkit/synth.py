@@ -46,11 +46,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spatial import SPEED_OF_SOUND, ArrayFormat
+from .spatial import SPEED_OF_SOUND, ArrayFormat, tetra_positions
 from .stft import ComplexSpectrogram, StftConfig, frame_blocks
 
 LABEL_FPS = 10.0
@@ -78,8 +78,7 @@ def angles_from_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def foa_steering(az_deg: float, el_deg: float) -> np.ndarray:
     """First-order ambisonic steering (1, cos az cos el, sin az cos el, sin el)."""
-    u = unit_vector(az_deg, el_deg)
-    return np.concatenate([[1.0], u])
+    return ArrayFormat("foa").steering(unit_vector(az_deg, el_deg)[None], None)[:, 0, 0]
 
 
 def mic_steering(
@@ -89,10 +88,9 @@ def mic_steering(
     positions: np.ndarray,
     speed_of_sound: float = SPEED_OF_SOUND,
 ) -> np.ndarray:
-    """Far-field steering phases relative to the first capsule.
+    """ArrayFormat.steering of one direction for the mic array at positions.
 
-    Element m is exp(-j 2 pi f d_m / c) with d_m the path-length difference
-    (positions[0] - positions[m]) . u; the first element is always 1 + 0j.
+    The first element is always 1 + 0j.
 
     Args:
         f_hz: scalar or (F,) frequencies.
@@ -102,11 +100,10 @@ def mic_steering(
     Returns:
         (M,) or (M, F) complex array.
     """
-    u = unit_vector(az_deg, el_deg)
-    d = (positions[0] - positions) @ u  # (M,)
+    fmt = ArrayFormat("mic", positions, speed_of_sound)
     f = np.asarray(f_hz, dtype=np.float64)
-    phase = -2.0 * np.pi * np.multiply.outer(d, f) / speed_of_sound
-    return np.exp(1j * phase)
+    H = fmt.steering(unit_vector(az_deg, el_deg)[None], f.reshape(1, -1))
+    return H.reshape((fmt.n_channels,) + f.shape)
 
 
 @dataclass
@@ -174,7 +171,6 @@ class SceneDescription:
     sources: list[SourceSpec]
     noise_power: float = 0.0
     seed: int = 0
-    n_classes: int = N_CLASSES
     # Signed-permutation orientation applied to every direction; transformed
     # scenes compose into this matrix so labels stay bit-exact under swaps.
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
@@ -196,20 +192,12 @@ class SceneDescription:
         classes = [s.class_id for s in self.sources]
         if len(set(classes)) != len(classes):
             raise ValueError("one active source per class is supported")
-        if any(c >= self.n_classes for c in classes):
+        if any(c >= N_CLASSES for c in classes):
             raise ValueError("class_id out of range")
 
     def transformed(self, matrix: np.ndarray) -> "SceneDescription":
         """Same scene viewed through an extra direction transform."""
-        return SceneDescription(
-            fmt=self.fmt,
-            duration=self.duration,
-            sources=self.sources,
-            noise_power=self.noise_power,
-            seed=self.seed,
-            n_classes=self.n_classes,
-            orientation=np.asarray(matrix, dtype=np.float64) @ self.orientation,
-        )
+        return replace(self, orientation=np.asarray(matrix, dtype=np.float64) @ self.orientation)
 
 
 @dataclass
@@ -224,19 +212,10 @@ class SeldLabels:
     activity: np.ndarray
     doa: np.ndarray
     track: np.ndarray
-    frame_rate: float = LABEL_FPS
-
-    @property
-    def n_frames(self) -> int:
-        return self.activity.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.activity.shape[1]
 
     def transformed(self, matrix: np.ndarray) -> "SeldLabels":
         doa = self.doa @ np.asarray(matrix, dtype=np.float64).T
-        return SeldLabels(self.activity.copy(), doa, self.track.copy(), self.frame_rate)
+        return SeldLabels(self.activity.copy(), doa, self.track.copy())
 
     def to_rows(self) -> list[tuple[int, int, int, float, float]]:
         """Active cells as (frame, class, track, azimuth_deg, elevation_deg)."""
@@ -245,6 +224,17 @@ class SeldLabels:
             az, el = angles_from_unit(self.doa[t, c])
             rows.append((int(t), int(c), int(self.track[t, c]), float(az), float(el)))
         return rows
+
+
+class LabelRows(list):
+    """Label rows (frame, class, track, azimuth_deg, elevation_deg), as in the
+    label CSV format; a frame may hold any number of rows of one class."""
+
+    def transformed(self, matrix: np.ndarray) -> "LabelRows":
+        """The rows with every direction mapped through the same matrix."""
+        u = unit_vector([r[3] for r in self], [r[4] for r in self])
+        az, el = angles_from_unit(u @ np.asarray(matrix, dtype=np.float64).T)
+        return LabelRows((*r[:3], a, e) for r, a, e in zip(self, az.tolist(), el.tolist()))
 
 
 def _noise_band(src: SourceSpec, freqs: np.ndarray) -> np.ndarray:
@@ -318,8 +308,9 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
     """Render a scene directly in the STFT domain, channel by channel.
 
     Each source contributes S(t, f) * H(f, direction(t)) at its active frames,
-    added only on its support bins (where S is non-zero): H is the 4-gain
-    vector for foa and the steering phase at those bins' frequencies for mic.
+    added only on its support bins (where S is non-zero): H is the scene
+    format's ArrayFormat.steering, the 4-gain vector for foa and the
+    steering phase at those bins' frequencies for mic.
     The result is bit-identical to multiplying over every bin. Each source's
     contribution is computed once, here; a block adds the frames of it that
     fall inside the block. Independent complex Gaussian noise of the
@@ -371,16 +362,7 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
         rng = np.random.default_rng([scene.seed, 1 + si])
         bins, values = _frame_spectra(src, t_act, freqs, rng)
         u = src.direction_at(t_act) @ scene.orientation.T  # (n_act, 3)
-        if scene.fmt.kind == "foa":
-            H = np.concatenate([np.ones((len(t_act), 1)), u], axis=1).T[:, :, None]
-        else:
-            pos = scene.fmt.mic_positions
-            d = (pos[0][None, :] - pos) @ u.T  # (M, n_act)
-            phase = (
-                -2.0 * np.pi * d[:, :, None] * freqs[bins] / scene.fmt.speed_of_sound
-            )
-            H = np.exp(1j * phase)
-        sources.append((t_idx, bins, H * values))
+        sources.append((t_idx, bins, scene.fmt.steering(u, freqs[bins]) * values))
 
     rng = np.random.default_rng([scene.seed, 0])
     scale = np.sqrt(scene.noise_power / 2.0)
@@ -442,9 +424,9 @@ def render_scene(
 def _labels_for(scene: SceneDescription) -> SeldLabels:
     L = int(round(scene.duration * LABEL_FPS))
     centers = (np.arange(L) + 0.5) / LABEL_FPS
-    activity = np.zeros((L, scene.n_classes), dtype=np.uint8)
-    doa = np.zeros((L, scene.n_classes, 3))
-    track = np.zeros((L, scene.n_classes), dtype=np.int16)
+    activity = np.zeros((L, N_CLASSES), dtype=np.uint8)
+    doa = np.zeros((L, N_CLASSES, 3))
+    track = np.zeros((L, N_CLASSES), dtype=np.int16)
     for si, src in enumerate(scene.sources):
         active = (centers >= src.onset) & (centers < src.offset)
         if not np.any(active):
@@ -461,7 +443,11 @@ def _labels_for(scene: SceneDescription) -> SeldLabels:
 
 
 def format_scene(scene: SceneDescription) -> str:
-    """Serialize a scene to the versioned text format (orientation excluded)."""
+    """Serialize a scene to the versioned text format (orientation excluded).
+
+    A mic array is written as its radius alone, so it must be the
+    tetrahedron tetra_positions(radius); any other array raises ValueError.
+    """
     lines = [
         "version=1",
         f"format={scene.fmt.kind}",
@@ -470,7 +456,10 @@ def format_scene(scene: SceneDescription) -> str:
         f"noise_power={scene.noise_power:.6g}",
     ]
     if scene.fmt.kind == "mic":
-        radius = float(np.linalg.norm(scene.fmt.mic_positions[0]))
+        pos = scene.fmt.mic_positions
+        radius = float(np.linalg.norm(pos[0]))
+        if pos.shape != (4, 3) or np.abs(pos - tetra_positions(radius)).max() > 1e-9 * radius:
+            raise ValueError("a scene file can only hold the tetrahedral mic array")
         lines.append(f"mic_radius={radius:.6g}")
     for src in scene.sources:
         lines.append("[source]")
@@ -524,8 +513,6 @@ def parse_scene(text: str) -> SceneDescription:
     if "duration" not in globals_:
         raise ValueError("scene is missing duration")
     if kind == "mic" and "mic_radius" in globals_:
-        from .spatial import tetra_positions
-
         radius = float(globals_["mic_radius"])
         if not (math.isfinite(radius) and radius > 0):
             raise ValueError(f"mic_radius must be finite and positive, got {radius!r}")

@@ -6,6 +6,8 @@ import pytest
 from seldkit import (
     ArrayFormat,
     AugmentConfig,
+    LabelRows,
+    SeldLabels,
     StftConfig,
     assemble,
     augment_pipeline,
@@ -15,9 +17,12 @@ from seldkit import (
     mic_transforms,
     random_cutout,
     render_scene,
+    rows_from_csv,
+    rows_to_csv,
     salsa,
     tetra_positions,
     transforms_for,
+    unit_vector,
 )
 
 from support import random_scene, single_source_scene
@@ -195,6 +200,45 @@ def test_augment_pipeline_reproducible_and_gated():
     b, _ = augment_pipeline(feat, labels, np.random.default_rng(7), on)
     np.testing.assert_array_equal(a.data, b.data)
     assert np.any(a.data != feat.data)
+
+
+def _single_instance_rows(rng, n_frames=20, n_classes=12, n_rows=150):
+    """Label rows as read from a CSV, at most one per (frame, class) cell,
+    with the axis and seam angles among them."""
+    cells = rng.choice(n_frames * n_classes, n_rows, replace=False)
+    az = rng.uniform(-180.0, 180.0, n_rows)
+    el = rng.uniform(-90.0, 90.0, n_rows)
+    edges = [(180.0, 0.0), (-180.0, 0.0), (90.0, 0.0), (0.0, 90.0), (40.0, -90.0), (0.0, 0.0)]
+    az[: len(edges)], el[: len(edges)] = zip(*edges)
+    rows = [(int(c // n_classes), int(c % n_classes), int(rng.integers(5)), a, e)
+            for c, a, e in zip(cells, az, el)]
+    return rows_from_csv(rows_to_csv(rows))
+
+
+def _as_seld_labels(rows, n_frames=20, n_classes=12):
+    activity = np.zeros((n_frames, n_classes), dtype=np.uint8)
+    doa = np.zeros((n_frames, n_classes, 3))
+    track = np.zeros((n_frames, n_classes), dtype=np.int16)
+    for frame, cls, trk, az, el in rows:
+        activity[frame, cls] = 1
+        doa[frame, cls] = unit_vector(az, el)
+        track[frame, cls] = trk
+    return SeldLabels(activity, doa, track)
+
+
+def test_label_rows_turn_as_the_label_grid_does():
+    # Rows turned one array at a time give the CSV of the frame x class grid
+    # turned cell by cell, for every swap of both formats.
+    rng = np.random.default_rng(12)
+    for tx in foa_transforms() + mic_transforms():
+        rows = _single_instance_rows(rng)
+        want = rows_to_csv(_as_seld_labels(rows).transformed(tx.matrix).to_rows())
+        got = LabelRows(rows).transformed(tx.matrix)
+        assert isinstance(got, LabelRows)
+        assert rows_to_csv(got) == want, tx.name
+    rows = _single_instance_rows(rng)
+    assert rows_to_csv(LabelRows(rows)) == rows_to_csv(_as_seld_labels(rows).to_rows())
+    assert LabelRows().transformed(np.eye(3)) == []
 
 
 def test_augment_config_validation():

@@ -133,6 +133,18 @@ def test_assemble_rejects_bad_combinations():
         assemble(spec, "spectrogram", ArrayFormat("mic"))
 
 
+@pytest.mark.parametrize("kind", ["melspeciv", "linspeciv", "melspecgcc", "linspecgcc", "salsa"])
+def test_assemble_rejects_a_channel_count_the_format_does_not_have(kind):
+    rng = np.random.default_rng(4)
+    data = rng.standard_normal((6, 8, 257)) + 1j * rng.standard_normal((6, 8, 257))
+    spec = ComplexSpectrogram(data, bin_hz=46.875, frame_rate=80.0)
+    with pytest.raises(ValueError, match="foa input must have 4 channels, got 6"):
+        assemble(spec, kind, ArrayFormat("foa"))
+    if not kind.endswith("iv"):
+        with pytest.raises(ValueError, match="mic input must have 4 channels, got 6"):
+            assemble(spec, kind, ArrayFormat("mic"))
+
+
 def test_assemble_roles_by_kind():
     scene = single_source_scene("foa", az=10.0, el=0.0, seed=2)
     spec, _ = render_scene(scene, StftConfig())

@@ -13,16 +13,17 @@ import seldkit
 from seldkit import (
     ArrayFormat,
     AudioClip,
-    AugmentConfig,
     PipelineConfig,
     StftConfig,
     channel_swap,
+    foa_transforms,
     mic_transforms,
     parse_scene,
     random_cutout,
     read_manifest,
     read_tensor,
     render_scene,
+    rows_from_csv,
     rows_to_csv,
     unit_vector,
 )
@@ -100,21 +101,43 @@ def test_extract_exit_codes(tmp_path, corpus):
     assert main(["extract", str(bad)] + base) == 3
 
 
-def test_extract_mic_salsa_rejects_channel_count_mismatch(tmp_path):
-    # The default mic array has 4 capsules.
+def test_extract_mic_salsa_rejects_channel_count_mismatch(tmp_path, capsys):
+    # The default mic array has 4 capsules, as foa has 4 channels.
     wav = _wav(tmp_path / "six.wav", channels=6)
     out = tmp_path / "o"
-    assert main(["extract", str(wav), "--format", "mic", "--feature", "salsa",
-                 "--out", str(out)]) == 3
+    for fmt in ("mic", "foa"):
+        assert main(["extract", str(wav), "--format", fmt, "--feature", "salsa",
+                     "--out", str(out)]) == 3
+        assert f"{fmt} input must have 4 channels, got 6" in capsys.readouterr().err
     assert not list(out.glob("*.ftb"))
 
 
 @pytest.mark.parametrize("feature", ["melspecgcc", "linspecgcc"])
-def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, feature):
+def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, capsys, feature):
     wav = _wav(tmp_path / "six.wav", channels=6)
     out = tmp_path / "o"
-    assert main(["extract", str(wav), "--format", "mic", "--feature", feature,
-                 "--out", str(out)]) == 3
+    for fmt in ("mic", "foa"):
+        assert main(["extract", str(wav), "--format", fmt, "--feature", feature,
+                     "--out", str(out)]) == 3
+        assert f"{fmt} input must have 4 channels, got 6" in capsys.readouterr().err
+    assert not list(out.glob("*.ftb"))
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ["cov_half_window=-1", "rms_half_window=-1", "rms_half_window=-2",
+     "noise_delta_up=-0.01", "noise_delta_up=nan", "noise_delta_up=inf",
+     "noise_delta_down=2", "noise_delta_down=1", "noise_delta_down=-0.01",
+     "noise_delta_down=nan"],
+)
+def test_extract_rejects_selection_settings_out_of_range(tmp_path, capsys, setting):
+    # Each one once gave features without error (no cues, or a floor that
+    # turns negative) or a traceback.
+    wav = _wav(tmp_path / "noise.wav", seconds=1.0)
+    out = tmp_path / "o"
+    assert main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
+                 "--out", str(out), "--set", setting]) == 3
+    assert setting.split("=")[0] in capsys.readouterr().err
     assert not list(out.glob("*.ftb"))
 
 
@@ -477,7 +500,7 @@ def test_augment_rewraps_mic_cues_with_the_tensors_speed_of_sound(tmp_path):
     rng.random()
     assert int(rng.integers(0, 1)) == 0  # max_shift=0: the shift is a no-op
     rng.random()
-    want = random_cutout(want, rng, AugmentConfig(p_apply=1.0, max_shift=0))
+    want = random_cutout(want, rng)
     got = read_tensor(out / "m.ftb")
     np.testing.assert_array_equal(got, want.data)
     # At 343 m/s the re-wrapped cues differ, so the test tells the two apart.
@@ -500,6 +523,30 @@ def test_synth_renders_with_the_configured_speed_of_sound(tmp_path):
     digests = {read_manifest(d / "scene.manifest.txt")["config"] for d in (a, b)}
     assert digests == {PipelineConfig().digest(),
                        PipelineConfig().with_overrides(["speed_of_sound=300"]).digest()}
+
+
+def test_augment_turns_every_label_row_with_the_drawn_swap(corpus, tmp_path):
+    # Two instances of one class in a frame, and a track index past int16.
+    feat = tmp_path / "feat"
+    assert main(["extract", str(corpus / "a.wav"), "--format", "foa", "--feature",
+                 "salsa", "--out", str(feat)]) == 0
+    labels = tmp_path / "labels"
+    labels.mkdir()
+    rows = [(0, 3, 0, 20.0, 10.0), (0, 3, 1, -150.0, -40.0), (2, 3, 40000, 95.0, 0.0),
+            (7, 11, 2, 180.0, 85.0)]
+    (labels / "a.csv").write_text(rows_to_csv(rows))
+    out = tmp_path / "aug"
+    assert main(["augment", str(feat), "--out", str(out), "--seed", "2",
+                 "--labels", str(labels), "--set", "p_apply=1"]) == 0
+    rng = np.random.default_rng([2, 0])  # augment_pipeline's first two draws
+    rng.random()
+    tx = foa_transforms()[int(rng.integers(16))]
+    assert not np.array_equal(tx.matrix, np.eye(3))
+    got = rows_from_csv((out / "a.csv").read_text())
+    assert [r[:3] for r in got] == [r[:3] for r in rows]
+    for (*_, az, el), (*_, got_az, got_el) in zip(rows, got):
+        want = tx.matrix @ unit_vector(az, el)
+        np.testing.assert_allclose(unit_vector(got_az, got_el), want, atol=1e-5)
 
 
 def test_augment_missing_labels(corpus, tmp_path):
@@ -530,15 +577,19 @@ def test_augment_rejects_negative_label_frame(corpus, tmp_path, capsys, p_apply)
 
 
 def test_cli_import_does_not_load_scipy_optimize():
-    # scipy.optimize is imported only for scoring cells above 8 instances;
-    # at module level it would add about a third of a second to every start.
+    # No scipy module is imported with the CLI: scipy.optimize only for
+    # scoring cells above 8 instances (at module level it would add about a
+    # third of a second to every start), scipy.io only by the WAV writer.
     # extract's helpers are plain os.fork children, so no process-pool or
     # subprocess machinery is imported either.
     src = str(Path(seldkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    slow = ["scipy.optimize", "multiprocessing", "concurrent.futures", "subprocess"]
-    code = f"import sys, seldkit.cli; print([m for m in {slow!r} if m in sys.modules])"
+    slow = ["scipy", "multiprocessing", "concurrent.futures", "subprocess"]
+    code = (
+        "import sys, seldkit.cli; "
+        f"print([m for m in sys.modules if m in {slow!r} or m.startswith('scipy.')])"
+    )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=120)
     assert res.returncode == 0, res.stderr

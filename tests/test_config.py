@@ -1,5 +1,7 @@
 """Pipeline configuration files, overrides and hashing."""
 
+from dataclasses import replace
+
 import pytest
 
 from seldkit import (
@@ -124,7 +126,7 @@ def test_builders_propagate_values():
     assert stft.window_length == 256
     assert stft.hop_length == 128
     assert stft.sample_rate == 24000
-    assert cfg.stft_config(sample_rate=16000).sample_rate == 16000
+    assert replace(cfg, sample_rate=16000).stft_config().sample_rate == 16000
     assert cfg.selection_config("mic").f_high == 3000.0
     assert cfg.selection_config("foa").f_high == 9000.0
     aug = cfg.augment_config()
@@ -136,8 +138,8 @@ def test_builders_propagate_values():
         doa_threshold_deg=15.0, segment_seconds=0.5, convention="2020"
     )
     sel = PipelineConfig().with_overrides(
-        ["alpha_mag=2", "speed_of_sound=300", "log_floor=1e-9"]
+        ["alpha_mag=2", "log_floor=1e-9"]
     ).selection_config("foa")
-    assert (sel.alpha_mag, sel.speed_of_sound, sel.log_floor) == (2.0, 300.0, 1e-9)
+    assert (sel.alpha_mag, sel.log_floor) == (2.0, 1e-9)
     with pytest.raises(ValueError, match="format"):
         cfg.selection_config("stereo")

@@ -298,8 +298,20 @@ def _reference_salsa_spatial(spec, fmt):
             norm = np.linalg.norm(v)
             spatial[:, t, f] = v / norm if norm >= _EPS else 0.0
         elif f > 0:
-            spatial[:, t, f] = -cfg.speed_of_sound * np.angle(ubar) / (2 * np.pi * f * spec.bin_hz)
+            spatial[:, t, f] = -fmt.speed_of_sound * np.angle(ubar) / (2 * np.pi * f * spec.bin_hz)
     return spatial, int(cand.sum())
+
+
+def test_salsa_mic_cues_scale_with_the_formats_speed_of_sound():
+    # The delay cues are -c * phase / (2 pi f): linear in the format's c.
+    spec = _two_source_spec("mic", seed=11)
+    at_343 = salsa(spec, ArrayFormat("mic"))
+    at_300 = salsa(spec, ArrayFormat("mic", speed_of_sound=300.0))
+    assert (at_343.meta["speed_of_sound"], at_300.meta["speed_of_sound"]) == (343.0, 300.0)
+    np.testing.assert_array_equal(at_300.data[:4], at_343.data[:4])
+    assert np.count_nonzero(at_343.data[4:]) > 100
+    np.testing.assert_allclose(at_300.data[4:], at_343.data[4:] * (300.0 / 343.0),
+                               rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize(

@@ -361,6 +361,18 @@ def test_scene_file_round_trip_keeps_mic_radius():
     np.testing.assert_allclose(back.fmt.mic_positions, fmt.mic_positions, atol=1e-7)
 
 
+def test_scene_file_refuses_a_mic_array_it_cannot_hold():
+    # mic_radius is all a scene file says of the array, so a 4-capsule cross
+    # of radius 5 cm would come back as a tetrahedron.
+    cross = 0.05 * np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0]])
+    six = 0.05 * np.vstack([np.eye(3), -np.eye(3)])
+    for positions in (cross, six, tetra_positions(0.05) * [1, 1, 1.001]):
+        scene = SceneDescription(ArrayFormat("mic", positions), 1.0,
+                                 [SourceSpec(class_id=0, onset=0.0, offset=1.0)])
+        with pytest.raises(ValueError, match="tetrahedral"):
+            format_scene(scene)
+
+
 @pytest.mark.parametrize(
     "text",
     [
