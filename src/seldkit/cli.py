@@ -412,7 +412,10 @@ def cmd_stats(args) -> None:
         feat = read_feature(path)
         if not first_meta:
             first_meta = feat.meta
-        acc.add(feat)
+        try:
+            acc.add(feat)
+        except FloatingPointError as exc:
+            raise NumericalError(f"{path}: feature tensor {exc}") from None
     del feat  # the --apply pass below reads every tensor again
     raw = acc.finish()
     stats = ChannelStats(
@@ -467,8 +470,11 @@ def cmd_augment(args) -> None:
                 )
             print(f"{out_dir / path.name} copied")
             continue
+        feat = read_feature(path)
+        if not all(np.isfinite(channel).all() for channel in feat.data):
+            raise NumericalError(f"{path}: feature tensor has non-finite values")
         rng = np.random.default_rng([args.seed, index])
-        feat, labels = augment_pipeline(read_feature(path), labels, rng, acfg, in_place=True)
+        feat, labels = augment_pipeline(feat, labels, rng, acfg, in_place=True)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
         write_feature(out_dir / path.name, feat)

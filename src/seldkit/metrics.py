@@ -8,13 +8,13 @@ prediction and reference instances.
 
 Both files of a pair are scored from one set of arrays: the rows become unit
 vectors in one call, a lexsort makes every cell one contiguous run
-(predictions first), segment instances are per-track mean directions summed
-with reduceat, and the angle of every prediction x reference pair in every
-cell comes from one batched atan2. A cell with one instance on either side
-takes the minimum of its block; larger cells go through the exact
-assignment, enumerated up to 8 instances and solved by the Hungarian method
-above that. Localization error sums the matched angles with math.fsum, so it
-does not depend on the order of cells or files.
+(predictions first) and segment instances are per-track mean directions
+summed with reduceat. The cells of one (predictions, references) shape get
+their angle blocks from one batched atan2 and are assigned together by one
+enumeration, if a side has one instance or neither has more than 8; other
+cells are solved by the Hungarian method. Localization error sums matched
+angles with math.fsum and true positives are counted with bincount, so
+neither depends on the order of cells or files.
 """
 
 from __future__ import annotations
@@ -115,31 +115,35 @@ def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(_angles(a, b))
 
 
-def _min_total_assignment(cost: np.ndarray) -> list[tuple[int, int]]:
-    """Exact assignment of min(n, m) pairs minimizing total cost.
+_CHUNK = 1 << 18  # elements of one enumeration temporary
 
-    Enumerates all assignments when the larger side has at most 8 instances,
-    the usual handful of simultaneous same-class events; larger cells go to
-    scipy's linear_sum_assignment, imported only then because importing
-    scipy.optimize costs a third of a second at start-up.
+
+def _assign(cost: np.ndarray) -> np.ndarray:
+    """Matched costs of the exact minimum-total assignment of each block.
+
+    cost is (N, n, m) with n <= m: N blocks of one shape, n instances on the
+    smaller side. Returns (N, n), the costs of the chosen pairs. Blocks with
+    n == 1 or m <= 8, the usual handful of simultaneous same-class events,
+    enumerate every assignment, summed left to right from the first row,
+    and keep the first minimum in itertools.permutations order. Larger
+    blocks go to scipy's linear_sum_assignment, imported only then because
+    importing scipy.optimize costs a third of a second at start-up.
     """
-    n, m = cost.shape
-    if n == 0 or m == 0:
-        return []
-    if n > m:
-        best = _min_total_assignment(cost.T)
-        return [(i, j) for j, i in best]
-    if m > 8:
+    n, m = cost.shape[1:]
+    if n > 1 and m > 8:
         from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(cost)
-        return [(int(i), int(j)) for i, j in zip(rows, cols)]
-    best_total, best_cols = None, None
-    for cols in itertools.permutations(range(m), n):
-        total = sum(cost[i, c] for i, c in enumerate(cols))
-        if best_total is None or total < best_total:
-            best_total, best_cols = total, cols
-    return list(enumerate(best_cols))
+        return np.array([block[linear_sum_assignment(block)] for block in cost])
+    perms = np.array(list(itertools.permutations(range(m), n)))
+    step = max(1, _CHUNK // perms.size)
+    out = []
+    for lo in range(0, len(cost), step):
+        chosen = cost[lo : lo + step][:, np.arange(n), perms]  # (blocks, perms, n)
+        total = chosen[..., 0].copy()
+        for i in range(1, n):
+            total += chosen[..., i]
+        out.append(chosen[np.arange(len(total)), total.argmin(1)])
+    return np.concatenate(out)
 
 
 def _starts(*keys: np.ndarray) -> np.ndarray:
@@ -157,28 +161,21 @@ def _match_cells(start: np.ndarray, side: np.ndarray, vec: np.ndarray):
     Instances are sorted so that each cell is one run beginning at `start`,
     predictions (side 0) before references (side 1). Returns per-cell
     prediction and reference counts and, for every matched pair, its cell
-    and angle.
+    and angle, grouped by cell shape.
     """
     n_r = np.add.reduceat(side, start)
     n_p = np.diff(np.append(start, len(side))) - n_r
-    n_pairs = n_p * n_r
-    first = np.cumsum(n_pairs) - n_pairs
-    cell = np.repeat(np.arange(len(start)), n_pairs)
-    offset = np.arange(len(cell)) - first[cell]
-    pred = start[cell] + offset // n_r[cell]
-    ref = start[cell] + n_p[cell] + offset % n_r[cell]
-    cost = _angles(vec[pred], vec[ref])  # each cell's pred x ref block, row-major
-    # One instance on either side: the assignment is the block minimum.
-    paired = np.flatnonzero(n_pairs)
-    mins = np.minimum.reduceat(cost, first[paired])
-    single = np.minimum(n_p, n_r)[paired] == 1
-    cells = [paired[single]]
-    costs = [mins[single]]
-    for k in paired[~single]:
-        block = cost[first[k] : first[k] + n_pairs[k]].reshape(n_p[k], n_r[k])
-        pairs = _min_total_assignment(block)
-        cells.append(np.full(len(pairs), k))
-        costs.append(np.array([block[i, j] for i, j in pairs]))
+    shapes, group = np.unique(np.stack([n_p, n_r], 1), axis=0, return_inverse=True)
+    members = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    cells, costs = [np.zeros(0, np.int64)], [np.zeros(0)]
+    for (n, m), k in zip(shapes, members):
+        if n == 0 or m == 0:
+            continue
+        pred = vec[start[k, None] + np.arange(n)]
+        ref = vec[start[k, None] + n + np.arange(m)]
+        cost = _angles(pred[:, :, None], ref[:, None])  # (cells, n, m)
+        costs.append(_assign(cost if n <= m else cost.transpose(0, 2, 1)).ravel())
+        cells.append(np.repeat(k, min(n, m)))
     return n_p, n_r, np.concatenate(cells), np.concatenate(costs)
 
 

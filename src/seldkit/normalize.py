@@ -40,23 +40,31 @@ class StatsAccumulator:
         self._roles = None
 
     def add(self, feat: FeatureTensor) -> None:
-        """Add one tensor; each channel is summed in float64, one at a time."""
-        if self._roles is None:
-            self._roles = list(feat.channel_roles)
-            self._count = np.zeros(feat.n_channels)
-            self._sum = np.zeros(feat.n_channels)
-            self._sumsq = np.zeros(feat.n_channels)
-        elif self._roles != list(feat.channel_roles):
+        """Add one tensor; each channel is summed in float64, one at a time.
+
+        Raises FloatingPointError, adding nothing, if a value is not finite:
+        the sum of squares of float32 values is finite exactly when they are.
+        """
+        if self._roles not in (None, list(feat.channel_roles)):
             raise ValueError("cannot mix feature kinds in one statistics pass")
         sums = np.empty(feat.n_channels)
         sumsq = np.empty(feat.n_channels)
         row = np.empty(feat.data.shape[1:])  # one float64 channel, reused
         flat = row.reshape(-1)
-        for ch in range(feat.n_channels):
-            np.copyto(row, feat.data[ch])
-            sums[ch] = flat.sum()
-            np.multiply(flat, flat, out=flat)
-            sumsq[ch] = flat.sum()
+        with np.errstate(invalid="ignore"):  # +inf and -inf in one channel sum to NaN
+            for ch in range(feat.n_channels):
+                np.copyto(row, feat.data[ch])
+                sums[ch] = flat.sum()
+                np.multiply(flat, flat, out=flat)
+                sumsq[ch] = flat.sum()
+        bad = np.flatnonzero(~np.isfinite(sumsq))
+        if len(bad):
+            raise FloatingPointError(f"channel {bad[0]} has non-finite values")
+        if self._roles is None:
+            self._roles = list(feat.channel_roles)
+            self._count = np.zeros(feat.n_channels)
+            self._sum = np.zeros(feat.n_channels)
+            self._sumsq = np.zeros(feat.n_channels)
         self._count += feat.n_frames * feat.n_bands
         self._sum += sums
         self._sumsq += sumsq

@@ -219,11 +219,10 @@ class SeldLabels:
 
     def to_rows(self) -> list[tuple[int, int, int, float, float]]:
         """Active cells as (frame, class, track, azimuth_deg, elevation_deg)."""
-        rows = []
-        for t, c in zip(*np.nonzero(self.activity)):
-            az, el = angles_from_unit(self.doa[t, c])
-            rows.append((int(t), int(c), int(self.track[t, c]), float(az), float(el)))
-        return rows
+        t, c = np.nonzero(self.activity)
+        az, el = angles_from_unit(self.doa[t, c])
+        columns = (t, c, self.track[t, c], az, el)
+        return list(zip(*(col.tolist() for col in columns)))
 
 
 class LabelRows(list):
@@ -442,6 +441,12 @@ def _labels_for(scene: SceneDescription) -> SeldLabels:
 # scene files
 
 
+def _num(v: float) -> str:
+    """v as %.6g where that reads back as v exactly, else as repr(float(v))."""
+    text = f"{v:.6g}"
+    return text if float(text) == v else repr(float(v))
+
+
 def format_scene(scene: SceneDescription) -> str:
     """Serialize a scene to the versioned text format (orientation excluded).
 
@@ -451,26 +456,29 @@ def format_scene(scene: SceneDescription) -> str:
     lines = [
         "version=1",
         f"format={scene.fmt.kind}",
-        f"duration={scene.duration:.6g}",
+        f"duration={_num(scene.duration)}",
         f"seed={scene.seed}",
-        f"noise_power={scene.noise_power:.6g}",
+        f"noise_power={_num(scene.noise_power)}",
     ]
     if scene.fmt.kind == "mic":
         pos = scene.fmt.mic_positions
-        radius = float(np.linalg.norm(pos[0]))
+        norm = float(np.linalg.norm(pos[0]))
+        # The radius whose tetrahedron is pos exactly lies a few ulps from norm.
+        near = norm + np.spacing(norm) * np.array([0, -1, 1, -2, 2, -3, 3, -4, 4])
+        radius = next((r for r in near.tolist() if np.array_equal(tetra_positions(r), pos)), norm)
         if pos.shape != (4, 3) or np.abs(pos - tetra_positions(radius)).max() > 1e-9 * radius:
             raise ValueError("a scene file can only hold the tetrahedral mic array")
-        lines.append(f"mic_radius={radius:.6g}")
+        lines.append(f"mic_radius={_num(radius)}")
     for src in scene.sources:
         lines.append("[source]")
         lines.append(f"class={src.class_id}")
-        lines.append(f"onset={src.onset:.6g}")
-        lines.append(f"offset={src.offset:.6g}")
-        lines.append(f"gain={src.gain:.6g}")
+        lines.append(f"onset={_num(src.onset)}")
+        lines.append(f"offset={_num(src.offset)}")
+        lines.append(f"gain={_num(src.gain)}")
         lines.append(f"signal={src.signal}")
         for k, v in sorted(src.params.items()):
-            lines.append(f"{k}={v:.6g}")
-        knots = ", ".join(f"{t:.6g}:{a:.6g}:{e:.6g}" for t, a, e in src.trajectory)
+            lines.append(f"{k}={_num(v)}")
+        knots = ", ".join(":".join(map(_num, knot)) for knot in src.trajectory)
         lines.append(f"trajectory={knots}")
     return "\n".join(lines) + "\n"
 

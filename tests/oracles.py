@@ -118,21 +118,28 @@ def _angle_deg(u, v):
     return math.degrees(math.atan2(cross, dot))
 
 
-def _best_pairs(preds, refs):
-    """All min(n, m) pairings, keep the one with the least summed angle."""
-    if not preds or not refs:
+def best_assignment(cost):
+    """All min(n, m) pairings of an n x m cost matrix (nested lists), keep the
+    first in permutation order with the least total, summed row by row."""
+    if not cost or not cost[0]:
         return []
-    flip = len(preds) > len(refs)
-    small, large = (refs, preds) if flip else (preds, refs)
+    flip = len(cost) > len(cost[0])
+    if flip:
+        cost = [list(col) for col in zip(*cost)]
     best_total, best = None, []
-    for choice in itertools.permutations(range(len(large)), len(small)):
-        pairing = list(zip(range(len(small)), choice))
-        total = sum(_angle_deg(small[i], large[j]) for i, j in pairing)
+    for choice in itertools.permutations(range(len(cost[0])), len(cost)):
+        pairing = list(enumerate(choice))
+        total = sum(cost[i][j] for i, j in pairing)
         if best_total is None or total < best_total:
             best_total, best = total, pairing
     if flip:
         return [(j, i) for i, j in best]
     return best
+
+
+def _best_pairs(preds, refs):
+    """The least-total-angle pairing of prediction and reference vectors."""
+    return best_assignment([[_angle_deg(p, r) for r in refs] for p in preds])
 
 
 def score_rows(

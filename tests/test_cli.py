@@ -13,6 +13,7 @@ import seldkit
 from seldkit import (
     ArrayFormat,
     AudioClip,
+    FeatureTensor,
     PipelineConfig,
     StftConfig,
     channel_swap,
@@ -28,7 +29,7 @@ from seldkit import (
     unit_vector,
 )
 from seldkit.cli import main, read_wav, write_wav
-from seldkit.tensorfile import read_feature
+from seldkit.tensorfile import read_feature, write_feature
 from seldkit.wavio import WavReader
 
 import support
@@ -437,6 +438,28 @@ def test_augment_copy_when_disabled(corpus, tmp_path, capsys):
     assert "copied" in capsys.readouterr().out
     for name in ("a.ftb", "a.manifest.txt", "b.ftb", "b.manifest.txt"):
         assert (out / name).read_bytes() == (feat / name).read_bytes()
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.inf, -np.inf]])
+def test_stats_and_augment_refuse_non_finite_tensors(tmp_path, capsys, bad):
+    # Unchecked, one NaN gives channel 0 a NaN mean and std and a NaN
+    # normalized copy, and an augmented copy keeps NaN cells; an inf also
+    # printed a RuntimeWarning. Both exit 4 and write nothing.
+    data = np.random.default_rng(0).standard_normal((7, 50, 20)).astype(np.float32)
+    data[0, 10, : len(bad)] = bad
+    feat = FeatureTensor(data, ["spec"] * 4 + ["spatial"] * 3, "linear",
+                         {"feature": "salsa", "format": "foa"})
+    feat_dir, normed, aug = tmp_path / "feat", tmp_path / "normed", tmp_path / "aug"
+    feat_dir.mkdir()
+    write_feature(feat_dir / "a.ftb", feat)
+    stats = tmp_path / "stats" / "s.ftb"
+    assert main(["stats", str(feat_dir), "--out", str(stats), "--apply", str(normed)]) == 4
+    assert "a.ftb: feature tensor channel 0 has non-finite values" in capsys.readouterr().err
+    assert not stats.parent.exists() and not normed.exists()
+    assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", "3",
+                 "--set", "p_apply=1"]) == 4
+    assert "a.ftb: feature tensor has non-finite values" in capsys.readouterr().err
+    assert not any(aug.iterdir())
 
 
 def test_augment_seeded_reproducible(corpus, tmp_path):

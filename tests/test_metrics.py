@@ -1,5 +1,10 @@
 """Detection/localization scoring against hand-worked cases and an oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +17,8 @@ from seldkit import (
     unit_vector,
 )
 
-from oracles import score_rows
+from seldkit import metrics
+from oracles import best_assignment, score_rows
 
 
 def test_seld_error_published_rows():
@@ -243,3 +249,73 @@ def test_report_dict_round_trip():
     assert d["aggregate"] == 0.0
     assert d["convention"] == "2021"
     assert d["count_tp"] == 1
+
+
+def _tied_cells(rng, shapes):
+    """One cell per (n, m) shape, laid out as _match_cells takes them: n
+    predictions then m references, directions from a 4 x 3 grid so that many
+    assignments tie."""
+    sizes = [n + m for n, m in shapes]
+    start = np.cumsum([0] + sizes[:-1])
+    side = np.concatenate([np.repeat([0, 1], shape) for shape in shapes])
+    vec = unit_vector(rng.choice([0.0, 10.0, 20.0, 45.0], len(side)),
+                      rng.choice([0.0, 10.5, -30.0], len(side)))
+    return start, side, vec
+
+
+def _check_against_oracle(start, side, vec, shapes):
+    # The oracle enumerates on the same angle blocks, so ties break alike
+    # and every matched angle must be equal, not close.
+    _, _, cell, cost = metrics._match_cells(start, side, vec)
+    for k, (n, m) in enumerate(shapes):
+        pred, ref = vec[start[k] : start[k] + n], vec[start[k] + n : start[k] + n + m]
+        block = metrics._angles(pred[:, None], ref[None])
+        want = sorted(block[i, j] for i, j in best_assignment(block.tolist()))
+        assert sorted(cost[cell == k].tolist()) == want, (n, m)
+
+
+def test_assignment_matches_exhaustive_oracle_on_tied_cells():
+    rng = np.random.default_rng(13)
+    shapes = [(n, m) for n in range(1, 9) for m in range(1, 9)] + [(0, 3), (2, 0), (2, 3)]
+    _check_against_oracle(*_tied_cells(rng, shapes), shapes)
+
+
+def test_assignment_of_many_cells_of_one_shape_spans_chunks():
+    rng = np.random.default_rng(14)
+    shapes = [(6, 5)] * 300
+    assert 300 * 720 * 5 > 4 * metrics._CHUNK  # 6P5 assignments of 5 pairs per cell
+    _check_against_oracle(*_tied_cells(rng, shapes), shapes)
+
+
+def test_cell_above_eight_instances_matches_oracle():
+    # 3 predictions x 12 references in one cell: solved by the Hungarian method.
+    rng = np.random.default_rng(15)
+    ref = [(0, 2, k, float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)))
+           for k in range(12)]
+    pred = [(0, 2, k, az + 7.0, el) for _, _, k, az, el in ref[:3]]
+    rep = evaluate(pred, ref)
+    want = score_rows(pred, ref)
+    assert rep.counts["matched_pairs"] == want["matched_pairs"] == 3
+    assert rep.localization_error_deg == pytest.approx(want["localization_error_deg"], abs=1e-9)
+    assert rep.counts["tp"] == want["tp"]
+
+
+def test_scipy_optimize_loads_only_for_cells_above_eight_on_both_sides():
+    src = str(Path(metrics.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = """
+import sys
+from seldkit import evaluate
+def cell(n, az=0.0):
+    return [(0, 1, k, az + 20.0 * k, 0.0) for k in range(n)]
+for n, m in [(1, 12), (12, 1), (8, 8), (5, 8), (8, 2)]:
+    evaluate(cell(n, 3.0), cell(m))
+print("scipy.optimize" in sys.modules)
+evaluate(cell(3, 3.0), cell(12))
+print("scipy.optimize" in sys.modules)
+"""
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["False", "True"]

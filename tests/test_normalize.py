@@ -96,6 +96,24 @@ def test_role_mismatch_rejected():
         apply_stats(b, stats)
 
 
+def test_non_finite_tensor_is_rejected_and_adds_nothing():
+    from seldkit import FeatureTensor
+
+    good = FeatureTensor(np.arange(24.0).reshape(2, 3, 4), ["spec", "spec"], "linear", {})
+    acc = StatsAccumulator()
+    for bad in (np.nan, np.inf):
+        data = good.data.copy()
+        data[1, 2, 3] = bad
+        with pytest.raises(FloatingPointError, match="channel 1"):
+            acc.add(FeatureTensor(data, good.channel_roles, "linear", {}))
+    with pytest.raises(ValueError, match="no tensors"):
+        acc.finish()
+    acc.add(good)
+    want = compute_stats([good])
+    got = acc.finish()
+    assert got.mean.tolist() == want.mean.tolist() and got.std.tolist() == want.std.tolist()
+
+
 def test_channel_count_mismatch_rejected():
     feats = _features("foa", n=1)
     stats = compute_stats(feats)

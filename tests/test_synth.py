@@ -338,18 +338,24 @@ def test_scene_rejects_orientation_that_is_not_a_signed_permutation():
 
 
 def test_scene_file_round_trip_foa():
+    # Every number, and the capsules of a mic array, read back exactly,
+    # however many digits they have.
     rng = np.random.default_rng(8)
-    scene = random_scene(rng, "foa", duration=1.5)
-    text = format_scene(scene)
-    back = parse_scene(text)
+    scene = random_scene(rng, "foa", duration=1.23456789, noise_power=0.00123456789)
+    back = parse_scene(format_scene(scene))
     assert back.fmt.kind == "foa"
-    assert back.duration == pytest.approx(scene.duration, rel=1e-5)
-    assert back.seed == scene.seed
+    assert (back.duration, back.noise_power, back.seed) == (
+        scene.duration, scene.noise_power, scene.seed
+    )
     assert len(back.sources) == len(scene.sources)
     for a, b in zip(scene.sources, back.sources):
         assert (a.class_id, a.signal) == (b.class_id, b.signal)
-        assert b.onset == pytest.approx(a.onset, rel=1e-5)
-        assert b.gain == pytest.approx(a.gain, rel=1e-5)
+        assert (b.onset, b.offset, b.gain) == (a.onset, a.offset, a.gain)
+        assert b.params == a.params
+        assert b.trajectory == a.trajectory
+    scene.fmt = ArrayFormat("mic", tetra_positions(0.0421234567))
+    back = parse_scene(format_scene(scene))
+    np.testing.assert_array_equal(back.fmt.mic_positions, scene.fmt.mic_positions)
 
 
 def test_scene_file_round_trip_keeps_mic_radius():
