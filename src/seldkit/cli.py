@@ -41,7 +41,6 @@ from .synth import (  # noqa: F401
     rows_to_csv,
 )
 from .tensorfile import (
-    atomic_write_bytes,
     atomic_write_text,
     manifest_path_for,
     read_feature,
@@ -456,20 +455,6 @@ def cmd_augment(args) -> None:
         if label_path is not None and not label_path.exists():
             raise InputError(f"{label_path}: missing label file")
         labels = LabelRows(rows_from_csv(label_path.read_text())) if label_path else None
-        if acfg.p_apply == 0.0:
-            # Nothing can be applied; outputs are verbatim copies.
-            atomic_write_bytes(out_dir / path.name, path.read_bytes())
-            src_manifest = manifest_path_for(path)
-            if src_manifest.exists():
-                atomic_write_bytes(
-                    manifest_path_for(out_dir / path.name), src_manifest.read_bytes()
-                )
-            if label_path is not None:
-                atomic_write_bytes(
-                    out_dir / label_path.name, label_path.read_bytes()
-                )
-            print(f"{out_dir / path.name} copied")
-            continue
         feat = read_feature(path)
         if not all(np.isfinite(channel).all() for channel in feat.data):
             raise NumericalError(f"{path}: feature tensor has non-finite values")

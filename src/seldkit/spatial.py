@@ -6,7 +6,9 @@ One batched core computes covariances by gathering each bin's frames
 ratios (`_dominance`) and direction cues (`_directions`). `salsa_stream`
 runs it on the candidate bins of each run of frames as spectrogram blocks
 arrive, `salsa` is its whole-clip form, and the per-bin functions below run
-it on one bin.
+it on one bin. The magnitude test that picks the candidates (`_Gate`) reads
+channel 0's first noise_init_frames frames up front to seed its noise floor
+(`track_noise_floor`), so every frame after that is tested as it arrives.
 """
 
 from __future__ import annotations
@@ -113,6 +115,11 @@ class BinSelectionConfig:
     compress_factor: int = 8
 
     def __post_init__(self):
+        for name in ("f_low", "f_high", "alpha_mag", "beta_ratio"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.noise_init_frames < 1:
+            raise ValueError("noise_init_frames must be >= 1")
         if self.cov_half_window < 0 or self.rms_half_window < 0:
             raise ValueError("cov_half_window and rms_half_window must be >= 0")
         if not (0 <= self.noise_delta_up < np.inf):
@@ -242,42 +249,25 @@ def track_noise_floor(mag: np.ndarray, cfg: BinSelectionConfig) -> np.ndarray:
         mag = mag[:, None]
     if mag.shape[0] == 0:
         raise ValueError("empty magnitude sequence")
-    tracker = _NoiseFloor(cfg, mag.shape[0])
-    eta = tracker.rows(mag, 0, mag[: tracker.init])
+    eta = _floor_rows(mag, 0, mag[: cfg.noise_init_frames].mean(axis=0), cfg)
     return eta[:, 0] if squeeze else eta
 
 
-class _NoiseFloor:
-    """track_noise_floor over consecutive runs of frames.
+def _floor_rows(
+    mag: np.ndarray, start: int, prev: np.ndarray, cfg: BinSelectionConfig
+) -> np.ndarray:
+    """track_noise_floor of frames start, start+1, ... given their magnitudes mag (n, F).
 
-    The state between runs is the floor row of the last frame given, plus the
-    first init frames' mean (the floor of each of them).
+    prev is the floor of frame start-1, or at frame 0 the first init frames'
+    mean, which is the floor of each of them.
     """
-
-    def __init__(self, cfg: BinSelectionConfig, n_frames: int):
-        self.init = min(max(cfg.noise_init_frames, 1), n_frames)
-        self.up = 1.0 + cfg.noise_delta_up
-        self.down = 1.0 - cfg.noise_delta_down
-        self.init_row = None
-        self.prev = None
-
-    def rows(self, mag: np.ndarray, start: int, head: np.ndarray) -> np.ndarray:
-        """Floor of frames start, start+1, ... given their magnitudes mag (n, F).
-
-        head holds the magnitudes of the first init frames; it is read only
-        on the first call, which must start at frame 0.
-        """
-        if self.init_row is None:
-            self.init_row = head.mean(axis=0)
-        eta = np.empty_like(mag)
-        for k in range(len(mag)):
-            if start + k < self.init:
-                eta[k] = self.init_row
-            else:
-                prev = self.prev
-                eta[k] = np.where(mag[k] > prev, prev * self.up, prev * self.down)
-            self.prev = eta[k]
-        return eta
+    up, down = 1.0 + cfg.noise_delta_up, 1.0 - cfg.noise_delta_down
+    eta = np.empty_like(mag)
+    seeded = min(max(cfg.noise_init_frames - start, 0), len(mag))
+    eta[:seeded] = prev
+    for k in range(seeded, len(mag)):
+        prev = np.multiply(prev, np.where(mag[k] > prev, up, down), out=eta[k])
+    return eta
 
 
 def _cumulative_squares(mag: np.ndarray, carry: np.ndarray) -> np.ndarray:
@@ -305,36 +295,39 @@ def _windowed_rms(
 class _Gate:
     """The magnitude test of salsa_stream, on channel 0's passband bins.
 
-    It is given the channel-0 spectrogram of every frame in order from frame
-    0 and keeps, from frame `first` on, |X_0| on the `bins` slice, its noise
-    floor (_NoiseFloor, advanced as frames arrive once the first init frames
-    have) and its cumulative squares: cs[k - first] sums |X_0|^2 over the
-    frames before k. Outside the passband the test's result is never used.
+    Built for frame `first`, it reads channel 0's first noise_init_frames
+    frames, whose mean |X_0| seeds the noise floor, and then channel 0 alone
+    over the frames before `first`. From then on it is given the channel-0
+    spectrogram of each next run of frames and keeps, from frame `first` on,
+    the floor of |X_0| on the `bins` slice and its cumulative squares:
+    cs[k - first] sums |X_0|^2 over the frames before k. Outside the
+    passband the test's result is never used.
     """
 
-    def __init__(self, cfg: BinSelectionConfig, n_frames: int, bins: slice):
-        self.cfg, self.n_frames, self.bins = cfg, n_frames, bins
-        width = bins.stop - bins.start
-        self.floor = _NoiseFloor(cfg, n_frames)
+    def __init__(self, spec: SpectrogramStream, cfg: BinSelectionConfig, bins: slice, first: int):
+        self.cfg, self.n_frames, self.bins = cfg, spec.n_frames, bins
+        seed = spec.blocks(slice(0, cfg.noise_init_frames), channels=1)
+        head = [np.abs(part[0][:, bins]) for part in seed]
+        self.prev = np.concatenate(head).mean(axis=0)  # floor of frame end - 1
         self.first = 0
-        self.mag = np.empty((0, width))
-        self.eta = np.empty((0, width))  # floor of frames first..first+len(eta)-1
-        self.cs = np.zeros((1, width))
+        self.eta = np.empty((0, len(self.prev)))  # floor of frames first..end-1
+        self.cs = np.zeros((1, len(self.prev)))
+        for part in spec.blocks(slice(0, first), channels=1):
+            self.add(part[0])
+            self.drop(self.end)
 
     @property
     def end(self) -> int:
         """One past the last frame given."""
-        return self.first + len(self.mag)
+        return self.first + len(self.eta)
 
     def add(self, spec0: np.ndarray) -> None:
         """Take channel 0's spectrogram (n, F) of the next n frames."""
         new = np.abs(spec0[:, self.bins])
-        self.mag = np.concatenate([self.mag, new])
         self.cs = np.concatenate([self.cs, _cumulative_squares(new, self.cs[-1])[1:]])
-        if self.end >= self.floor.init:
-            known = len(self.eta)
-            rows = self.floor.rows(self.mag[known:], self.first + known, self.mag[: self.floor.init])
-            self.eta = np.concatenate([self.eta, rows])
+        rows = _floor_rows(new, self.end, self.prev, self.cfg)
+        self.eta = np.concatenate([self.eta, rows])
+        self.prev = self.eta[-1]
 
     def passes(self, lo: int, hi: int) -> np.ndarray:
         """Test of frames lo..hi-1, (hi - lo, bins): smoothed |X_0| above alpha_mag times the floor.
@@ -346,11 +339,10 @@ class _Gate:
         return rms > self.cfg.alpha_mag * self.eta[lo - self.first : hi - self.first]
 
     def drop(self, frame: int) -> None:
-        """Forget the frames before `frame` that the floor has passed."""
-        k = min(frame - self.first, len(self.eta))
-        if k > 0:
-            self.mag, self.eta, self.cs = self.mag[k:], self.eta[k:], self.cs[k:]
-            self.first += k
+        """Forget the frames before `frame`."""
+        k = frame - self.first
+        self.eta, self.cs = self.eta[k:], self.cs[k:]
+        self.first = frame
 
 
 def running_rms(mag: np.ndarray, half_window: int = 1) -> np.ndarray:
@@ -519,18 +511,20 @@ def salsa_stream(
     channels are zero wherever any test fails or outside [f_low, f_high].
     All channels pass through high-band compression at the end.
 
-    Every test is local in time, so the features are built as the spectrogram
-    blocks arrive. A frame is finished once the frames its running RMS and
-    covariance window reach have arrived (and the first init frames that
-    seed the noise floor); between blocks only those halo frames, the last
-    noise-floor row and the last row of the cumulative squares are kept,
-    the last two on passband bins only. The output has the same bits
-    whatever the block sizes.
+    The noise floor is seeded by the mean of the first noise_init_frames
+    frames, which are read from channel 0 before anything else. After that
+    every test is local in time, so the features are built as the
+    spectrogram blocks arrive. A frame is finished once the frames its
+    running RMS and covariance window reach have arrived; between blocks
+    only those halo frames, the last noise-floor row and the last row of the
+    cumulative squares are kept, the last two on passband bins only. The
+    output has the same bits whatever the block sizes.
 
     With `frames`, only those frames are built: the noise floor and the
     cumulative squares at the range's halo come from a pass over channel 0
-    alone up to there, and the full spectrogram is read from the halo on.
-    The blocks hold the same bits as the whole tensor's rows.
+    alone up to there, after the seed read, and the full spectrogram is
+    read from the halo on. The blocks hold the same bits as the whole
+    tensor's rows.
 
     The counts of the result are three gate counts over the frames built,
     filled once every block has been read: in_band_bins (frames x passband
@@ -591,34 +585,24 @@ def _salsa_blocks(
     reach = max(half, cfg.rms_half_window)  # frames a cell's tests read on each side
     band = np.flatnonzero(passband_bins(F, spec.bin_hz, cfg))
     bins = slice(band[0], band[-1] + 1) if len(band) else slice(0, 0)
-    gate = _Gate(cfg, T, bins)
-    # The full spectrogram is read from the range's halo, frame `first`, on;
-    # a pass over channel 0 alone gives the gate every frame before it.
+    if lo >= hi:  # nothing to build; a 0-frame clip has no frame to seed the floor
+        return
+    # The full spectrogram is read from the range's halo, frame `first`, on.
     first = max(lo - reach, 0)
-    for part in spec.blocks(slice(0, first), channels=1):
-        gate.add(part[0])
-        gate.drop(gate.end)
+    gate = _Gate(spec, cfg, bins, first)
 
     def compress(x):
         return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
 
     data = np.empty((M, 0, F), dtype=np.complex128)
     done = lo
-    for part in spec.blocks(slice(first, max(hi + reach, gate.floor.init))):
+    for part in spec.blocks(slice(first, hi + reach)):
         data = np.concatenate([data, part], axis=1)
         gate.add(part[0])
         # Frames done..ready-1 can be finished: their windows end before
-        # the last frame received (or at the clip's end), and the frames
-        # that seed the noise floor have arrived.
-        end = first + data.shape[1]
-        if end == T:
-            ready = T
-        elif end >= gate.floor.init:
-            ready = max(end - reach, done)
-        else:
-            ready = done
-        ready = min(ready, hi)
-        if ready == done:
+        # the last frame received (or at the clip's end).
+        ready = min(T if gate.end == T else gate.end - reach, hi)
+        if ready <= done:
             continue
 
         t_idx, f_idx = np.nonzero(gate.passes(done, ready))

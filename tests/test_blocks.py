@@ -4,6 +4,7 @@ frame-range invariance, helper processes, and bounded memory."""
 import importlib
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from seldkit import (
     FEATURE_KINDS,
     ArrayFormat,
     AudioClip,
+    BinSelectionConfig,
+    ComplexSpectrogram,
     StftConfig,
     assemble,
     compress_high_bands,
@@ -210,20 +213,30 @@ def test_frame_ranges_give_the_whole_tensors_rows(monkeypatch, spectrograms, fmt
     # covariance halo reaches back into them, one frame apart, and late.
     spec = spectrograms[fmt_kind]
     fmt = ArrayFormat(fmt_kind)
-    whole = assemble_stream(spec.stream(), kind, fmt).collect()
-    edges = [0, 2, 4, 7, 9, 40, 41, 250, spec.n_frames]
-    for block in (1, 7, 64):
-        monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
-        rows, counts = [], {}
-        for lo, hi in zip(edges, edges[1:]):
-            part = assemble_stream(spec.stream(), kind, fmt, frames=slice(lo, hi))
-            rows.extend(part.blocks)
-            for key, n in part.counts.items():
-                counts[key] = counts.get(key, 0) + n
-        assert np.concatenate(rows, axis=1).tobytes() == whole.data.tobytes(), block
-        assert counts == {k: whole.meta[k] for k in counts}
+    cases = [(spec, None)]
     if kind == "salsa":
-        assert whole.meta["selected"] > 1000
+        # With 12 init frames the ranges [0, 2) and [2, 4) and their 3-frame
+        # reach end before the frames that seed the floor; the 10-frame clip
+        # ends before them too.
+        long_seed = replace(BinSelectionConfig.for_format(fmt_kind), noise_init_frames=12)
+        short = ComplexSpectrogram(spec.data[:, :10], spec.bin_hz, spec.frame_rate)
+        cases += [(spec, long_seed), (short, long_seed)]
+    for clip, cfg in cases:
+        whole = assemble_stream(clip.stream(), kind, fmt, cfg).collect()
+        edges = [e for e in (0, 2, 4, 7, 9, 40, 41, 250) if e < clip.n_frames] + [clip.n_frames]
+        for block in (1, 7, 64):
+            monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
+            rows, counts = [], {}
+            for lo, hi in zip(edges, edges[1:]):
+                part = assemble_stream(clip.stream(), kind, fmt, cfg, frames=slice(lo, hi))
+                rows.extend(part.blocks)
+                for key, n in part.counts.items():
+                    counts[key] = counts.get(key, 0) + n
+            assert np.concatenate(rows, axis=1).tobytes() == whole.data.tobytes(), (block, cfg)
+            assert counts == {k: whole.meta[k] for k in counts}
+        if kind == "salsa":
+            # Cue cells must exist, or their placement goes unchecked.
+            assert whole.meta["selected"] > (1000 if clip is spec else 0)
 
 
 def _truncate_after_open(monkeypatch, keep_samples):

@@ -129,16 +129,19 @@ def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, capsys, featur
     ["cov_half_window=-1", "rms_half_window=-1", "rms_half_window=-2",
      "noise_delta_up=-0.01", "noise_delta_up=nan", "noise_delta_up=inf",
      "noise_delta_down=2", "noise_delta_down=1", "noise_delta_down=-0.01",
-     "noise_delta_down=nan"],
+     "noise_delta_down=nan", "alpha_mag=nan", "beta_ratio=nan", "f_low=nan",
+     "f_high_foa=nan", "alpha_mag=inf", "noise_init_frames=0",
+     "noise_init_frames=-4"],
 )
 def test_extract_rejects_selection_settings_out_of_range(tmp_path, capsys, setting):
-    # Each one once gave features without error (no cues, or a floor that
-    # turns negative) or a traceback.
+    # Each one once gave features without error (no cues, a floor that
+    # turns negative, or a floor seeded by one frame) or a traceback.
     wav = _wav(tmp_path / "noise.wav", seconds=1.0)
     out = tmp_path / "o"
     assert main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
                  "--out", str(out), "--set", setting]) == 3
-    assert setting.split("=")[0] in capsys.readouterr().err
+    # f_high_foa reaches the selection config as the foa format's f_high.
+    assert setting.split("=")[0].removesuffix("_foa") in capsys.readouterr().err
     assert not list(out.glob("*.ftb"))
 
 
@@ -433,11 +436,15 @@ def test_augment_copy_when_disabled(corpus, tmp_path, capsys):
     main(["extract", str(corpus), "--format", "foa", "--feature", "salsa",
           "--out", str(feat)])
     out = tmp_path / "aug"
-    code = main(["augment", str(feat), "--out", str(out), "--set", "p_apply=0"])
+    # No stage is drawn: each tensor is read, checked and written back with
+    # the same bytes, and its manifest records the augment run.
+    code = main(["augment", str(feat), "--out", str(out), "--seed", "5", "--set", "p_apply=0"])
     assert code == 0
-    assert "copied" in capsys.readouterr().out
-    for name in ("a.ftb", "a.manifest.txt", "b.ftb", "b.manifest.txt"):
-        assert (out / name).read_bytes() == (feat / name).read_bytes()
+    assert "augmented" in capsys.readouterr().out
+    for stem in ("a", "b"):
+        assert (out / f"{stem}.ftb").read_bytes() == (feat / f"{stem}.ftb").read_bytes()
+        want = {**read_manifest(feat / f"{stem}.manifest.txt"), "augmented": "True", "seed": "5"}
+        assert read_manifest(out / f"{stem}.manifest.txt") == want
 
 
 @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.inf, -np.inf]])
@@ -456,10 +463,11 @@ def test_stats_and_augment_refuse_non_finite_tensors(tmp_path, capsys, bad):
     assert main(["stats", str(feat_dir), "--out", str(stats), "--apply", str(normed)]) == 4
     assert "a.ftb: feature tensor channel 0 has non-finite values" in capsys.readouterr().err
     assert not stats.parent.exists() and not normed.exists()
-    assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", "3",
-                 "--set", "p_apply=1"]) == 4
-    assert "a.ftb: feature tensor has non-finite values" in capsys.readouterr().err
-    assert not any(aug.iterdir())
+    for p_apply in ("1", "0"):
+        assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", "3",
+                     "--set", f"p_apply={p_apply}"]) == 4
+        assert "a.ftb: feature tensor has non-finite values" in capsys.readouterr().err
+        assert not any(aug.iterdir())
 
 
 def test_augment_seeded_reproducible(corpus, tmp_path):

@@ -247,10 +247,13 @@ def test_salsa_rejects_wrong_foa_channel_count():
 
 
 def test_salsa_silence_has_no_spatial_content():
-    data = np.zeros((4, 30, 257), dtype=complex)
-    spec = ComplexSpectrogram(data, 46.875, 80.0)
-    feat = salsa(spec, ArrayFormat("foa"))
-    assert np.all(feat.data[4:] == 0.0)
+    # 0 frames give an empty tensor, though no frame seeds the noise floor.
+    for n_frames in (30, 0):
+        data = np.zeros((4, n_frames, 257), dtype=complex)
+        spec = ComplexSpectrogram(data, 46.875, 80.0)
+        feat = salsa(spec, ArrayFormat("foa"))
+        assert feat.data.shape == (7, n_frames, 200)
+        assert np.all(feat.data[4:] == 0.0)
 
 
 def _two_source_spec(kind, seed):
