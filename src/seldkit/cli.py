@@ -27,7 +27,14 @@ from .baseline import FEATURE_KINDS, assemble, assemble_stream  # noqa: F401
 from .config import PipelineConfig
 from .imaging import render_heatmap, write_ppm
 from .metrics import evaluate_many, seld_error
-from .normalize import STD_FLOOR, ChannelStats, StatsAccumulator, apply_stats
+# apply_stats is not called here either; perfbench/tracing.py wraps it.
+from .normalize import (  # noqa: F401
+    STD_FLOOR,
+    ChannelStats,
+    StatsAccumulator,
+    apply_stats,
+    standardize_channels,
+)
 from .spatial import ArrayFormat
 from .stft import AudioClip, stft, stft_stream  # noqa: F401
 # render_scene is not called here either; perfbench/tracing.py wraps it.
@@ -41,6 +48,7 @@ from .synth import (  # noqa: F401
     rows_to_csv,
 )
 from .tensorfile import (
+    FeatureReader,
     atomic_write_text,
     manifest_path_for,
     read_feature,
@@ -407,15 +415,16 @@ def cmd_stats(args) -> None:
     inputs = _collect_inputs(args.inputs, ".ftb")
     acc = StatsAccumulator()
     first_meta: dict = {}
+    # Both passes read one channel of one tensor at a time; no whole tensor
+    # is held.
     for path in inputs:
-        feat = read_feature(path)
-        if not first_meta:
-            first_meta = feat.meta
-        try:
-            acc.add(feat)
-        except FloatingPointError as exc:
-            raise NumericalError(f"{path}: feature tensor {exc}") from None
-    del feat  # the --apply pass below reads every tensor again
+        with FeatureReader(path) as feat:
+            if not first_meta:
+                first_meta = feat.meta
+            try:
+                acc.add_channels(feat.channel_roles, feat.channels())
+            except FloatingPointError as exc:
+                raise NumericalError(f"{path}: feature tensor {exc}") from None
     raw = acc.finish()
     stats = ChannelStats(
         raw.mean, np.maximum(raw.std, STD_FLOOR), raw.channel_roles
@@ -438,8 +447,16 @@ def cmd_stats(args) -> None:
         apply_dir = Path(args.apply)
         apply_dir.mkdir(parents=True, exist_ok=True)
         for path in inputs:
-            feat = apply_stats(read_feature(path), stats, in_place=True)
-            write_feature(apply_dir / path.name, feat)
+            out = apply_dir / path.name
+            with FeatureReader(path) as feat:
+                normed = standardize_channels(
+                    stats, feat.channel_roles, feat.meta.get("feature"), feat.channels()
+                )
+                with tensor_writer(out, feat.shape, np.float32) as append:
+                    for ch, channel in enumerate(normed):
+                        append(channel, row=ch)
+            meta = dict(feat.meta, normalized=True)
+            write_feature_manifest(out, feat.shape, feat.channel_roles, feat.scale, meta)
         print(f"{apply_dir}: normalized {len(inputs)} tensors")
 
 

@@ -40,32 +40,41 @@ class StatsAccumulator:
         self._roles = None
 
     def add(self, feat: FeatureTensor) -> None:
-        """Add one tensor; each channel is summed in float64, one at a time.
+        """Add one tensor; see add_channels."""
+        self.add_channels(feat.channel_roles, feat.data)
 
-        Raises FloatingPointError, adding nothing, if a value is not finite:
-        the sum of squares of float32 values is finite exactly when they are.
+    def add_channels(self, roles, channels) -> None:
+        """Add one tensor given as its channel roles and its channels in order.
+
+        `channels` may be any iterable of equal-shaped arrays, such as a
+        file's channels read one at a time; each is summed in float64 before
+        the next is taken. Raises FloatingPointError, adding nothing, if a
+        value is not finite: the sum of squares of float32 values is finite
+        exactly when they are.
         """
-        if self._roles not in (None, list(feat.channel_roles)):
+        roles = list(roles)
+        if self._roles not in (None, roles):
             raise ValueError("cannot mix feature kinds in one statistics pass")
-        sums = np.empty(feat.n_channels)
-        sumsq = np.empty(feat.n_channels)
-        row = np.empty(feat.data.shape[1:])  # one float64 channel, reused
-        flat = row.reshape(-1)
+        sums = np.zeros(len(roles))
+        sumsq = np.zeros(len(roles))
+        row = np.empty(0)  # one float64 channel, reused
         with np.errstate(invalid="ignore"):  # +inf and -inf in one channel sum to NaN
-            for ch in range(feat.n_channels):
-                np.copyto(row, feat.data[ch])
+            for ch, channel in enumerate(channels):
+                if row.shape != channel.shape:
+                    row = np.empty(channel.shape)
+                np.copyto(row, channel)
+                flat = row.reshape(-1)
                 sums[ch] = flat.sum()
                 np.multiply(flat, flat, out=flat)
                 sumsq[ch] = flat.sum()
-        bad = np.flatnonzero(~np.isfinite(sumsq))
-        if len(bad):
-            raise FloatingPointError(f"channel {bad[0]} has non-finite values")
+                if not np.isfinite(sumsq[ch]):
+                    raise FloatingPointError(f"channel {ch} has non-finite values")
         if self._roles is None:
-            self._roles = list(feat.channel_roles)
-            self._count = np.zeros(feat.n_channels)
-            self._sum = np.zeros(feat.n_channels)
-            self._sumsq = np.zeros(feat.n_channels)
-        self._count += feat.n_frames * feat.n_bands
+            self._roles = roles
+            self._count = np.zeros(len(roles))
+            self._sum = np.zeros(len(roles))
+            self._sumsq = np.zeros(len(roles))
+        self._count += row.size
         self._sum += sums
         self._sumsq += sumsq
 
@@ -85,33 +94,40 @@ def compute_stats(tensors) -> ChannelStats:
     return acc.finish()
 
 
+def standardize_channels(stats: ChannelStats, roles, feature, channels):
+    """Standardize each of a tensor's channels in place and yield it.
+
+    `channels` are the tensor's channels in order, with their roles and its
+    feature kind. Each spectrogram channel, and for the classical feature
+    kinds every channel, becomes (x - mean) / max(std, floor), computed in
+    float64 and stored back in the channel's own array and dtype; the
+    combined eigenvector feature (salsa) keeps its direction channels
+    untouched.
+    """
+    if len(stats.mean) != len(roles):
+        raise ValueError(f"stats cover {len(stats.mean)} channels, tensor has {len(roles)}")
+    if stats.channel_roles != list(roles):
+        raise ValueError("channel roles of stats and tensor do not match")
+    denom = np.maximum(stats.std, STD_FLOOR)
+    x = np.empty(0)  # one float64 channel, reused
+    for ch, channel in enumerate(channels):
+        if feature != "salsa" or roles[ch] == "spec":
+            if x.shape != channel.shape:
+                x = np.empty(channel.shape)
+            np.copyto(x, channel)
+            x -= stats.mean[ch]
+            x /= denom[ch]
+            channel[...] = x
+        yield channel
+
+
 def apply_stats(
     feat: FeatureTensor, stats: ChannelStats, *, in_place: bool = False
 ) -> FeatureTensor:
-    """Standardize channels: (x - mean) / max(std, floor).
-
-    Spectrogram channels are always normalized. Non-spectrogram channels are
-    normalized only for the classical feature kinds; the combined eigenvector
-    feature keeps its direction channels untouched. Each channel is computed
-    in float64 and stored in the tensor's own dtype, in a copy of feat or,
-    with in_place, in feat itself.
-    """
-    if len(stats.mean) != feat.n_channels:
-        raise ValueError(
-            f"stats cover {len(stats.mean)} channels, tensor has {feat.n_channels}"
-        )
-    if stats.channel_roles != list(feat.channel_roles):
-        raise ValueError("channel roles of stats and tensor do not match")
-    is_salsa = feat.meta.get("feature") == "salsa"
+    """Standardize channels (see standardize_channels), in a copy of feat or,
+    with in_place, in feat itself."""
     out = feat if in_place else feat.copy()
-    denom = np.maximum(stats.std, STD_FLOOR)
-    x = np.empty(feat.data.shape[1:])  # one float64 channel, reused
-    for ch, role in enumerate(feat.channel_roles):
-        if is_salsa and role != "spec":
-            continue
-        np.copyto(x, out.data[ch])
-        x -= stats.mean[ch]
-        x /= denom[ch]
-        out.data[ch] = x
+    for _ in standardize_channels(stats, out.channel_roles, out.meta.get("feature"), out.data):
+        pass
     out.meta["normalized"] = True
     return out

@@ -135,6 +135,16 @@ class SpectrogramStream:
         return self.source(start, stop, self.n_channels if channels is None else channels)
 
 
+def check_feature_layout(shape, channel_roles, scale: str) -> None:
+    """Raise ValueError unless these describe a feature tensor: 3-D, one role per channel."""
+    if len(shape) != 3:
+        raise ValueError("feature tensor must be 3-D (channels, frames, bands)")
+    if len(channel_roles) != shape[0]:
+        raise ValueError("one role per channel required")
+    if scale not in ("linear", "mel"):
+        raise ValueError(f"unknown scale {scale!r}")
+
+
 @dataclass
 class FeatureTensor:
     """Real-valued feature stack, channels x frames x bands.
@@ -149,12 +159,7 @@ class FeatureTensor:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.data.ndim != 3:
-            raise ValueError("feature tensor must be 3-D (channels, frames, bands)")
-        if len(self.channel_roles) != self.data.shape[0]:
-            raise ValueError("one role per channel required")
-        if self.scale not in ("linear", "mel"):
-            raise ValueError(f"unknown scale {self.scale!r}")
+        check_feature_layout(self.data.shape, self.channel_roles, self.scale)
 
     @property
     def n_channels(self) -> int:

@@ -16,13 +16,12 @@ from __future__ import annotations
 import math
 import os
 import struct
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .stft import FeatureTensor
+from .stft import FeatureTensor, check_feature_layout
 
 MAGIC = b"FTB1"
 
@@ -35,17 +34,21 @@ _MAX_RANK = 8
 def _atomic_file(path: str | Path):
     """Binary file handle whose contents replace `path` only if the block succeeds.
 
-    The data goes to a temp file in the same directory, which is renamed over
-    `path` on success and removed on any error. The file gets the mode open()
-    gives a new file, 0o666 less the umask (mkstemp makes it 0o600).
+    The data goes to a new temp file under a random name in the same
+    directory, which is renamed over `path` on success and removed on any
+    error. The temp file is created with mode 0o666, so it gets the mode
+    open() gives a new file: the kernel applies the umask.
     """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    while True:
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as fh:
-            umask = os.umask(0)
-            os.umask(umask)
-            os.chmod(tmp, 0o666 & ~umask)
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -125,6 +128,16 @@ def _pwrite_all(fd: int, array: np.ndarray, offset: int) -> None:
         view, offset = view[n:], offset + n
 
 
+def _pread_all(fd: int, array: np.ndarray, offset: int) -> None:
+    """Fill a C-contiguous array with the file's bytes from `offset` on."""
+    view = memoryview(array.reshape(-1).view(np.uint8))
+    while view:
+        n = os.preadv(fd, [view], offset)
+        if n == 0:
+            raise ValueError(f"tensor file ends at byte {offset}, before its payload does")
+        view, offset = view[n:], offset + n
+
+
 @contextmanager
 def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     """Write a tensor file block by block; yields append(block, row=None).
@@ -142,6 +155,12 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     row) then has to be set in this process to the counts that process
     reports. Parts must not overlap each other or the direct appends.
 
+    The temp file is preallocated to its full length (os.posix_fallocate,
+    where the platform has it) before anything is written, so a full disk
+    raises OSError before any block is made, and a rename over an existing
+    file does not have to allocate, as ext4 does for a delayed-allocation
+    file, inside the rename.
+
     The file appears at `path` only if every slice of every row was appended
     (directly or through a part) and the block raised nothing; otherwise no
     file is left behind.
@@ -156,9 +175,12 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     code = _CODE_FOR_KIND[key]
     header = MAGIC + struct.pack("<BB", code, len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
+    dtype = _DTYPE_CODES[code]
     with _atomic_file(path) as fh:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fh.fileno(), 0, len(header) + math.prod(shape) * dtype.itemsize)
         _pwrite_all(fh.fileno(), np.frombuffer(header, dtype=np.uint8), 0)
-        append = _Appender(fh.fileno(), len(header), shape, _DTYPE_CODES[code], slice(None))
+        append = _Appender(fh.fileno(), len(header), shape, dtype, slice(None))
         yield append
         got = [sum(n) for n in zip(append.written, *(p.written for p in append.parts))]
         if any(n != append.length for n in got):
@@ -277,18 +299,64 @@ def write_feature(path: str | Path, feat: FeatureTensor) -> None:
     write_feature_manifest(path, feat.data.shape, feat.channel_roles, feat.scale, feat.meta)
 
 
+class FeatureReader:
+    """A feature tensor file opened for reads one channel at a time.
+
+    Opening it makes every check read_feature makes: the tensor file's
+    header and size, then kind=feature in its manifest, whose channel roles,
+    scale and metadata it parses back. It holds the file open until closed;
+    use it as a context manager.
+    """
+
+    def __init__(self, path: str | Path):
+        self._fh = open(path, "rb")
+        try:
+            self.shape, self._dtype = _read_header(self._fh, path)
+            self._payload = self._fh.tell()
+            manifest = read_manifest(manifest_path_for(path))
+            if manifest.get("kind") != "feature":
+                raise ValueError(f"{path}: manifest does not describe a feature tensor")
+            self.meta = {}
+            for key, value in manifest.items():
+                kind = FEATURE_META.get(key)
+                if kind is bool:
+                    self.meta[key] = value == "True"
+                elif kind is not None:
+                    self.meta[key] = kind(value)
+            self.channel_roles = manifest["channel_roles"].split(",")
+            self.scale = manifest.get("scale", "linear")
+            check_feature_layout(self.shape, self.channel_roles, self.scale)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def __enter__(self) -> "FeatureReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def channels(self):
+        """Yield each channel in turn as float32, read with positional reads.
+
+        A float32 file's channels are read into one shared array, so each is
+        valid only until the next one is yielded.
+        """
+        plane = np.empty(self.shape[1:], self._dtype)
+        for ch in range(self.shape[0]):
+            _pread_all(self._fh.fileno(), plane, self._payload + ch * plane.nbytes)
+            yield plane.astype(np.float32, copy=False)
+
+    def read(self) -> FeatureTensor:
+        """The whole tensor as float32, in one positional read."""
+        data = np.empty(self.shape, self._dtype)
+        _pread_all(self._fh.fileno(), data, self._payload)
+        return FeatureTensor(
+            data.astype(np.float32, copy=False), self.channel_roles, self.scale, self.meta
+        )
+
+
 def read_feature(path: str | Path) -> FeatureTensor:
     """Load a feature tensor as float32 and rebuild roles and metadata from its manifest."""
-    data = read_tensor(path).astype(np.float32, copy=False)
-    manifest = read_manifest(manifest_path_for(path))
-    if manifest.get("kind") != "feature":
-        raise ValueError(f"{path}: manifest does not describe a feature tensor")
-    meta = {}
-    for key, value in manifest.items():
-        kind = FEATURE_META.get(key)
-        if kind is bool:
-            meta[key] = value == "True"
-        elif kind is not None:
-            meta[key] = kind(value)
-    roles = manifest["channel_roles"].split(",")
-    return FeatureTensor(data, roles, manifest.get("scale", "linear"), meta)
+    with FeatureReader(path) as reader:
+        return reader.read()

@@ -342,9 +342,14 @@ def test_streaming_extract_peak_memory_is_flat_in_clip_length(tmp_path):
     assert growth[600] < growth[60] + support.FLAT_MARGIN_BYTES, growth
 
 
-# stats --apply and augment hold one float32 tensor plus per-channel and
-# per-block temporaries.
+# augment holds one float32 tensor plus per-channel and per-block
+# temporaries.
 TENSOR_PEAK_MULTIPLE = 2
+# stats and stats --apply hold one float32 channel as read and one float64
+# copy of it, 3/7 of a 7-channel salsa tensor file: a 120 s clip measured
+# 0.43x (salsa) and 0.30x (melspecgcc) of its file; 0.6x leaves 0.17x
+# (9 MB) for the allocator.
+STATS_PEAK_MULTIPLE = 0.6
 
 
 @pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")
@@ -357,10 +362,12 @@ def test_stats_and_augment_peak_memory_is_bounded_by_the_tensor(tmp_path, kind):
     assert main(["extract", str(wav_dir), "--format", "mic", "--feature", kind,
                  "--out", str(feat)]) == 0
     size = (feat / "long.ftb").stat().st_size
-    for argv in (
-        ["stats", feat, "--out", tmp_path / "stats.ftb", "--apply", tmp_path / "normed"],
-        ["augment", feat, "--out", tmp_path / "aug", "--seed", "1", "--set", "p_apply=1"],
+    for argv, multiple in (
+        (["stats", feat, "--out", tmp_path / "stats.ftb", "--apply", tmp_path / "normed"],
+         STATS_PEAK_MULTIPLE),
+        (["augment", feat, "--out", tmp_path / "aug", "--seed", "1", "--set", "p_apply=1"],
+         TENSOR_PEAK_MULTIPLE),
     ):
         code, growth = support.child_peak_growth(argv)
         assert code == 0
-        assert growth < TENSOR_PEAK_MULTIPLE * size, (argv[0], growth / size)
+        assert growth < multiple * size, (argv[0], growth / size)

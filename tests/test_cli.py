@@ -1,5 +1,6 @@
 """Command-line driver: happy paths, exit codes and file outputs."""
 
+import errno
 import json
 import os
 import subprocess
@@ -11,12 +12,16 @@ import pytest
 
 import seldkit
 from seldkit import (
+    STD_FLOOR,
     ArrayFormat,
     AudioClip,
+    ChannelStats,
     FeatureTensor,
     PipelineConfig,
     StftConfig,
+    apply_stats,
     channel_swap,
+    compute_stats,
     foa_transforms,
     mic_transforms,
     parse_scene,
@@ -283,6 +288,27 @@ def test_outputs_get_the_mode_open_gives_under_the_umask(tmp_path, umask, mode):
         assert (tmp_path / "o" / name).stat().st_mode & 0o777 == mode, name
 
 
+def test_outputs_get_their_mode_without_asking_for_the_umask(tmp_path, monkeypatch):
+    # Reading the umask means setting it: a file another thread creates
+    # meanwhile would get no umask at all.
+    def no_umask(mask):
+        raise AssertionError("os.umask was called")
+
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    old = os.umask(0o027)
+    try:
+        monkeypatch.setattr(os, "umask", no_umask)
+        assert main(["synth", str(scene), "--out", str(tmp_path / "o")]) == 0
+    finally:
+        monkeypatch.undo()
+        os.umask(old)
+    names = sorted(p.name for p in (tmp_path / "o").iterdir())
+    assert names == ["scene.csv", "scene.ftb", "scene.manifest.txt"]
+    for name in names:
+        assert (tmp_path / "o" / name).stat().st_mode & 0o777 == 0o640, name
+
+
 def test_synth_name_override(tmp_path):
     scene = tmp_path / "scene.txt"
     scene.write_text(SCENE)
@@ -429,6 +455,92 @@ def test_stats_and_apply(corpus, tmp_path):
     # spectrogram channel standardized over the corpus: roughly centered
     assert abs(float(out[0].mean())) < 1.0
     assert read_manifest(normed / "a.manifest.txt")["normalized"] == "True"
+
+
+def _feature_bytes(path, feat):
+    write_feature(path, feat)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["salsa", "linspeciv"])
+def test_stats_cli_gives_the_library_calls_bytes(corpus, tmp_path, kind):
+    feat, normed = tmp_path / "feat", tmp_path / "normed"
+    main(["extract", str(corpus), "--format", "foa", "--feature", kind, "--out", str(feat)])
+    assert main(["stats", str(feat), "--out", str(tmp_path / "s.ftb"),
+                 "--apply", str(normed)]) == 0
+    feats = [read_feature(feat / f"{stem}.ftb") for stem in ("a", "b")]
+    raw = compute_stats(feats)
+    stats = ChannelStats(raw.mean, np.maximum(raw.std, STD_FLOOR), raw.channel_roles)
+    assert read_tensor(tmp_path / "s.ftb").tobytes() == np.stack([stats.mean, stats.std]).tobytes()
+    for stem, f in zip(("a", "b"), feats):
+        assert (normed / f"{stem}.ftb").read_bytes() == _feature_bytes(
+            tmp_path / "lib", apply_stats(f, stats))
+
+
+def test_stats_applied_over_its_own_inputs_matches_a_fresh_directory(corpus, tmp_path):
+    feat = tmp_path / "feat"
+    main(["extract", str(corpus), "--format", "foa", "--feature", "salsa", "--out", str(feat)])
+    assert main(["stats", str(feat), "--out", str(tmp_path / "s1.ftb"),
+                 "--apply", str(tmp_path / "fresh")]) == 0
+    # The normalized tensors replace the ones being read.
+    assert main(["stats", str(feat), "--out", str(tmp_path / "s2.ftb"), "--apply", str(feat)]) == 0
+    assert (tmp_path / "s1.ftb").read_bytes() == (tmp_path / "s2.ftb").read_bytes()
+    names = sorted(p.name for p in feat.iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert len(names) == 4
+    for name in names:
+        assert (feat / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
+
+
+def test_every_command_run_twice_into_one_tree_gives_the_same_bytes(corpus, tmp_path):
+    # The second run renames each new file over the first run's.
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    out = tmp_path / "out"
+    calls = [
+        ["extract", corpus, "--format", "foa", "--feature", "salsa", "--out", out / "feat"],
+        ["synth", scene, "--out", out / "synth"],
+        ["stats", out / "feat", "--out", out / "stats" / "s.ftb", "--apply", out / "normed"],
+        ["augment", out / "feat", "--out", out / "aug", "--seed", "3", "--set", "p_apply=1"],
+    ]
+    trees = []
+    for _ in range(2):
+        for argv in calls:
+            assert main([str(a) for a in argv]) == 0
+        trees.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 17
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="needs os.posix_fallocate")
+@pytest.mark.parametrize("granted", [0, 1])
+def test_a_full_disk_exits_2_before_any_output(corpus, tmp_path, monkeypatch, capsys, granted):
+    # The first `granted` tensor files get their space; every later one
+    # fails as on a full disk.
+    feat, out = tmp_path / "feat", tmp_path / "out"
+    main(["extract", str(corpus), "--format", "foa", "--feature", "salsa", "--out", str(feat)])
+    calls = []
+    real = os.posix_fallocate
+
+    def fallocate(fd, offset, length):
+        calls.append(length)
+        if len(calls) > granted:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        real(fd, offset, length)
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    if not granted:
+        assert main(["extract", str(corpus), "--format", "foa", "--feature", "salsa",
+                     "--out", str(out / "x")]) == 2
+        assert "No space left" in capsys.readouterr().err
+        assert list((out / "x").iterdir()) == []
+        calls.clear()
+    assert main(["stats", str(feat), "--out", str(out / "s" / "s.ftb"),
+                 "--apply", str(out / "normed")]) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert sorted(p.name for p in (out / "s").iterdir()) == (
+        ["s.ftb", "s.manifest.txt"] if granted else [])
+    assert not (out / "normed").exists() or list((out / "normed").iterdir()) == []
 
 
 def test_augment_copy_when_disabled(corpus, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Binary tensor container: round trips and malformed-input handling."""
 
+import math
+import os
 import struct
 import tempfile
 from pathlib import Path
@@ -20,10 +22,12 @@ from seldkit.stft import FeatureTensor
 from seldkit.tensorfile import (
     FEATURE_META,
     MAGIC,
+    FeatureReader,
     read_feature,
     tensor_info,
     tensor_writer,
     write_feature,
+    write_feature_manifest,
 )
 
 
@@ -172,6 +176,19 @@ def test_tensor_writer_short_or_wrong_writes_raise_and_leave_no_file(tmp_path, p
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="needs os.posix_fallocate")
+def test_tensor_writer_preallocates_the_whole_file_before_the_first_append(tmp_path):
+    shape = (3, 1000, 64)
+    size = 6 + 8 * len(shape) + math.prod(shape) * 4
+    with tensor_writer(tmp_path / "t.ftb", shape, np.float32) as append:
+        (tmp,) = tmp_path.iterdir()
+        st = tmp.stat()
+        assert st.st_size == size
+        assert st.st_blocks * 512 >= size
+        append(np.ones(shape, np.float32))
+    assert read_tensor(tmp_path / "t.ftb").tobytes() == np.ones(shape, np.float32).tobytes()
+
+
 def test_read_one_slice_of_axis_0(tmp_path):
     arr = _complex_tensor((3, 4, 5))
     write_tensor(tmp_path / "t.ftb", arr)
@@ -257,3 +274,33 @@ def test_feature_manifest_skips_unknown_and_missing_keys(tmp_path):
     write_manifest(manifest_path_for(path), {"kind": "stats"})
     with pytest.raises(ValueError, match="feature tensor"):
         read_feature(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_feature_reader_channels_are_read_features_channels(tmp_path, dtype):
+    data = np.random.default_rng(3).standard_normal((3, 5, 4)).astype(dtype)
+    path = tmp_path / "f.ftb"
+    write_tensor(path, data)
+    write_feature_manifest(path, data.shape, ["spec", "spec", "gcc"], "mel",
+                           {"feature": "melspecgcc", "n_lags": 4})
+    want = read_feature(path)
+    with FeatureReader(path) as reader:
+        assert reader.shape == data.shape
+        assert (reader.channel_roles, reader.scale, reader.meta) == (
+            want.channel_roles, want.scale, want.meta)
+        got = [channel.copy() for channel in reader.channels()]
+    assert [g.dtype for g in got] == [np.dtype(np.float32)] * 3
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want.data]
+
+
+def test_feature_reader_makes_read_features_checks(tmp_path):
+    path = tmp_path / "f.ftb"
+    write_tensor(path, np.zeros((2, 3), np.float32))
+    with pytest.raises(FileNotFoundError):
+        FeatureReader(path)
+    write_manifest(manifest_path_for(path), {"kind": "stats", "channel_roles": "spec,spec"})
+    with pytest.raises(ValueError, match="does not describe a feature tensor"):
+        FeatureReader(path)
+    write_feature_manifest(path, (2, 3, 1), ["spec", "spec"], "linear", {})
+    with pytest.raises(ValueError, match="3-D"):
+        FeatureReader(path)
