@@ -19,6 +19,7 @@ from .baseline import (
     gcc_phat,
     intensity_vector,
     mel_intensity_vector,
+    salsa,
 )
 from .config import PipelineConfig
 from .imaging import render_heatmap, write_ppm
@@ -48,7 +49,6 @@ from .spatial import (
     local_covariance,
     magnitude_test,
     passband_bins,
-    salsa,
     tetra_positions,
     track_noise_floor,
 )

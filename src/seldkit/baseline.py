@@ -39,12 +39,7 @@ def intensity_vector(spec: ComplexSpectrogram) -> np.ndarray:
     """
     if spec.n_channels != 4:
         raise ValueError("intensity vector needs 4 ambisonic channels")
-    iv = np.real(np.conj(spec.data[0])[None, :, :] * spec.data[1:4])
-    norms = np.linalg.norm(iv, axis=0)
-    good = norms >= spatial._EPS
-    out = np.zeros_like(iv)
-    np.divide(iv, norms[None, :, :], out=out, where=good[None, :, :])
-    return out
+    return spatial._unit(np.real(np.conj(spec.data[0])[None, :, :] * spec.data[1:4]), axis=0)
 
 
 def mel_intensity_vector(iv: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
@@ -56,12 +51,7 @@ def mel_intensity_vector(iv: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
     """
     if filterbank.shape[0] != iv.shape[-1]:
         raise ValueError("filterbank rows must match intensity vector bins")
-    proj = apply_filterbank(iv, filterbank)
-    norms = np.linalg.norm(proj, axis=0)
-    good = norms >= spatial._EPS
-    out = np.zeros_like(proj)
-    np.divide(proj, norms[None, :, :], out=out, where=good[None, :, :])
-    return out
+    return spatial._unit(apply_filterbank(iv, filterbank), axis=0)
 
 
 def gcc_phat(spec: ComplexSpectrogram, i: int, j: int, n_lags: int) -> np.ndarray:
@@ -128,6 +118,19 @@ def assemble(
     return assemble_stream(spec.stream(), kind, fmt, cfg, n_mels).collect()
 
 
+def salsa(
+    spec: ComplexSpectrogram,
+    fmt: spatial.ArrayFormat,
+    cfg: spatial.BinSelectionConfig | None = None,
+) -> FeatureTensor:
+    """assemble(kind="salsa"): log spectrograms and eigenvector direction cues.
+
+    cfg defaults to the format's standard cutoffs; the meta holds the gate
+    counts (see assemble_stream).
+    """
+    return assemble(spec, "salsa", fmt, cfg)
+
+
 def assemble_stream(
     spec: SpectrogramStream,
     kind: str,
@@ -144,19 +147,23 @@ def assemble_stream(
       melspecgcc  4 log-mel + 6 GCC-PHAT (n_mels lags)   -> 10 x T x n_mels
       linspecgcc  4 log-linear + 6 GCC-PHAT (F' lags)    -> 10 x T x F'
       salsa       4 log-linear + 3 eigenvector direction -> 7 x T x F'
-    where F' is the band count after high-band compression. Intensity-vector
-    kinds require the foa format, and every kind takes the format's channel
-    count (ArrayFormat.check_channels): 4 for foa, one per capsule for mic.
-    Every channel of the four classical kinds depends on its own frame only,
-    so each spectrogram block of `frames` gives one output block; salsa is
-    spatial.salsa_stream. The stream's shape is the whole tensor's either
-    way, and its blocks hold the same bits as the whole tensor's rows.
-    Arguments are checked before any block is read.
+    where F' is the band count after high-band compression, which the linear
+    kinds apply to both halves. Intensity-vector kinds require the foa
+    format, and every kind takes the format's channel count
+    (ArrayFormat.check_channels): 4 for foa, one per capsule for mic; salsa
+    has M-1 direction channels for M input channels.
+
+    Every channel of the four classical kinds depends on its own frame
+    only, so each spectrogram block of `frames` gives one output block.
+    salsa's direction half is spatial.salsa_cues, which describes its
+    pipeline and delivers the spectrogram rows with the cues run by run;
+    its meta adds f_low, f_high and the speed of sound the mic cues use,
+    and its counts are the three gate counts. The stream's shape is the
+    whole tensor's either way, and its blocks hold the same bits as the
+    whole tensor's rows. Arguments are checked before any block is read.
     """
     if kind not in FEATURE_KINDS:
         raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    if kind == "salsa":
-        return spatial.salsa_stream(spec, fmt, cfg, frames)
     if cfg is None:
         cfg = spatial.BinSelectionConfig.for_format(fmt.kind)
     if kind in ("melspeciv", "linspeciv") and fmt.kind != "foa":
@@ -186,27 +193,37 @@ def assemble_stream(
         scale = "linear"
         meta["compress_start_bin"] = cfg.compress_start_bin
         meta["compress_factor"] = cfg.compress_factor
-    if kind.endswith("iv"):
-        roles = ["spec"] * M + ["spatial"] * 3
+    counts = {}
+    if kind == "salsa":
+        roles = ["spec"] * M + ["spatial"] * (M - 1)
+        meta.update(f_low=cfg.f_low, f_high=cfg.f_high, speed_of_sound=fmt.speed_of_sound)
+        counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
+        pieces = spatial.salsa_cues(spec, fmt, cfg, frames, counts)
     else:
-        pairs = channel_pairs(M)
-        roles = ["spec"] * M + ["gcc"] * len(pairs)
-        meta["n_lags"] = n_out
+        pieces = ((data, None) for data in spec.blocks(frames))
+        if kind.endswith("iv"):
+            roles = ["spec"] * M + ["spatial"] * 3
+        else:
+            pairs = channel_pairs(M)
+            roles = ["spec"] * M + ["gcc"] * len(pairs)
+            meta["n_lags"] = n_out
 
     def blocks():
-        for data in spec.blocks(frames):
+        for data, cues in pieces:
             part = ComplexSpectrogram(data, spec.bin_hz, spec.frame_rate)
             out = np.empty((len(roles), part.n_frames, n_out))
             if scale == "mel":
                 out[:M] = log_mel_spectrogram(part, fb, floor=cfg.log_floor).data
             else:
                 out[:M] = compress(log_linear_spectrogram(part, floor=cfg.log_floor).data)
-            if kind == "melspeciv":
+            if kind == "salsa":
+                out[M:] = compress(cues)
+            elif kind == "melspeciv":
                 out[M:] = mel_intensity_vector(intensity_vector(part), fb)
             elif kind == "linspeciv":
                 out[M:] = compress(intensity_vector(part))
-            elif pairs:
+            else:
                 out[M:] = _gcc_pairs(data, pairs, n_out)
             yield out
 
-    return FeatureStream((len(roles), spec.n_frames, n_out), roles, scale, meta, blocks())
+    return FeatureStream((len(roles), spec.n_frames, n_out), roles, scale, meta, blocks(), counts)

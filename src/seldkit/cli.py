@@ -75,6 +75,23 @@ class UsageError(Exception):
     """Malformed command line; maps to exit code 3."""
 
 
+# The errors main reports, first match first: class, exit code and the
+# prefix of the message after "seldkit: ". A forked helper reports these by
+# class name (_in_ranges).
+_ERRORS = (
+    (UsageError, 3, "usage error: "),
+    (InputError, 2, "input error: "),
+    (OSError, 2, "input error: "),
+    (NumericalError, 4, "numerical error: "),
+    (ValueError, 3, ""),
+)
+
+
+def _error_row(exc: BaseException) -> tuple | None:
+    """The row of _ERRORS that reports exc, or None."""
+    return next((row for row in _ERRORS if isinstance(exc, row[0])), None)
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -186,10 +203,6 @@ def _frame_ranges(n_frames: int, n: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
-# Errors a helper reports by class name; main maps each to its exit code.
-_REPORTED = (InputError, NumericalError, OSError, ValueError)
-
-
 def _in_ranges(work, n: int) -> list:
     """[work(0), ..., work(n - 1)]: work(0) here, every other in a forked helper.
 
@@ -225,7 +238,7 @@ def _in_ranges(work, n: int) -> list:
                 raise RuntimeError(f"helper for range {k} ended with wait status {status}")
             report = json.loads(report)
             if "error" in report:
-                cls = next((c for c in _REPORTED if c.__name__ == report["error"]), RuntimeError)
+                cls = {c.__name__: c for c, _, _ in _ERRORS}.get(report["error"], RuntimeError)
                 raise cls(report["message"])
             results.append(report["result"])
         return results
@@ -244,10 +257,10 @@ def _run_helper(work, k: int, w: int):
         try:
             report = {"result": work(k)}
         except BaseException as exc:
-            cls = next((c for c in _REPORTED if isinstance(exc, c)), None)
+            row = _error_row(exc)
             report = {
-                "error": cls.__name__ if cls else "RuntimeError",
-                "message": str(exc) if cls else f"{type(exc).__name__}: {exc}",
+                "error": row[0].__name__ if row else "RuntimeError",
+                "message": str(exc) if row else f"{type(exc).__name__}: {exc}",
             }
         with os.fdopen(w, "wb") as pipe:
             pipe.write(json.dumps(report).encode())
@@ -571,21 +584,10 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, "func", None) is None:
             raise UsageError("a subcommand is required (see --help)")
         args.func(args)
-    except UsageError as exc:
-        print(f"seldkit: usage error: {exc}", file=sys.stderr)
-        return 3
-    except InputError as exc:
-        print(f"seldkit: input error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"seldkit: input error: {exc}", file=sys.stderr)
-        return 2
-    except NumericalError as exc:
-        print(f"seldkit: numerical error: {exc}", file=sys.stderr)
-        return 4
-    except ValueError as exc:
-        print(f"seldkit: {exc}", file=sys.stderr)
-        return 3
+    except tuple(cls for cls, _, _ in _ERRORS) as exc:
+        _, code, prefix = _error_row(exc)
+        print(f"seldkit: {prefix}{exc}", file=sys.stderr)
+        return code
     return 0
 
 

@@ -121,12 +121,9 @@ def standardize_channels(stats: ChannelStats, roles, feature, channels):
         yield channel
 
 
-def apply_stats(
-    feat: FeatureTensor, stats: ChannelStats, *, in_place: bool = False
-) -> FeatureTensor:
-    """Standardize channels (see standardize_channels), in a copy of feat or,
-    with in_place, in feat itself."""
-    out = feat if in_place else feat.copy()
+def apply_stats(feat: FeatureTensor, stats: ChannelStats) -> FeatureTensor:
+    """A copy of feat with its channels standardized (see standardize_channels)."""
+    out = feat.copy()
     for _ in standardize_channels(stats, out.channel_roles, out.meta.get("feature"), out.data):
         pass
     out.meta["normalized"] = True

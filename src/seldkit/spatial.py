@@ -1,31 +1,22 @@
-"""Spatial analysis: local covariance, principal eigenvectors, bin selection,
-and the combined spectrogram + eigenvector-direction feature stack.
+"""Spatial analysis: local covariance, principal eigenvectors, bin selection
+and the eigenvector direction cues of the salsa feature.
 
 One batched core computes covariances by gathering each bin's frames
 (`_covariances_at`), Hermitian eigendecompositions (`_principal`), coherence
-ratios (`_dominance`) and direction cues (`_directions`). `salsa_stream`
-runs it on the candidate bins of each run of frames as spectrogram blocks
-arrive, `salsa` is its whole-clip form, and the per-bin functions below run
-it on one bin. The magnitude test that picks the candidates (`_Gate`) reads
-channel 0's first noise_init_frames frames up front to seed its noise floor
-(`track_noise_floor`), so every frame after that is tested as it arrives.
+ratios (`_dominance`) and direction cues (`_directions`). `salsa_cues` runs
+it on the candidate bins of each run of frames as spectrogram blocks arrive,
+and the per-bin functions below run it on one bin. The salsa stack itself,
+log spectrograms over these cues, is built by baseline.assemble_stream like
+every other feature kind.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import (
-    ComplexSpectrogram,
-    FeatureStream,
-    FeatureTensor,
-    SpectrogramStream,
-    compress_high_bands,
-    compressed_bands,
-    log_linear_spectrogram,
-)
+from .stft import ComplexSpectrogram, SpectrogramStream
 
 SPEED_OF_SOUND = 343.0
 # Magnitude below which a norm, a reference component or an eigenvalue
@@ -293,7 +284,7 @@ def _windowed_rms(
 
 
 class _Gate:
-    """The magnitude test of salsa_stream, on channel 0's passband bins.
+    """The magnitude test of salsa_cues, on channel 0's passband bins.
 
     Built for frame `first`, it reads channel 0's first noise_init_frames
     frames, whose mean |X_0| seeds the noise floor, and then channel 0 alone
@@ -446,6 +437,12 @@ def _dominance(values: np.ndarray) -> np.ndarray:
     return values[..., 0] / (values[..., 1] + _EPS)
 
 
+def _unit(v: np.ndarray, axis: int) -> np.ndarray:
+    """v scaled to unit norm along `axis`; vectors of norm below _EPS become zero."""
+    norms = np.linalg.norm(v, axis=axis, keepdims=True)
+    return np.divide(v, norms, out=np.zeros_like(v), where=norms >= _EPS)
+
+
 def _directions(
     vectors: np.ndarray,
     kind: str,
@@ -467,120 +464,51 @@ def _directions(
     ubar = vectors[ok, 1:] / u0[ok, None]
     out = np.zeros((len(vectors), vectors.shape[1] - 1))
     if kind == "foa":
-        v = np.real(ubar)
-        norms = np.linalg.norm(v, axis=1, keepdims=True)
-        v = np.divide(v, norms, out=np.zeros_like(v), where=norms >= _EPS)
+        v = _unit(np.real(ubar), axis=1)
     else:
         v = -speed_of_sound * np.angle(ubar) / (2.0 * np.pi * f_hz[ok, None])
     out[ok] = v
     return out
 
 
-def salsa(
-    spec: ComplexSpectrogram,
-    fmt: ArrayFormat,
-    cfg: BinSelectionConfig | None = None,
-) -> FeatureTensor:
-    """Whole-clip salsa_stream: the feature stack of a complex spectrogram.
-
-    Args:
-        spec: complex spectrogram, channels x frames x bins.
-        fmt: input format; its channel count must match the spectrogram's.
-        cfg: selection config; defaults to the format's standard cutoffs.
-
-    Returns:
-        FeatureTensor with M "spec" channels and M-1 "spatial" channels; its
-        meta holds the gate counts (see salsa_stream).
-    """
-    return salsa_stream(spec.stream(), fmt, cfg).collect()
-
-
-def salsa_stream(
-    spec: SpectrogramStream,
-    fmt: ArrayFormat,
-    cfg: BinSelectionConfig | None = None,
-    frames: slice = slice(None),
-) -> FeatureStream:
-    """Log spectrograms stacked with per-bin principal-eigenvector directions.
-
-    Pipeline per TF bin: adaptive noise floor and running-RMS magnitude test
-    on the first channel; inside the passband, the local covariance's Hermitian
-    eigendecomposition and the dominance-ratio test on its two largest absolute
-    eigenvalues; then a direction feature from the principal eigenvector
-    (real-part intensity style for foa, phase/delay style for mic). Spatial
-    channels are zero wherever any test fails or outside [f_low, f_high].
-    All channels pass through high-band compression at the end.
-
-    The noise floor is seeded by the mean of the first noise_init_frames
-    frames, which are read from channel 0 before anything else. After that
-    every test is local in time, so the features are built as the
-    spectrogram blocks arrive. A frame is finished once the frames its
-    running RMS and covariance window reach have arrived; between blocks
-    only those halo frames, the last noise-floor row and the last row of the
-    cumulative squares are kept, the last two on passband bins only. The
-    output has the same bits whatever the block sizes.
-
-    With `frames`, only those frames are built: the noise floor and the
-    cumulative squares at the range's halo come from a pass over channel 0
-    alone up to there, after the seed read, and the full spectrogram is
-    read from the halo on. The blocks hold the same bits as the whole
-    tensor's rows.
-
-    The counts of the result are three gate counts over the frames built,
-    filled once every block has been read: in_band_bins (frames x passband
-    bins), candidates (in-band cells that pass the magnitude test) and
-    selected (candidates that also pass the coherence test and so carry a
-    cue).
-
-    Args:
-        spec: complex spectrogram stream, channels x frames x bins.
-        fmt: input format; its channel count must match the spectrogram's
-            (ArrayFormat.check_channels), and the mic cues convert phases
-            to delays at its speed_of_sound, which the meta records.
-        cfg: selection config; defaults to the format's standard cutoffs.
-        frames: the frames to build (default all).
-
-    Returns:
-        FeatureStream with M "spec" channels and M-1 "spatial" channels.
-    """
-    if cfg is None:
-        cfg = BinSelectionConfig.for_format(fmt.kind)
-    M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
-    fmt.check_channels(M)
-    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
-    meta = {
-        "feature": "salsa",
-        "format": fmt.kind,
-        "bin_hz": spec.bin_hz,
-        "frame_rate": spec.frame_rate,
-        "f_low": cfg.f_low,
-        "f_high": cfg.f_high,
-        "compress_start_bin": cfg.compress_start_bin,
-        "compress_factor": cfg.compress_factor,
-        "speed_of_sound": fmt.speed_of_sound,
-    }
-    counts = {"in_band_bins": 0, "candidates": 0, "selected": 0}
-    return FeatureStream(
-        (2 * M - 1, T, n_bands),
-        ["spec"] * M + ["spatial"] * (M - 1),
-        "linear",
-        meta,
-        _salsa_blocks(spec, fmt, cfg, frames, counts),
-        counts,
-    )
-
-
-def _salsa_blocks(
+def salsa_cues(
     spec: SpectrogramStream,
     fmt: ArrayFormat,
     cfg: BinSelectionConfig,
     frames: slice,
     counts: dict,
 ):
-    """Output blocks of salsa_stream for `frames`; adds the gate counts to counts."""
+    """Principal-eigenvector direction cues of the frames `frames`, run by run.
+
+    Yields (spectrogram rows (M, n, F), cues (M-1, n, F)) for each run of
+    finished frames, in frame order; the rows are the complex spectrogram
+    of the same frames. Pipeline per TF bin: adaptive noise floor and
+    running-RMS magnitude test on channel 0 (`_Gate`); inside the passband,
+    the local covariance's Hermitian eigendecomposition and the
+    dominance-ratio test on its two largest absolute eigenvalues; then a
+    direction from the principal eigenvector (`_directions`: real-part
+    intensity style for foa, phase/delay style at fmt.speed_of_sound for
+    mic). Cues are zero wherever a test fails or outside [f_low, f_high].
+
+    The noise floor is seeded by the mean of the first noise_init_frames
+    frames, which are read from channel 0 before anything else. After that
+    every test is local in time, so cues are built as the spectrogram blocks
+    arrive. A frame is finished once the frames its running RMS and
+    covariance window reach have arrived; between blocks only those halo
+    frames, the last noise-floor row and the last row of the cumulative
+    squares are kept, the last two on passband bins only. For a range that
+    starts later, the floor and the cumulative squares at its halo come from
+    a pass over channel 0 alone up to there, and the full spectrogram is
+    read from the halo on. The cues have the same bits whatever the block
+    sizes or the range.
+
+    Adds three gate counts over the frames built to `counts` once every
+    block has been read: in_band_bins (frames x passband bins), candidates
+    (in-band cells that pass the magnitude test) and selected (candidates
+    that also pass the coherence test and so carry a cue).
+    """
     M, T, F = spec.n_channels, spec.n_frames, spec.n_bins
     lo, hi, _ = frames.indices(T)
-    n_bands = compressed_bands(F, cfg.compress_start_bin, cfg.compress_factor)
     half = cfg.cov_half_window
     reach = max(half, cfg.rms_half_window)  # frames a cell's tests read on each side
     band = np.flatnonzero(passband_bins(F, spec.bin_hz, cfg))
@@ -590,10 +518,6 @@ def _salsa_blocks(
     # The full spectrogram is read from the range's halo, frame `first`, on.
     first = max(lo - reach, 0)
     gate = _Gate(spec, cfg, bins, first)
-
-    def compress(x):
-        return compress_high_bands(x, cfg.compress_start_bin, cfg.compress_factor)
-
     data = np.empty((M, 0, F), dtype=np.complex128)
     done = lo
     for part in spec.blocks(slice(first, hi + reach)):
@@ -611,21 +535,15 @@ def _salsa_blocks(
         cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
         vectors, values = _principal(cov)
         coherent = _dominance(values) > cfg.beta_ratio
-        cues = _directions(
-            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, fmt.speed_of_sound
-        ).T
         counts["in_band_bins"] += (ready - done) * len(band)
         counts["candidates"] += len(t_idx)
         counts["selected"] += int(coherent.sum())
 
-        rows = slice(done - first, ready - first)
-        block = ComplexSpectrogram(data[:, rows], spec.bin_hz, spec.frame_rate)
-        out = np.empty((2 * M - 1, ready - done, n_bands))
-        out[:M] = compress(log_linear_spectrogram(block, cfg.log_floor).data)
-        spatial = np.zeros((M - 1, ready - done, F))
-        spatial[:, t_idx[coherent] - done, f_idx[coherent]] = cues
-        out[M:] = compress(spatial)
-        yield out
+        cues = np.zeros((M - 1, ready - done, F))
+        cues[:, t_idx[coherent] - done, f_idx[coherent]] = _directions(
+            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, fmt.speed_of_sound
+        ).T
+        yield data[:, done - first : ready - first], cues
 
         done = ready  # keep the halo the next frames' windows reach back into
         drop = max(done - reach, 0) - first

@@ -323,6 +323,8 @@ class FeatureReader:
                     self.meta[key] = value == "True"
                 elif kind is not None:
                     self.meta[key] = kind(value)
+            if "channel_roles" not in manifest:
+                raise ValueError(f"{path}: manifest has no channel_roles")
             self.channel_roles = manifest["channel_roles"].split(",")
             self.scale = manifest.get("scale", "linear")
             check_feature_layout(self.shape, self.channel_roles, self.scale)

@@ -95,6 +95,36 @@ def test_compress_high_bands_ignores_layout():
     np.testing.assert_allclose(out[..., 192:], mean, rtol=0, atol=1e-15)
 
 
+# Arguments that assemble_stream must refuse: (kind, format, input channels,
+# selection config changes).
+BAD_ARGUMENTS = (
+    [("mfcc", "foa", 4, {})]
+    + [(kind, "foa", 3, {}) for kind in FEATURE_KINDS]
+    + [(kind, "mic", 3, {}) for kind in ("melspecgcc", "linspecgcc", "salsa")]
+    + [(kind, "mic", 4, {}) for kind in ("melspeciv", "linspeciv")]
+    + [
+        (kind, "foa", 4, {"compress_start_bin": start})
+        for kind in ("linspeciv", "linspecgcc", "salsa")
+        for start in (-1, 257)
+    ]
+)
+
+
+@pytest.mark.parametrize("kind, fmt_kind, channels, changes", BAD_ARGUMENTS)
+def test_assemble_stream_checks_arguments_before_reading(kind, fmt_kind, channels, changes):
+    calls = []
+
+    def source(start, stop, n):
+        calls.append((start, stop, n))
+        raise AssertionError("the spectrogram was read")
+
+    spec = stft_module.SpectrogramStream(channels, 100, 257, 46.875, 50.0, source)
+    cfg = replace(BinSelectionConfig.for_format(fmt_kind), **changes)
+    with pytest.raises(ValueError):
+        assemble_stream(spec, kind, ArrayFormat(fmt_kind), cfg)
+    assert calls == []
+
+
 EXTRACT_CASES = [("foa", kind) for kind in FEATURE_KINDS] + [
     ("mic", "salsa"), ("mic", "melspecgcc"), ("mic", "linspecgcc")
 ]

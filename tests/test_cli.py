@@ -582,6 +582,31 @@ def test_stats_and_augment_refuse_non_finite_tensors(tmp_path, capsys, bad):
         assert not any(aug.iterdir())
 
 
+@pytest.mark.parametrize("key", ["kind", "scale", "channel_roles", "channels", "frames", "bands"])
+def test_stats_and_augment_take_a_manifest_missing_any_header_key_cleanly(tmp_path, capsys, key):
+    # Without channel_roles both once died with a KeyError traceback.
+    data = np.random.default_rng(0).standard_normal((7, 50, 20)).astype(np.float32)
+    feat = FeatureTensor(data, ["spec"] * 4 + ["spatial"] * 3, "linear",
+                         {"feature": "salsa", "format": "foa"})
+    feat_dir, normed, aug = tmp_path / "feat", tmp_path / "normed", tmp_path / "aug"
+    feat_dir.mkdir()
+    write_feature(feat_dir / "a.ftb", feat)
+    manifest = feat_dir / "a.manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join(ln for ln in lines if not ln.startswith(f"{key}=")))
+    stats = tmp_path / "stats" / "s.ftb"
+    code = main(["stats", str(feat_dir), "--out", str(stats), "--apply", str(normed)])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    if code:
+        assert not stats.parent.exists() and not normed.exists()
+    code = main(["augment", str(feat_dir), "--out", str(aug), "--seed", "3"])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3, 4) and "Traceback" not in err
+    if code:
+        assert not any(aug.iterdir())
+
+
 def test_augment_seeded_reproducible(corpus, tmp_path):
     feat = tmp_path / "feat"
     main(["extract", str(corpus), "--format", "foa", "--feature", "salsa",
