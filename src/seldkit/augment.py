@@ -5,9 +5,9 @@ input channels is equivalent to rotating/mirroring the acoustic scene, so the
 feature tensor and its labels transform together. The foa swaps are the 16
 signed permutations made of quarter turns in azimuth, azimuth mirroring and
 elevation flip. The mic swaps are the 8 of them that map the tetrahedral
-array (spatial.tetra_positions) onto itself; each one's channel permutation
-is derived from the array's corners. Frequency shifting and random cutout
-perturb the time-frequency content only.
+array (spatial.tetra_positions) onto itself. Every swap's signed channel
+permutation is ArrayFormat.channel_map's. Frequency shifting and random
+cutout perturb the time-frequency content only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline import channel_pairs
-from .spatial import SPEED_OF_SOUND, tetra_positions
+from .spatial import SPEED_OF_SOUND, ArrayFormat
 from .stft import FeatureTensor, frame_blocks
 from .synth import LabelRows, SeldLabels
 
@@ -46,15 +46,16 @@ class AugmentConfig:
 class SpatialTransform:
     """One direction transform and its channel realization.
 
-    matrix is the signed permutation applied to Cartesian directions;
-    mic_perm (mic format only) gives the source channel for each output
-    channel.
+    matrix is the signed permutation applied to Cartesian directions; perm
+    and sign are its ArrayFormat(kind).channel_map: output channel m is
+    sign[m] times input channel perm[m].
     """
 
     name: str
     kind: str  # "foa" or "mic"
     matrix: np.ndarray  # (3, 3) integer signed permutation
-    mic_perm: tuple[int, ...] | None = None
+    perm: tuple[int, ...]
+    sign: tuple[int, ...]
 
 
 _ROT90 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
@@ -66,9 +67,11 @@ def _direction_matrix(dphi: int, mirror: bool, zflip: bool) -> np.ndarray:
     return (rot @ flip).astype(np.int64)
 
 
-def _transform(kind: str, dphi: int, mirror: bool, zflip: bool, mic_perm=None):
+def _transform(kind: str, dphi: int, mirror: bool, zflip: bool) -> SpatialTransform:
     name = f"rot{dphi:03d}" + ("_mirror" if mirror else "") + ("_zflip" if zflip else "")
-    return SpatialTransform(name, kind, _direction_matrix(dphi, mirror, zflip), mic_perm)
+    A = _direction_matrix(dphi, mirror, zflip)
+    perm, sign = ArrayFormat(kind).channel_map(A)
+    return SpatialTransform(name, kind, A, tuple(map(int, perm)), tuple(map(int, sign)))
 
 
 def foa_transforms() -> list[SpatialTransform]:
@@ -87,20 +90,15 @@ def mic_transforms() -> list[SpatialTransform]:
 
     They are the direction transforms that map its corners onto each other:
     those with an even number of axis sign flips, so a quarter turn comes
-    with an elevation flip unless it is mirrored. With A the direction
-    matrix, capsule m takes the channel of corner k where corner k equals
-    A^T . corner m.
+    with an elevation flip unless it is mirrored. Their channels are
+    ArrayFormat("mic").channel_map's.
     """
-    corners = np.sign(tetra_positions())
-    out = []
     # The order is part of augment_pipeline's seeded draw, which indexes this list.
-    for dphi in (0, 180, 90, 270):
-        for mirror in (False, True):
-            zflip = mirror != (dphi % 180 == 90)
-            A = _direction_matrix(dphi, mirror, zflip)
-            perm = tuple(int(np.flatnonzero((corners == c).all(axis=1))[0]) for c in corners @ A)
-            out.append(_transform("mic", dphi, mirror, zflip, perm))
-    return out
+    return [
+        _transform("mic", dphi, mirror, mirror != (dphi % 180 == 90))
+        for dphi in (0, 180, 90, 270)
+        for mirror in (False, True)
+    ]
 
 
 def transforms_for(kind: str) -> list[SpatialTransform]:
@@ -126,29 +124,7 @@ def _reverse_lags(block: np.ndarray) -> np.ndarray:
     return np.concatenate([block[..., -2::-1], block[..., :1]], axis=-1)
 
 
-def _swap_foa(
-    data: np.ndarray, groups: dict[str, list[int]], tx: SpatialTransform
-) -> np.ndarray:
-    out = data.copy()
-    A = tx.matrix
-    spec_idx = groups["spec"]
-    if len(spec_idx) != 4:
-        raise ValueError("foa swap expects 4 spectrogram channels (W, X, Y, Z)")
-    # Log-power channels permute without sign; W is invariant.
-    for i in range(3):
-        j = int(np.nonzero(A[i])[0][0])
-        out[spec_idx[1 + i]] = data[spec_idx[1 + j]]
-    if groups["spatial"]:
-        if len(groups["spatial"]) != 3:
-            raise ValueError("foa spatial block must have 3 channels")
-        block = data[groups["spatial"]]
-        out[groups["spatial"]] = np.einsum("ij,jtb->itb", A.astype(np.float64), block)
-    if groups["gcc"]:
-        raise ValueError("gcc channels are not defined for the foa format")
-    return out
-
-
-def _swap_mic(
+def _swap(
     data: np.ndarray,
     groups: dict[str, list[int]],
     tx: SpatialTransform,
@@ -156,24 +132,26 @@ def _swap_mic(
     speed_of_sound: float,
 ) -> np.ndarray:
     out = data.copy()
-    perm = tx.mic_perm
-    spec_idx = groups["spec"]
+    perm, sign = tx.perm, tx.sign
+    spec_idx, sp = groups["spec"], groups["spatial"]
     if len(spec_idx) != len(perm):
-        raise ValueError(
-            f"swap permutes {len(perm)} channels but tensor has {len(spec_idx)}"
-        )
+        raise ValueError(f"swap permutes {len(perm)} channels but tensor has {len(spec_idx)}")
+    if sp and len(sp) != len(perm) - 1:
+        raise ValueError(f"{tx.kind} spatial block must have {len(perm) - 1} channels")
+    # Log-power channels permute without sign.
     for m, src in enumerate(perm):
         out[spec_idx[m]] = data[spec_idx[src]]
 
-    if groups["spatial"]:
+    if sp and tx.kind == "foa":
+        # Direction channels X, Y, Z turn with their signs; + 0.0 keeps a
+        # cell without a cue at +0.0, as extracting the turned scene gives.
+        for m in range(1, len(perm)):
+            out[sp[m - 1]] = sign[m] * data[sp[perm[m] - 1]] + 0.0
+    elif sp:
         # Relative-delay channels: re-reference to the new first channel and
         # re-wrap each bin's phase, matching what a re-rendered scene yields.
         # Channel m holds capsule m's delay relative to capsule 0, whose own
         # delay is zero; one output channel is rebuilt at a time.
-        sp = groups["spatial"]
-        M = len(perm)
-        if len(sp) != M - 1:
-            raise ValueError("mic spatial block must have M - 1 channels")
         B = data.shape[2]
 
         def delay(capsule):
@@ -184,7 +162,7 @@ def _swap_mic(
         # Only the uncompressed low bands carry per-bin phase; averaged
         # high bands have no single frequency to wrap against.
         freqs = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
-        for m in range(1, M):
+        for m in range(1, len(perm)):
             new_d = delay(perm[m]) - delay(perm[0])
             head = new_d[..., : len(freqs)]
             # Cells without a cue hold +-0.0, which the re-wrap maps to
@@ -202,6 +180,10 @@ def _swap_mic(
         index = {p: k for k, p in enumerate(pairs)}
         if len(gcc) != len(pairs):
             raise ValueError("gcc block size does not match the channel count")
+        # GCC-PHAT gives a cell without phase zero phase whatever the signs,
+        # so no turn of the lags matches a pair with one channel negated.
+        if len(set(sign)) > 1:
+            raise ValueError(f"{tx.name} changes the sign of a gcc pair's channel")
         for k, (i, j) in enumerate(pairs):
             a, b = perm[i], perm[j]
             if a < b:
@@ -226,10 +208,7 @@ def _swap_channels(
     groups = _role_slices(feat)
     for block in frame_blocks(feat.n_frames):
         part = feat.data[:, block].astype(np.float64)
-        if tx.kind == "foa":
-            feat.data[:, block] = _swap_foa(part, groups, tx)
-        else:
-            feat.data[:, block] = _swap_mic(part, groups, tx, feat.meta, speed_of_sound)
+        feat.data[:, block] = _swap(part, groups, tx, feat.meta, speed_of_sound)
     return labels.transformed(tx.matrix) if labels is not None else None
 
 
@@ -244,7 +223,9 @@ def channel_swap(
     Equivalent to rendering the transformed scene: spectrogram channels are
     permuted, direction-valued channels are rotated/re-referenced, GCC pair
     channels are permuted with lag reversal where the pair order flips, and
-    label directions are mapped through the same matrix.
+    label directions are mapped through the same matrix. A transform that
+    negates one channel of a GCC pair (every foa swap but rot000 and
+    rot090_mirror) has no such rearrangement and raises ValueError.
 
     Args:
         feat: feature tensor to transform (any supported kind).
@@ -345,22 +326,18 @@ def augment_pipeline(
     labels: SeldLabels | LabelRows | None,
     rng: np.random.Generator,
     cfg: AugmentConfig | None = None,
-    *,
-    in_place: bool = False,
 ) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
     """Channel swap, frequency shift, and random cutout, each applied
     independently with probability cfg.p_apply, in that order.
 
-    The stages work on one tensor in its own dtype: a copy of feat or, with
-    in_place, feat itself. A mic swap re-wraps the delay cues with the speed
-    of sound they were extracted with, feat.meta["speed_of_sound"]
-    (SPEED_OF_SOUND when the tensor does not record one). labels
-    (SeldLabels, LabelRows or None) turn with the swap, if one is drawn.
+    The stages change feat itself, in its own dtype, and return it. A mic
+    swap re-wraps the delay cues with the speed of sound they were extracted
+    with, feat.meta["speed_of_sound"] (SPEED_OF_SOUND when the tensor does
+    not record one). labels (SeldLabels, LabelRows or None) turn with the
+    swap, if one is drawn.
     """
     if cfg is None:
         cfg = AugmentConfig()
-    if not in_place:
-        feat = feat.copy()
     if rng.random() < cfg.p_apply:
         options = transforms_for(feat.meta.get("format"))
         tx = options[int(rng.integers(len(options)))]

@@ -489,7 +489,7 @@ def cmd_augment(args) -> None:
         if not all(np.isfinite(channel).all() for channel in feat.data):
             raise NumericalError(f"{path}: feature tensor has non-finite values")
         rng = np.random.default_rng([args.seed, index])
-        feat, labels = augment_pipeline(feat, labels, rng, acfg, in_place=True)
+        feat, labels = augment_pipeline(feat, labels, rng, acfg)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
         write_feature(out_dir / path.name, feat)

@@ -82,6 +82,30 @@ class ArrayFormat:
         radius = np.linalg.norm(self.mic_positions - center, axis=1).max()
         return self.speed_of_sound / (2.0 * radius)
 
+    def channel_map(self, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(perm, sign) of a scene turned by a direction matrix: output channel
+        m is sign[m] times input channel perm[m]. foa: W stays, X, Y, Z follow
+        the rows of a 3x3 signed permutation. mic: capsule m takes the capsule
+        at matrix^T . p_m, sign +1. ValueError unless the array maps onto itself."""
+        A = np.asarray(matrix)
+        if self.kind == "foa":
+            check_signed_permutation(A, "a foa channel map's matrix")
+            rows, cols = np.nonzero(A)  # row i's one entry, in row order
+            return np.r_[0, 1 + cols], np.r_[1, A[rows, cols]].astype(np.int64)
+        p = self.mic_positions
+        hits = ((p @ A)[:, None] == p).all(axis=2)  # [m, k]
+        if not (hits.sum(axis=0) == 1).all() or not (hits.sum(axis=1) == 1).all():
+            raise ValueError("the matrix does not map the mic array onto itself")
+        return np.nonzero(hits)[1], np.ones(len(p), dtype=np.int64)
+
+
+def check_signed_permutation(matrix: np.ndarray, name: str) -> None:
+    """Raise ValueError unless matrix is a 3x3 signed permutation: one +-1 per row and column."""
+    A = np.asarray(matrix)
+    signed = A.shape == (3, 3) and np.isin(A, (-1, 0, 1)).all()
+    if not (signed and np.array_equal(A @ A.T, np.eye(3))):
+        raise ValueError(f"{name} must be a 3x3 signed permutation matrix")
+
 
 def tetra_positions(radius: float = 0.042) -> np.ndarray:
     """Tetrahedral 4-mic layout at the given radius, (4, 3) metres."""

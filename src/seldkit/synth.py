@@ -50,7 +50,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spatial import SPEED_OF_SOUND, ArrayFormat, tetra_positions
+from .spatial import SPEED_OF_SOUND, ArrayFormat, check_signed_permutation, tetra_positions
 from .stft import ComplexSpectrogram, StftConfig, frame_blocks
 
 LABEL_FPS = 10.0
@@ -176,11 +176,7 @@ class SceneDescription:
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        A = np.asarray(self.orientation)
-        # Entries in {-1, 0, 1} and orthonormal rows: one +-1 per row and column.
-        signed = A.shape == (3, 3) and np.isin(A, (-1, 0, 1)).all()
-        if not (signed and np.array_equal(A @ A.T, np.eye(3))):
-            raise ValueError("orientation must be a 3x3 signed permutation matrix")
+        check_signed_permutation(self.orientation, "orientation")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(
                 f"duration must be finite and positive, got {self.duration!r}"
@@ -367,12 +363,12 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
     scale = np.sqrt(scene.noise_power / 2.0)
     # The ambient field belongs to the scene, so a re-oriented foa scene sees
     # re-oriented noise; keeps swap-vs-rerender equivalence exact. Noise
-    # channel j goes to channel dest[j], the row of column j's one non-zero
-    # entry of the signed permutation, times that entry, sign[j].
+    # channel j lands, times sign[j], on the channel dest[j] channel_map reads it into.
     dest, sign = np.arange(M), np.ones(M)
     if scene.fmt.kind == "foa":
-        dest[1:] = 1 + np.argmax(np.abs(scene.orientation), axis=0)
-        sign[1:] = scene.orientation[dest[1:] - 1, np.arange(3)]
+        perm, turn = scene.fmt.channel_map(scene.orientation)
+        dest = np.argsort(perm)
+        sign = turn[dest]
 
     def pieces():
         spans = list(frame_blocks(T))

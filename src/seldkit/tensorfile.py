@@ -323,10 +323,11 @@ class FeatureReader:
                     self.meta[key] = value == "True"
                 elif kind is not None:
                     self.meta[key] = kind(value)
-            if "channel_roles" not in manifest:
-                raise ValueError(f"{path}: manifest has no channel_roles")
+            for key in ("scale", "channel_roles"):
+                if key not in manifest:
+                    raise ValueError(f"{path}: manifest has no {key}")
             self.channel_roles = manifest["channel_roles"].split(",")
-            self.scale = manifest.get("scale", "linear")
+            self.scale = manifest["scale"]
             check_feature_layout(self.shape, self.channel_roles, self.scale)
         except BaseException:
             self._fh.close()

@@ -47,7 +47,7 @@ def test_foa_transform_group():
 def test_mic_transform_table():
     txs = mic_transforms()
     assert len(txs) == 8
-    perms = {t.mic_perm for t in txs}
+    perms = {t.perm for t in txs}
     assert len(perms) == 8
     assert (0, 1, 2, 3) in perms
     # augment_pipeline draws an index into this list, so the order is pinned.
@@ -55,12 +55,44 @@ def test_mic_transform_table():
         "rot000", "rot000_mirror_zflip", "rot180", "rot180_mirror_zflip",
         "rot090_zflip", "rot090_mirror", "rot270_zflip", "rot270_mirror",
     ]
-    corners = tetra_positions()
     for t in txs:
-        assert sorted(t.mic_perm) == [0, 1, 2, 3]
+        assert sorted(t.perm) == [0, 1, 2, 3]
         assert abs(round(np.linalg.det(t.matrix))) == 1
-        # Capsule m takes the channel of the corner that A maps onto its own.
-        np.testing.assert_array_equal(corners[list(t.mic_perm)] @ t.matrix.T, corners)
+
+
+def test_channel_map_foa_turns_the_steering_exactly():
+    fmt = ArrayFormat("foa")
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((50, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    f = np.zeros((50, 1))
+    for t in foa_transforms():
+        perm, sign = fmt.channel_map(t.matrix)
+        assert (t.perm, t.sign) == (tuple(perm), tuple(sign))
+        turned = sign[:, None, None] * fmt.steering(u, f)[perm]
+        np.testing.assert_array_equal(turned, fmt.steering(u @ t.matrix.T, f))
+
+
+def test_channel_map_mic_maps_the_array_onto_itself():
+    fmt = ArrayFormat("mic")
+    positions = tetra_positions()
+    for t in mic_transforms():
+        perm, sign = fmt.channel_map(t.matrix)
+        assert (t.perm, t.sign) == (tuple(perm), (1, 1, 1, 1))
+        # Capsule m takes the channel of the capsule that A maps onto its own.
+        np.testing.assert_array_equal(positions[perm] @ t.matrix.T, positions)
+
+
+def test_channel_map_rejects_a_turn_the_array_does_not_have():
+    by_name = {t.name: t.matrix for t in foa_transforms()}
+    with pytest.raises(ValueError, match="onto itself"):
+        ArrayFormat("mic").channel_map(by_name["rot090"])
+    triangle = [[0.05, 0.0, 0.0], [0.0, 0.05, 0.0], [-0.03, -0.03, 0.01]]
+    with pytest.raises(ValueError, match="onto itself"):
+        ArrayFormat("mic", triangle).channel_map(by_name["rot180"])
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    with pytest.raises(ValueError, match="signed permutation"):
+        ArrayFormat("foa").channel_map([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def test_transforms_for_dispatch():
@@ -136,6 +168,36 @@ def test_intensity_vector_swap_commutes_exactly():
         assert np.abs(swapped.data - direct.data).max() < 1e-9
 
 
+def test_foa_gcc_swap_refuses_a_sign_change():
+    # With Z exactly zero every cross spectrum with Z has no phase, and
+    # GCC-PHAT gives it zero phase: the (W, Z) pair peaks at +1 on lag 0
+    # before and after a zflip, where a negated pair would read -1.
+    scene = single_source_scene("foa", az=30.0, el=0.0, noise_power=0.0, seed=1)
+    cfg, fmt = StftConfig(), ArrayFormat("foa")
+    spec, labels = render_scene(scene, cfg)
+    feat = assemble(spec, "linspecgcc", fmt)
+    txs = {t.name: t for t in foa_transforms()}
+
+    def direct(tx):
+        return assemble(render_scene(scene.transformed(tx.matrix), cfg)[0], "linspecgcc", fmt)
+
+    w_z, lag0 = 4 + 2, feat.meta["n_lags"] // 2 - 1  # pair (0, 3), lag 0
+    assert (feat.data[w_z, :, lag0] == 1).all()
+    assert (direct(txs["rot000_zflip"]).data[w_z, :, lag0] == 1).all()
+    # Only the identity and the x-y exchange keep every sign; they match
+    # re-rendering on every lag but the +L/2 edge (_reverse_lags' borrow).
+    unsigned = [name for name, tx in txs.items() if tx.sign == (1, 1, 1, 1)]
+    assert unsigned == ["rot000", "rot090_mirror"]
+    for name, tx in txs.items():
+        if name in unsigned:
+            swapped, _ = channel_swap(feat, labels, tx)
+            gap = swapped.data[:, :, :-1] - direct(tx).data[:, :, :-1]
+            assert np.abs(gap).max() < 1e-9, name
+        else:
+            with pytest.raises(ValueError, match="sign of a gcc pair"):
+                channel_swap(feat, labels, tx)
+
+
 def test_channel_swap_checks_format():
     scene = single_source_scene("foa", az=0.0, el=0.0, seed=1)
     spec, labels = render_scene(scene, StftConfig())
@@ -192,12 +254,12 @@ def test_augment_pipeline_reproducible_and_gated():
     spec, labels = render_scene(scene, StftConfig())
     feat = salsa(spec, ArrayFormat("foa"))
     off = AugmentConfig(p_apply=0.0)
-    same, same_labels = augment_pipeline(feat, labels, np.random.default_rng(1), off)
+    same, same_labels = augment_pipeline(feat.copy(), labels, np.random.default_rng(1), off)
     np.testing.assert_array_equal(same.data, feat.data)
     np.testing.assert_array_equal(same_labels.doa, labels.doa)
     on = AugmentConfig(p_apply=1.0)
-    a, _ = augment_pipeline(feat, labels, np.random.default_rng(7), on)
-    b, _ = augment_pipeline(feat, labels, np.random.default_rng(7), on)
+    a, _ = augment_pipeline(feat.copy(), labels, np.random.default_rng(7), on)
+    b, _ = augment_pipeline(feat.copy(), labels, np.random.default_rng(7), on)
     np.testing.assert_array_equal(a.data, b.data)
     assert np.any(a.data != feat.data)
 
