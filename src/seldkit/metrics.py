@@ -39,15 +39,15 @@ class MetricsConfig:
     def __post_init__(self):
         if self.convention not in ("2020", "2021"):
             raise ValueError(f"unknown convention {self.convention!r}")
-        if self.doa_threshold_deg <= 0:
-            raise ValueError("doa_threshold_deg must be positive")
+        if not 0 < self.doa_threshold_deg < math.inf:
+            raise ValueError("doa_threshold_deg must be finite and positive")
+        frames = self.segment_seconds * LABEL_FPS
+        if not (math.isfinite(frames) and round(frames) >= 1):
+            raise ValueError("segment_seconds must be finite and cover at least one label frame")
 
     @property
     def frames_per_segment(self) -> int:
-        n = int(round(self.segment_seconds * LABEL_FPS))
-        if n < 1:
-            raise ValueError("segment must cover at least one label frame")
-        return n
+        return int(round(self.segment_seconds * LABEL_FPS))
 
 
 @dataclass

@@ -5,9 +5,11 @@ One batched core computes covariances by gathering each bin's frames
 (`_covariances_at`), Hermitian eigendecompositions (`_principal`), coherence
 ratios (`_dominance`) and direction cues (`_directions`). `salsa_cues` runs
 it on the candidate bins of each run of frames as spectrogram blocks arrive,
-and the per-bin functions below run it on one bin. The salsa stack itself,
-log spectrograms over these cues, is built by baseline.assemble_stream like
-every other feature kind.
+and the per-bin functions below run it on one bin. Its magnitude gate
+carries one state across blocks, the noise floor: the running RMS is summed
+over each frame's window afresh. The salsa stack itself, log spectrograms
+over these cues, is built by baseline.assemble_stream like every other
+feature kind.
 """
 
 from __future__ import annotations
@@ -285,87 +287,47 @@ def _floor_rows(
     return eta
 
 
-def _cumulative_squares(mag: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """carry followed by carry plus the running sum of mag**2 along axis 0.
+def _floor_before(
+    spec: SpectrogramStream, cfg: BinSelectionConfig, bins: slice, first: int
+) -> np.ndarray:
+    """Noise floor of |X_0| on the `bins` slice at frame first - 1.
 
-    np.cumsum adds frame after frame, so a run continued from the carried
-    last row has the same bits as one sum over the whole clip.
+    Reads channel 0's first noise_init_frames frames, whose mean seeds the
+    floor (and is the floor at frame -1), and then channel 0 alone over the
+    frames before `first`.
     """
-    return np.cumsum(np.concatenate([carry[None], mag * mag]), axis=0)
+    seed = spec.blocks(slice(0, cfg.noise_init_frames), channels=1)
+    prev = np.concatenate([np.abs(part[0][:, bins]) for part in seed]).mean(axis=0)
+    start = 0
+    for part in spec.blocks(slice(0, first), channels=1):
+        prev = _floor_rows(np.abs(part[0][:, bins]), start, prev, cfg)[-1]
+        start += part.shape[1]
+    return prev
 
 
 def _windowed_rms(
-    cs: np.ndarray, t: np.ndarray, half: int, n_frames: int, first: int = 0
+    sq: np.ndarray, lo: int, hi: int, half: int, n_frames: int, first: int = 0
 ) -> np.ndarray:
-    """RMS over frames t-half..t+half (truncated to the clip) of each frame t.
+    """RMS over frames t-half..t+half (truncated to the clip) of frames t = lo..hi-1.
 
-    cs[k - first] is the sum of squares over frames before k.
+    sq holds the squared magnitudes of frames first, first+1, ... along axis
+    0 and must cover every window. Each window's squares are added to zero
+    in frame order, so a frame's RMS has the same bits whatever `first`.
     """
-    lo = np.maximum(t - half, 0)
-    hi = np.minimum(t + half, n_frames - 1)
-    counts = (hi - lo + 1).reshape((len(t),) + (1,) * (cs.ndim - 1))
-    return np.sqrt((cs[hi + 1 - first] - cs[lo - first]) / counts)
-
-
-class _Gate:
-    """The magnitude test of salsa_cues, on channel 0's passband bins.
-
-    Built for frame `first`, it reads channel 0's first noise_init_frames
-    frames, whose mean |X_0| seeds the noise floor, and then channel 0 alone
-    over the frames before `first`. From then on it is given the channel-0
-    spectrogram of each next run of frames and keeps, from frame `first` on,
-    the floor of |X_0| on the `bins` slice and its cumulative squares:
-    cs[k - first] sums |X_0|^2 over the frames before k. Outside the
-    passband the test's result is never used.
-    """
-
-    def __init__(self, spec: SpectrogramStream, cfg: BinSelectionConfig, bins: slice, first: int):
-        self.cfg, self.n_frames, self.bins = cfg, spec.n_frames, bins
-        seed = spec.blocks(slice(0, cfg.noise_init_frames), channels=1)
-        head = [np.abs(part[0][:, bins]) for part in seed]
-        self.prev = np.concatenate(head).mean(axis=0)  # floor of frame end - 1
-        self.first = 0
-        self.eta = np.empty((0, len(self.prev)))  # floor of frames first..end-1
-        self.cs = np.zeros((1, len(self.prev)))
-        for part in spec.blocks(slice(0, first), channels=1):
-            self.add(part[0])
-            self.drop(self.end)
-
-    @property
-    def end(self) -> int:
-        """One past the last frame given."""
-        return self.first + len(self.eta)
-
-    def add(self, spec0: np.ndarray) -> None:
-        """Take channel 0's spectrogram (n, F) of the next n frames."""
-        new = np.abs(spec0[:, self.bins])
-        self.cs = np.concatenate([self.cs, _cumulative_squares(new, self.cs[-1])[1:]])
-        rows = _floor_rows(new, self.end, self.prev, self.cfg)
-        self.eta = np.concatenate([self.eta, rows])
-        self.prev = self.eta[-1]
-
-    def passes(self, lo: int, hi: int) -> np.ndarray:
-        """Test of frames lo..hi-1, (hi - lo, bins): smoothed |X_0| above alpha_mag times the floor.
-
-        Needs the frames within rms_half_window after hi - 1 (or the clip's end).
-        """
-        rows = np.arange(lo, hi)
-        rms = _windowed_rms(self.cs, rows, self.cfg.rms_half_window, self.n_frames, self.first)
-        return rms > self.cfg.alpha_mag * self.eta[lo - self.first : hi - self.first]
-
-    def drop(self, frame: int) -> None:
-        """Forget the frames before `frame`."""
-        k = frame - self.first
-        self.eta, self.cs = self.eta[k:], self.cs[k:]
-        self.first = frame
+    total = np.zeros((hi - lo,) + sq.shape[1:])
+    for off in range(-half, half + 1):
+        a, b = max(lo + off, 0), min(hi + off, n_frames)  # frames read at this offset
+        if a < b:
+            total[a - off - lo : b - off - lo] += sq[a - first : b - first]
+    t = np.arange(lo, hi)
+    counts = np.minimum(t + half, n_frames - 1) - np.maximum(t - half, 0) + 1
+    return np.sqrt(total / counts.reshape((-1,) + (1,) * (sq.ndim - 1)))
 
 
 def running_rms(mag: np.ndarray, half_window: int = 1) -> np.ndarray:
     """Centered running RMS along the first axis, window truncated at edges."""
     mag = np.asarray(mag, dtype=np.float64)
-    T = mag.shape[0]
-    cs = _cumulative_squares(mag, np.zeros(mag.shape[1:]))
-    return _windowed_rms(cs, np.arange(T), half_window, T)
+    return _windowed_rms(mag * mag, 0, len(mag), half_window, len(mag))
 
 
 def magnitude_test(
@@ -507,24 +469,23 @@ def salsa_cues(
     Yields (spectrogram rows (M, n, F), cues (M-1, n, F)) for each run of
     finished frames, in frame order; the rows are the complex spectrogram
     of the same frames. Pipeline per TF bin: adaptive noise floor and
-    running-RMS magnitude test on channel 0 (`_Gate`); inside the passband,
-    the local covariance's Hermitian eigendecomposition and the
-    dominance-ratio test on its two largest absolute eigenvalues; then a
-    direction from the principal eigenvector (`_directions`: real-part
-    intensity style for foa, phase/delay style at fmt.speed_of_sound for
-    mic). Cues are zero wherever a test fails or outside [f_low, f_high].
+    running-RMS magnitude test on channel 0; inside the passband, the local
+    covariance's Hermitian eigendecomposition and the dominance-ratio test
+    on its two largest absolute eigenvalues; then a direction from the
+    principal eigenvector (`_directions`: real-part intensity style for foa,
+    phase/delay style at fmt.speed_of_sound for mic). Cues are zero wherever
+    a test fails or outside [f_low, f_high].
 
-    The noise floor is seeded by the mean of the first noise_init_frames
-    frames, which are read from channel 0 before anything else. After that
-    every test is local in time, so cues are built as the spectrogram blocks
-    arrive. A frame is finished once the frames its running RMS and
-    covariance window reach have arrived; between blocks only those halo
-    frames, the last noise-floor row and the last row of the cumulative
-    squares are kept, the last two on passband bins only. For a range that
-    starts later, the floor and the cumulative squares at its halo come from
-    a pass over channel 0 alone up to there, and the full spectrogram is
-    read from the halo on. The cues have the same bits whatever the block
-    sizes or the range.
+    The noise floor is the only state carried from frame to frame: it is
+    seeded by the mean of the first noise_init_frames frames, which are
+    read from channel 0 before anything else. Every other test is local in
+    time, so cues are built as the spectrogram blocks arrive. A frame is
+    finished once the frames its running RMS and covariance window reach
+    have arrived; between blocks only those halo frames and their floor
+    rows on passband bins are kept. For a range that starts later, the
+    floor before its halo comes from a pass over channel 0 alone up to
+    there (`_floor_before`), and the full spectrogram is read from the halo
+    on. The cues have the same bits whatever the block sizes or the range.
 
     Adds three gate counts over the frames built to `counts` once every
     block has been read: in_band_bins (frames x passband bins), candidates
@@ -541,19 +502,24 @@ def salsa_cues(
         return
     # The full spectrogram is read from the range's halo, frame `first`, on.
     first = max(lo - reach, 0)
-    gate = _Gate(spec, cfg, bins, first)
+    prev = _floor_before(spec, cfg, bins, first)  # floor of the frame before the next block
     data = np.empty((M, 0, F), dtype=np.complex128)
+    eta = np.empty((0, len(prev)))  # floor rows of data's frames, first on
     done = lo
     for part in spec.blocks(slice(first, hi + reach)):
         data = np.concatenate([data, part], axis=1)
-        gate.add(part[0])
+        mag = np.abs(data[0, :, bins])
+        eta = np.concatenate([eta, _floor_rows(mag[len(eta) :], first + len(eta), prev, cfg)])
+        prev = eta[-1]
         # Frames done..ready-1 can be finished: their windows end before
         # the last frame received (or at the clip's end).
-        ready = min(T if gate.end == T else gate.end - reach, hi)
+        end = first + len(eta)
+        ready = min(T if end == T else end - reach, hi)
         if ready <= done:
             continue
 
-        t_idx, f_idx = np.nonzero(gate.passes(done, ready))
+        rms = _windowed_rms(mag * mag, done, ready, cfg.rms_half_window, T, first)
+        t_idx, f_idx = np.nonzero(rms > cfg.alpha_mag * eta[done - first : ready - first])
         t_idx += done
         f_idx += bins.start
         cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
@@ -571,6 +537,5 @@ def salsa_cues(
 
         done = ready  # keep the halo the next frames' windows reach back into
         drop = max(done - reach, 0) - first
-        data = data[:, drop:]
+        data, eta = data[:, drop:], eta[drop:]
         first += drop
-        gate.drop(first)

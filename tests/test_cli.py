@@ -372,6 +372,22 @@ def test_eval_error_codes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "setting",
+    ["doa_threshold_deg=nan", "doa_threshold_deg=inf", "segment_seconds=inf",
+     "segment_seconds=nan", "segment_seconds=0.01"],
+)
+def test_eval_rejects_metrics_settings_out_of_range(tmp_path, capsys, setting):
+    # doa_threshold_deg=nan once scored a perfect prediction as F = 0 with
+    # exit 0, and segment_seconds=inf died with an OverflowError traceback.
+    csv = tmp_path / "clip.csv"
+    csv.write_text(rows_to_csv([(0, 1, 0, 30.0, 10.0)]))
+    assert main(["eval", "--pred", str(csv), "--ref", str(csv), "--set", setting]) == 3
+    captured = capsys.readouterr()
+    assert setting.split("=")[0] in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "pred_rows",
     [
         [(0, 1, 0, float("nan"), 10.0)],  # shares a cell with the reference
@@ -748,17 +764,18 @@ def test_augment_rejects_negative_label_frame(corpus, tmp_path, capsys, p_apply)
 
 
 def test_cli_import_does_not_load_scipy_optimize():
-    # No scipy module is imported with the CLI: scipy.optimize only for
-    # scoring cells above 8 instances (at module level it would add about a
-    # third of a second to every start), scipy.io only by the WAV writer.
-    # extract's helpers are plain os.fork children, so no process-pool or
-    # subprocess machinery is imported either.
+    # No scipy module is imported with the CLI or its argument parser, the
+    # start-up path every command pays: scipy.optimize only for scoring cells
+    # above 8 instances (at module level it would add about a third of a
+    # second to every start), scipy.io only by the WAV writer. extract's
+    # helpers are plain os.fork children, so no process-pool or subprocess
+    # machinery is imported either.
     src = str(Path(seldkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     slow = ["scipy", "multiprocessing", "concurrent.futures", "subprocess"]
     code = (
-        "import sys, seldkit.cli; "
+        "import sys, seldkit.cli; seldkit.cli.build_parser(); "
         f"print([m for m in sys.modules if m in {slow!r} or m.startswith('scipy.')])"
     )
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

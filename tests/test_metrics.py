@@ -143,10 +143,14 @@ def test_evaluate_many_micro_averages_counts():
 def test_metrics_config_validation():
     with pytest.raises(ValueError, match="convention"):
         MetricsConfig(convention="2019")
-    with pytest.raises(ValueError):
-        MetricsConfig(doa_threshold_deg=0.0)
-    with pytest.raises(ValueError):
-        MetricsConfig(segment_seconds=0.01).frames_per_segment
+    # A nan threshold once scored a perfect prediction as F = 0, and an
+    # infinite segment raised OverflowError.
+    for bad in (0.0, -5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="doa_threshold_deg"):
+            MetricsConfig(doa_threshold_deg=bad)
+    for bad in (0.01, 0.0, float("nan"), float("inf"), -float("inf"), 1e308):
+        with pytest.raises(ValueError, match="segment_seconds"):
+            MetricsConfig(segment_seconds=bad)
     assert MetricsConfig().frames_per_segment == 10
 
 
