@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import channel_pairs
+from .baseline import channel_pairs, check_kind
 from .spatial import SPEED_OF_SOUND, ArrayFormat
 from .stft import FeatureTensor, frame_blocks
 from .synth import LabelRows, SeldLabels
@@ -128,51 +128,19 @@ def _swap(
     data: np.ndarray,
     groups: dict[str, list[int]],
     tx: SpatialTransform,
-    meta: dict,
-    speed_of_sound: float,
+    fmt: ArrayFormat,
+    f_hz: np.ndarray,
 ) -> np.ndarray:
     out = data.copy()
-    perm, sign = tx.perm, tx.sign
+    perm = tx.perm
     spec_idx, sp = groups["spec"], groups["spatial"]
     if len(spec_idx) != len(perm):
         raise ValueError(f"swap permutes {len(perm)} channels but tensor has {len(spec_idx)}")
     if sp and len(sp) != len(perm) - 1:
         raise ValueError(f"{tx.kind} spatial block must have {len(perm) - 1} channels")
-    # Log-power channels permute without sign.
-    for m, src in enumerate(perm):
-        out[spec_idx[m]] = data[spec_idx[src]]
-
-    if sp and tx.kind == "foa":
-        # Direction channels X, Y, Z turn with their signs; + 0.0 keeps a
-        # cell without a cue at +0.0, as extracting the turned scene gives.
-        for m in range(1, len(perm)):
-            out[sp[m - 1]] = sign[m] * data[sp[perm[m] - 1]] + 0.0
-    elif sp:
-        # Relative-delay channels: re-reference to the new first channel and
-        # re-wrap each bin's phase, matching what a re-rendered scene yields.
-        # Channel m holds capsule m's delay relative to capsule 0, whose own
-        # delay is zero; one output channel is rebuilt at a time.
-        B = data.shape[2]
-
-        def delay(capsule):
-            return data[sp[capsule - 1]] if capsule else 0.0
-
-        bin_hz = float(meta.get("bin_hz", 0.0))
-        start = int(meta.get("compress_start_bin", B))
-        # Only the uncompressed low bands carry per-bin phase; averaged
-        # high bands have no single frequency to wrap against.
-        freqs = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
-        for m in range(1, len(perm)):
-            new_d = delay(perm[m]) - delay(perm[0])
-            head = new_d[..., : len(freqs)]
-            # Cells without a cue hold +-0.0, which the re-wrap maps to
-            # itself, so only the non-zero cells above 0 Hz are re-wrapped.
-            cells = np.nonzero((head != 0) & (freqs > 0))
-            f = freqs[cells[1]]
-            phase = -2.0 * np.pi * f * head[cells] / speed_of_sound
-            wrapped = np.arctan2(np.sin(phase), np.cos(phase))
-            head[cells] = -speed_of_sound * wrapped / (2.0 * np.pi * f)
-            out[sp[m - 1]] = new_d
+    out[spec_idx] = data[[spec_idx[src] for src in perm]]  # log power moves without sign
+    if sp:
+        out[sp] = fmt.turn_cues(data[sp], perm, tx.sign, f_hz)
 
     gcc = groups["gcc"]
     if gcc:
@@ -180,10 +148,6 @@ def _swap(
         index = {p: k for k, p in enumerate(pairs)}
         if len(gcc) != len(pairs):
             raise ValueError("gcc block size does not match the channel count")
-        # GCC-PHAT gives a cell without phase zero phase whatever the signs,
-        # so no turn of the lags matches a pair with one channel negated.
-        if len(set(sign)) > 1:
-            raise ValueError(f"{tx.name} changes the sign of a gcc pair's channel")
         for k, (i, j) in enumerate(pairs):
             a, b = perm[i], perm[j]
             if a < b:
@@ -197,7 +161,7 @@ def _swap_channels(
     feat: FeatureTensor,
     labels: SeldLabels | LabelRows | None,
     tx: SpatialTransform,
-    speed_of_sound: float,
+    fmt: ArrayFormat,
 ) -> SeldLabels | LabelRows | None:
     """channel_swap of feat.data in place, one block of frames at a time.
 
@@ -205,10 +169,15 @@ def _swap_channels(
     float64, swapped, and stored back in the tensor's dtype; the only
     temporaries are a few blocks. Returns the transformed labels.
     """
+    check_kind(feat.meta.get("feature"), tx.kind)
     groups = _role_slices(feat)
+    # Only the uncompressed low bands carry per-bin phase (ArrayFormat.turn_cues).
+    B, bin_hz = feat.n_bands, float(feat.meta.get("bin_hz", 0.0))
+    start = int(feat.meta.get("compress_start_bin", B))
+    f_hz = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
     for block in frame_blocks(feat.n_frames):
         part = feat.data[:, block].astype(np.float64)
-        feat.data[:, block] = _swap(part, groups, tx, feat.meta, speed_of_sound)
+        feat.data[:, block] = _swap(part, groups, tx, fmt, f_hz)
     return labels.transformed(tx.matrix) if labels is not None else None
 
 
@@ -221,11 +190,10 @@ def channel_swap(
     """Apply a direction transform by rearranging feature channels.
 
     Equivalent to rendering the transformed scene: spectrogram channels are
-    permuted, direction-valued channels are rotated/re-referenced, GCC pair
-    channels are permuted with lag reversal where the pair order flips, and
-    label directions are mapped through the same matrix. A transform that
-    negates one channel of a GCC pair (every foa swap but rot000 and
-    rot090_mirror) has no such rearrangement and raises ValueError.
+    permuted, direction-valued channels turn by ArrayFormat.turn_cues (mic
+    delays at speed_of_sound), GCC pair channels are permuted with lag
+    reversal where the pair order flips, and label directions are mapped
+    through the same matrix.
 
     Args:
         feat: feature tensor to transform (any supported kind).
@@ -239,7 +207,7 @@ def channel_swap(
     if fmt != tx.kind:
         raise ValueError(f"transform is for {tx.kind!r} but features are {fmt!r}")
     out = feat.copy()
-    return out, _swap_channels(out, labels, tx, speed_of_sound)
+    return out, _swap_channels(out, labels, tx, ArrayFormat(fmt, speed_of_sound=speed_of_sound))
 
 
 def _shift_bands(feat: FeatureTensor, shift: int) -> None:
@@ -258,7 +226,7 @@ def _shift_bands(feat: FeatureTensor, shift: int) -> None:
 
 
 def frequency_shift(
-    feat: FeatureTensor, shift: int, max_shift: int = 10
+    feat: FeatureTensor, shift: int, max_shift: int = AugmentConfig.max_shift
 ) -> FeatureTensor:
     """Shift spectrogram and direction channels along the band axis.
 
@@ -341,8 +309,8 @@ def augment_pipeline(
     if rng.random() < cfg.p_apply:
         options = transforms_for(feat.meta.get("format"))
         tx = options[int(rng.integers(len(options)))]
-        c = feat.meta.get("speed_of_sound", SPEED_OF_SOUND)
-        labels = _swap_channels(feat, labels, tx, c)
+        fmt = ArrayFormat(tx.kind, speed_of_sound=feat.meta.get("speed_of_sound", SPEED_OF_SOUND))
+        labels = _swap_channels(feat, labels, tx, fmt)
     if rng.random() < cfg.p_apply:
         shift = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         _shift_bands(feat, shift)

@@ -20,6 +20,11 @@ from .stft import (
 )
 
 FEATURE_KINDS = ("melspeciv", "linspeciv", "melspecgcc", "linspecgcc", "salsa")
+# Intensity vectors need foa channels; GCC pairs turn only by mic's sign-free channel maps.
+FORMAT_KINDS = {
+    "foa": ("melspeciv", "linspeciv", "salsa"),
+    "mic": ("melspecgcc", "linspecgcc", "salsa"),
+}
 # Mel bands of the mel kinds (and lags of melspecgcc) unless the caller sets n_mels.
 N_MELS = 128
 
@@ -102,6 +107,15 @@ def _gcc_pairs(data: np.ndarray, pairs: list[tuple[int, int]], n_lags: int) -> n
     return full[..., lags % fft_size]
 
 
+def check_kind(kind: str, fmt_kind: str) -> None:
+    """Raise ValueError unless the format fmt_kind takes feature kind `kind`."""
+    if kind not in FEATURE_KINDS:
+        raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
+    if kind not in FORMAT_KINDS[fmt_kind]:
+        other = next(f for f, kinds in FORMAT_KINDS.items() if kind in kinds)
+        raise ValueError(f"{kind} requires the {other} format")
+
+
 def channel_pairs(n_channels: int) -> list[tuple[int, int]]:
     """Ordered upper-triangle channel pairs for GCC stacks."""
     return [(i, j) for i in range(n_channels) for j in range(i + 1, n_channels)]
@@ -148,8 +162,8 @@ def assemble_stream(
       linspecgcc  4 log-linear + 6 GCC-PHAT (F' lags)    -> 10 x T x F'
       salsa       4 log-linear + 3 eigenvector direction -> 7 x T x F'
     where F' is the band count after high-band compression, which the linear
-    kinds apply to both halves. Intensity-vector kinds require the foa
-    format, and every kind takes the format's channel count
+    kinds apply to both halves. The kinds a format takes are FORMAT_KINDS's
+    (check_kind), and every kind takes the format's channel count
     (ArrayFormat.check_channels): 4 for foa, one per capsule for mic; salsa
     has M-1 direction channels for M input channels.
 
@@ -162,15 +176,11 @@ def assemble_stream(
     whole tensor's either way, and its blocks hold the same bits as the
     whole tensor's rows. Arguments are checked before any block is read.
     """
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    if cfg is None:
-        cfg = spatial.BinSelectionConfig.for_format(fmt.kind)
-    if kind in ("melspeciv", "linspeciv") and fmt.kind != "foa":
-        raise ValueError(f"{kind} requires the foa format")
-
     M = spec.n_channels
     fmt.check_channels(M)
+    check_kind(kind, fmt.kind)
+    if cfg is None:
+        cfg = spatial.BinSelectionConfig.for_format(fmt.kind)
     fft_size = 2 * (spec.n_bins - 1)
     sample_rate = spec.bin_hz * fft_size
     meta = {

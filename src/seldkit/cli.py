@@ -23,7 +23,7 @@ import numpy as np
 from .augment import augment_pipeline
 # The whole-clip stft and assemble are not called here, but stay importable
 # from this module: perfbench/tracing.py wraps the names this module holds.
-from .baseline import FEATURE_KINDS, assemble, assemble_stream  # noqa: F401
+from .baseline import FEATURE_KINDS, assemble, assemble_stream, check_kind  # noqa: F401
 from .config import PipelineConfig
 from .imaging import render_heatmap, write_ppm
 from .metrics import evaluate_many, seld_error
@@ -148,13 +148,6 @@ def read_wav(path: str | Path) -> AudioClip:
         return AudioClip(wav.read(0, wav.n_samples), wav.sample_rate)
 
 
-def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write float32 WAV, channels x samples transposed to WAV layout."""
-    from scipy.io import wavfile  # only writers need scipy.io; it is slow to import
-
-    wavfile.write(path, clip.sample_rate, clip.samples.T.astype(np.float32))
-
-
 def _load_config(args) -> PipelineConfig:
     cfg = PipelineConfig.load(args.config) if args.config else PipelineConfig()
     return cfg.with_overrides(args.overrides)
@@ -271,12 +264,13 @@ def _run_helper(work, k: int, w: int):
 
 def cmd_extract(args) -> None:
     cfg = _load_config(args)
-    if args.feature in ("melspeciv", "linspeciv") and args.format != "foa":
-        raise ValueError(f"feature {args.feature} requires --format foa")
+    # Every setting is checked before anything is written.
+    fmt = ArrayFormat(args.format, speed_of_sound=cfg.speed_of_sound)
+    check_kind(args.feature, fmt.kind)
+    selection = cfg.selection_config(fmt.kind)
     inputs = _collect_inputs(args.inputs, ".wav")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = ArrayFormat(args.format, speed_of_sound=cfg.speed_of_sound)
     for path in inputs:
         with open_wav(path) as wav:
             eff = cfg
@@ -295,10 +289,7 @@ def cmd_extract(args) -> None:
             )
             ranges = _frame_ranges(spec.n_frames, _cpus())
             streams = [
-                assemble_stream(
-                    spec, args.feature, fmt, eff.selection_config(args.format), eff.n_mels,
-                    frames,
-                )
+                assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
                 for frames in ranges
             ]
             feat = streams[0]
@@ -328,7 +319,7 @@ def cmd_synth(args) -> None:
     if not scene_path.exists():
         raise InputError(f"{scene_path}: no such file")
     scene = parse_scene(scene_path.read_text())
-    scene.fmt.speed_of_sound = cfg.speed_of_sound
+    scene.fmt = replace(scene.fmt, speed_of_sound=cfg.speed_of_sound)
     stream = render_stream(scene, cfg.stft_config())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

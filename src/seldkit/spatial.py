@@ -1,15 +1,15 @@
-"""Spatial analysis: local covariance, principal eigenvectors, bin selection
-and the eigenvector direction cues of the salsa feature.
+"""Spatial analysis: array formats, local covariance, principal eigenvectors,
+bin selection and the eigenvector direction cues of the salsa feature.
 
-One batched core computes covariances by gathering each bin's frames
-(`_covariances_at`), Hermitian eigendecompositions (`_principal`), coherence
-ratios (`_dominance`) and direction cues (`_directions`). `salsa_cues` runs
-it on the candidate bins of each run of frames as spectrogram blocks arrive,
-and the per-bin functions below run it on one bin. Its magnitude gate
-carries one state across blocks, the noise floor: the running RMS is summed
-over each frame's window afresh. The salsa stack itself, log spectrograms
-over these cues, is built by baseline.assemble_stream like every other
-feature kind.
+ArrayFormat owns the cue model: a format's channel gains (steering), the cue
+of a principal eigenvector (cues) and how a turn of the scene moves channels
+and cues (channel_map, turn_cues). One batched core computes covariances by
+gathering each bin's frames (`_covariances_at`), Hermitian
+eigendecompositions (`_principal`) and coherence ratios (`_dominance`).
+`salsa_cues` runs it on the candidate bins of each run of frames as blocks
+arrive, the per-bin functions below on one bin. Its magnitude gate carries
+one state across blocks, the noise floor. The salsa stack, log spectrograms
+over these cues, is built by baseline.assemble_stream like every other kind.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stft import COMPRESS_FACTOR, COMPRESS_START_BIN, LOG_FLOOR
 from .stft import ComplexSpectrogram, SpectrogramStream
 
 SPEED_OF_SOUND = 343.0
@@ -48,6 +49,8 @@ class ArrayFormat:
     def __post_init__(self):
         if self.kind not in ("foa", "mic"):
             raise ValueError(f"unknown format kind {self.kind!r}")
+        if not (0 < self.speed_of_sound < np.inf):
+            raise ValueError(f"speed_of_sound must be finite and > 0, not {self.speed_of_sound}")
         if self.kind == "mic":
             if self.mic_positions is None:
                 self.mic_positions = tetra_positions()
@@ -74,7 +77,58 @@ class ArrayFormat:
             return np.concatenate([np.ones((len(u), 1)), u], axis=1).T[:, :, None]
         d = (self.mic_positions[0] - self.mic_positions) @ u.T  # (M, n)
         # One expression, so the phase array is freed before the exponential.
-        return np.exp(1j * (-2.0 * np.pi * d[:, :, None] * f_hz / self.speed_of_sound))
+        return np.exp(1j * self._phase(d[:, :, None], f_hz))
+
+    def _phase(self, a, b):
+        """-2 pi a b / c, the phase of a path length at a frequency or the
+        reverse; the products round in the order given, which callers fix."""
+        return -2.0 * np.pi * a * b / self.speed_of_sound
+
+    def _path_length(self, phase, f_hz):
+        """-c phase / (2 pi f_hz), the inverse of _phase."""
+        return -self.speed_of_sound * phase / (2.0 * np.pi * f_hz)
+
+    def cues(self, vectors: np.ndarray, f_hz: np.ndarray | None = None) -> np.ndarray:
+        """Direction cues (N, M-1) of principal eigenvectors (N, M).
+
+        Each vector is divided by its first (reference) component. foa keeps
+        the real part scaled to unit norm; mic turns the phases into
+        path-length differences in metres at f_hz (N,). Rows with a reference
+        component below _EPS, a foa real part of norm below _EPS or a
+        non-positive mic frequency are zero.
+        """
+        u0 = vectors[:, 0]
+        ok = np.abs(u0) >= _EPS
+        if self.kind == "mic":
+            ok &= f_hz > 0
+        ubar = vectors[ok, 1:] / u0[ok, None]
+        out = np.zeros((len(vectors), vectors.shape[1] - 1))
+        if self.kind == "foa":
+            out[ok] = _unit(np.real(ubar), axis=1)
+        else:
+            out[ok] = self._path_length(np.angle(ubar), f_hz[ok, None])
+        return out
+
+    def turn_cues(self, cues, perm, sign, f_hz: np.ndarray) -> np.ndarray:
+        """Cues (M-1, frames, bands) of the scene turned by channel_map's (perm,
+        sign); cue m-1 is channel m's. foa: sign[m] times cue perm[m]-1, + 0.0
+        so a cell without a cue stays +0.0 as in the turned scene. mic: capsule
+        m's path length to capsule 0 is re-referenced to the new capsule 0 and
+        re-wrapped at the frequencies f_hz of the first bands; averaged high
+        bands past them have no single frequency. Cells without a cue hold
+        +-0.0, which the re-wrap keeps, so only non-zero cells above 0 Hz are
+        re-wrapped."""
+        perm, sign = np.asarray(perm), np.asarray(sign)
+        if self.kind == "foa":
+            return sign[1:, None, None] * cues[perm[1:] - 1] + 0.0
+        d = np.concatenate([np.zeros_like(cues[:1]), cues])
+        out = d[perm[1:]] - d[perm[0]]
+        head = out[..., : len(f_hz)]
+        cells = np.nonzero((head != 0) & (f_hz > 0))
+        f = f_hz[cells[-1]]
+        phase = self._phase(f, head[cells])
+        head[cells] = self._path_length(np.arctan2(np.sin(phase), np.cos(phase)), f)
+        return out
 
     def aliasing_frequency(self) -> float:
         """c / (2 r) with r the largest capsule distance from the centroid."""
@@ -127,9 +181,9 @@ class BinSelectionConfig:
     noise_init_frames: int = 5
     noise_delta_up: float = 0.05
     noise_delta_down: float = 0.002
-    log_floor: float = 1e-12
-    compress_start_bin: int = 192
-    compress_factor: int = 8
+    log_floor: float = LOG_FLOOR
+    compress_start_bin: int = COMPRESS_START_BIN
+    compress_factor: int = COMPRESS_FACTOR
 
     def __post_init__(self):
         for name in ("f_low", "f_high", "alpha_mag", "beta_ratio"):
@@ -146,13 +200,11 @@ class BinSelectionConfig:
 
     @classmethod
     def for_format(cls, kind: str) -> "BinSelectionConfig":
-        # Upper cutoff: directional response validity for foa, spatial
-        # aliasing for the default mic array.
-        if kind == "foa":
-            return cls(f_high=9000.0)
-        if kind == "mic":
-            return cls(f_high=4000.0)
-        raise ValueError(f"unknown format kind {kind!r}")
+        # Upper cutoff: the default, directional response validity, for foa;
+        # spatial aliasing of the default array for mic.
+        if kind not in ("foa", "mic"):
+            raise ValueError(f"unknown format kind {kind!r}")
+        return cls() if kind == "foa" else cls(f_high=4000.0)
 
 
 @dataclass
@@ -172,7 +224,7 @@ class EigenSummary:
 
 
 def local_covariance(
-    spec: ComplexSpectrogram, t: int, f: int, half_window: int = 3
+    spec: ComplexSpectrogram, t: int, f: int, half_window: int = BinSelectionConfig.cov_half_window
 ) -> CovarianceEstimate:
     """Average outer product over frames [t-half, t+half], truncated at edges.
 
@@ -324,7 +376,9 @@ def _windowed_rms(
     return np.sqrt(total / counts.reshape((-1,) + (1,) * (sq.ndim - 1)))
 
 
-def running_rms(mag: np.ndarray, half_window: int = 1) -> np.ndarray:
+def running_rms(
+    mag: np.ndarray, half_window: int = BinSelectionConfig.rms_half_window
+) -> np.ndarray:
     """Centered running RMS along the first axis, window truncated at edges."""
     mag = np.asarray(mag, dtype=np.float64)
     return _windowed_rms(mag * mag, 0, len(mag), half_window, len(mag))
@@ -345,7 +399,7 @@ def eigenvector_intensity_vector(summary: EigenSummary) -> np.ndarray:
     the real part of the remaining components and scales to unit norm. Returns
     the zero vector when the first component or the real part is degenerate.
     """
-    return _directions(summary.vector[None], "foa")[0]
+    return ArrayFormat("foa").cues(summary.vector[None])[0]
 
 
 def eigenvector_phase_vector(
@@ -361,7 +415,7 @@ def eigenvector_phase_vector(
     Returns zeros for non-positive frequencies or a degenerate reference
     component.
     """
-    return _directions(summary.vector[None], "mic", np.array([f_hz]), speed_of_sound)[0]
+    return ArrayFormat("mic", None, speed_of_sound).cues(summary.vector[None], np.array([f_hz]))[0]
 
 
 def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.ndarray:
@@ -429,34 +483,6 @@ def _unit(v: np.ndarray, axis: int) -> np.ndarray:
     return np.divide(v, norms, out=np.zeros_like(v), where=norms >= _EPS)
 
 
-def _directions(
-    vectors: np.ndarray,
-    kind: str,
-    f_hz: np.ndarray | None = None,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> np.ndarray:
-    """Direction cues (N, M-1) from principal eigenvectors (N, M).
-
-    Each vector is divided by its first (reference) component. foa keeps the
-    real part scaled to unit norm; mic converts the phases to path-length
-    differences in metres at f_hz (N,). Rows with a reference component below
-    _EPS, a foa real part of norm below _EPS or a non-positive mic frequency
-    are zero.
-    """
-    u0 = vectors[:, 0]
-    ok = np.abs(u0) >= _EPS
-    if kind == "mic":
-        ok &= f_hz > 0
-    ubar = vectors[ok, 1:] / u0[ok, None]
-    out = np.zeros((len(vectors), vectors.shape[1] - 1))
-    if kind == "foa":
-        v = _unit(np.real(ubar), axis=1)
-    else:
-        v = -speed_of_sound * np.angle(ubar) / (2.0 * np.pi * f_hz[ok, None])
-    out[ok] = v
-    return out
-
-
 def salsa_cues(
     spec: SpectrogramStream,
     fmt: ArrayFormat,
@@ -472,9 +498,8 @@ def salsa_cues(
     running-RMS magnitude test on channel 0; inside the passband, the local
     covariance's Hermitian eigendecomposition and the dominance-ratio test
     on its two largest absolute eigenvalues; then a direction from the
-    principal eigenvector (`_directions`: real-part intensity style for foa,
-    phase/delay style at fmt.speed_of_sound for mic). Cues are zero wherever
-    a test fails or outside [f_low, f_high].
+    principal eigenvector (fmt.cues). Cues are zero wherever a test fails or
+    outside [f_low, f_high].
 
     The noise floor is the only state carried from frame to frame: it is
     seeded by the mean of the first noise_init_frames frames, which are
@@ -530,8 +555,8 @@ def salsa_cues(
         counts["selected"] += int(coherent.sum())
 
         cues = np.zeros((M - 1, ready - done, F))
-        cues[:, t_idx[coherent] - done, f_idx[coherent]] = _directions(
-            vectors[coherent], fmt.kind, f_idx[coherent] * spec.bin_hz, fmt.speed_of_sound
+        cues[:, t_idx[coherent] - done, f_idx[coherent]] = fmt.cues(
+            vectors[coherent], f_idx[coherent] * spec.bin_hz
         ).T
         yield data[:, done - first : ready - first], cues
 

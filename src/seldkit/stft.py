@@ -214,6 +214,11 @@ class FeatureStream:
 # extraction about 30 % slower on a 2-core x86 host.
 _BLOCK_FRAMES = 64
 
+# Log spectrogram floor and high-band compression; BinSelectionConfig's defaults.
+LOG_FLOOR = 1e-12
+COMPRESS_START_BIN = 192
+COMPRESS_FACTOR = 8
+
 
 def frame_blocks(n_frames: int, start: int = 0):
     """Yield consecutive frame slices of at most _BLOCK_FRAMES covering [start, n_frames)."""
@@ -298,9 +303,7 @@ def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:
     return ComplexSpectrogram(data, bin_hz=cfg.bin_hz, frame_rate=cfg.frame_rate)
 
 
-def log_linear_spectrogram(
-    spec: ComplexSpectrogram, floor: float = 1e-12
-) -> FeatureTensor:
+def log_linear_spectrogram(spec: ComplexSpectrogram, floor: float = LOG_FLOOR) -> FeatureTensor:
     """log(|X|^2 + floor) per channel; floor keeps silence finite."""
     if floor < 0:
         raise ValueError("floor must be >= 0")
@@ -387,7 +390,7 @@ def apply_filterbank(x: np.ndarray, filterbank: np.ndarray) -> np.ndarray:
 
 
 def log_mel_spectrogram(
-    spec: ComplexSpectrogram, filterbank: np.ndarray, floor: float = 1e-12
+    spec: ComplexSpectrogram, filterbank: np.ndarray, floor: float = LOG_FLOOR
 ) -> FeatureTensor:
     """log(|X|^2 @ W + floor): mel-projected log power per channel."""
     if floor < 0:
@@ -415,7 +418,7 @@ def compressed_bands(n_bins: int, start_bin: int, factor: int) -> int:
 
 
 def compress_high_bands(
-    data: np.ndarray, start_bin: int = 192, factor: int = 8
+    data: np.ndarray, start_bin: int = COMPRESS_START_BIN, factor: int = COMPRESS_FACTOR
 ) -> np.ndarray:
     """Shrink the upper frequency range by group-averaging.
 

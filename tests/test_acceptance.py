@@ -25,7 +25,7 @@ from seldkit import (
     unit_vector,
 )
 from seldkit.baseline import assemble, gcc_phat
-from seldkit.cli import main, write_wav
+from seldkit.cli import main
 from seldkit.spatial import (
     dominance_ratio,
     eigen_summary,
@@ -33,7 +33,7 @@ from seldkit.spatial import (
 )
 
 from oracles import power_iteration_eig, score_rows
-from support import random_scene, single_source_scene
+from support import random_scene, single_source_scene, write_wav_blocks
 
 
 def _report(n: int, detail: str) -> None:
@@ -433,7 +433,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 
     rng = np.random.default_rng(1010)
     wav = tmp_path / "clip.wav"
-    write_wav(wav, AudioClip(0.1 * rng.standard_normal((4, 24000)), 24000))
+    write_wav_blocks(wav, 24000, 4, [0.1 * rng.standard_normal((4, 24000))])
     for run in ("e1", "e2"):
         code = main(
             ["extract", str(wav), "--format", "foa", "--feature", "salsa",

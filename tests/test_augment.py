@@ -155,6 +155,30 @@ def test_channel_swap_commutes_with_rendering_mic():
         np.testing.assert_array_equal(swapped_labels.activity, labels2.activity)
 
 
+def test_mic_turn_matches_the_per_channel_rewrap_exactly():
+    # Reference: one output channel at a time, the delay of capsule perm[m]
+    # less that of perm[0] (capsule 0's own is 0.0), re-wrapped where non-zero.
+    scene = random_scene(np.random.default_rng(13), "mic", duration=0.8, noise_power=1e-4)
+    feat = salsa(render_scene(scene, StftConfig())[0], ArrayFormat("mic", speed_of_sound=300.0))
+    fmt, cues = ArrayFormat("mic", speed_of_sound=300.0), feat.data[4:].astype(np.float64)
+    f_hz = np.arange(feat.meta["compress_start_bin"]) * feat.meta["bin_hz"]
+    assert np.count_nonzero(cues) > 1000
+    for tx in mic_transforms():
+        want = []
+        for m in range(1, 4):
+            d = (cues[tx.perm[m] - 1] if tx.perm[m] else 0.0) - (
+                cues[tx.perm[0] - 1] if tx.perm[0] else 0.0)
+            head = d[:, : len(f_hz)]
+            cells = np.nonzero((head != 0) & (f_hz > 0))
+            f = f_hz[cells[1]]
+            phase = -2.0 * np.pi * f * head[cells] / 300.0
+            wrapped = np.arctan2(np.sin(phase), np.cos(phase))
+            head[cells] = -300.0 * wrapped / (2.0 * np.pi * f)
+            want.append(d)
+        got = fmt.turn_cues(cues, tx.perm, tx.sign, f_hz)
+        assert got.tobytes() == np.array(want).tobytes(), tx.name
+
+
 def test_intensity_vector_swap_commutes_exactly():
     rng = np.random.default_rng(12)
     scene = random_scene(rng, "foa", duration=0.8, noise_power=1e-4)
@@ -168,34 +192,35 @@ def test_intensity_vector_swap_commutes_exactly():
         assert np.abs(swapped.data - direct.data).max() < 1e-9
 
 
-def test_foa_gcc_swap_refuses_a_sign_change():
-    # With Z exactly zero every cross spectrum with Z has no phase, and
-    # GCC-PHAT gives it zero phase: the (W, Z) pair peaks at +1 on lag 0
-    # before and after a zflip, where a negated pair would read -1.
-    scene = single_source_scene("foa", az=30.0, el=0.0, noise_power=0.0, seed=1)
-    cfg, fmt = StftConfig(), ArrayFormat("foa")
+def test_gcc_swap_commutes_with_rendering_mic():
+    # One source and no noise: a turn adds one phase to every capsule, which
+    # GCC-PHAT cancels, so the pairs match re-rendering on every lag but the
+    # +L/2 edge (_reverse_lags' borrow).
+    cfg, fmt = StftConfig(), ArrayFormat("mic")
+    scene = single_source_scene(
+        "mic", az=40.0, el=-15.0, seed=21, noise_power=0.0, signal="noise"
+    )
     spec, labels = render_scene(scene, cfg)
     feat = assemble(spec, "linspecgcc", fmt)
-    txs = {t.name: t for t in foa_transforms()}
+    for tx in mic_transforms():
+        swapped, _ = channel_swap(feat, labels, tx)
+        direct = assemble(render_scene(scene.transformed(tx.matrix), cfg)[0], "linspecgcc", fmt)
+        gap = swapped.data[:, :, :-1] - direct.data[:, :, :-1]
+        assert np.abs(gap).max() < 1e-9, tx.name
 
-    def direct(tx):
-        return assemble(render_scene(scene.transformed(tx.matrix), cfg)[0], "linspecgcc", fmt)
 
-    w_z, lag0 = 4 + 2, feat.meta["n_lags"] // 2 - 1  # pair (0, 3), lag 0
-    assert (feat.data[w_z, :, lag0] == 1).all()
-    assert (direct(txs["rot000_zflip"]).data[w_z, :, lag0] == 1).all()
-    # Only the identity and the x-y exchange keep every sign; they match
-    # re-rendering on every lag but the +L/2 edge (_reverse_lags' borrow).
-    unsigned = [name for name, tx in txs.items() if tx.sign == (1, 1, 1, 1)]
-    assert unsigned == ["rot000", "rot090_mirror"]
-    for name, tx in txs.items():
-        if name in unsigned:
-            swapped, _ = channel_swap(feat, labels, tx)
-            gap = swapped.data[:, :, :-1] - direct(tx).data[:, :, :-1]
-            assert np.abs(gap).max() < 1e-9, name
-        else:
-            with pytest.raises(ValueError, match="sign of a gcc pair"):
-                channel_swap(feat, labels, tx)
+def test_swap_refuses_a_foa_gcc_tensor():
+    # GCC-PHAT gives a cell without phase zero phase whatever the channels'
+    # signs, so no foa turn with a sign change has a GCC rearrangement:
+    # extract writes no foa gcc tensor, and a swap refuses one from elsewhere.
+    scene = single_source_scene("mic", az=30.0, el=0.0, seed=1)
+    feat = assemble(render_scene(scene, StftConfig())[0], "linspecgcc", ArrayFormat("mic"))
+    feat.meta["format"] = "foa"
+    for tx in foa_transforms():
+        with pytest.raises(ValueError, match="linspecgcc requires the mic format"):
+            channel_swap(feat, None, tx)
+    with pytest.raises(ValueError, match="requires the mic format"):
+        augment_pipeline(feat, None, np.random.default_rng(0), AugmentConfig(p_apply=1.0))
 
 
 def test_channel_swap_checks_format():

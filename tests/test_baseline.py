@@ -18,7 +18,8 @@ from seldkit import (
     stft,
     unit_vector,
 )
-from seldkit.stft import ComplexSpectrogram
+from seldkit.baseline import FEATURE_KINDS, assemble_stream
+from seldkit.stft import ComplexSpectrogram, FeatureStream, SpectrogramStream
 
 import oracles
 from support import single_source_scene
@@ -150,6 +151,31 @@ def test_assemble_roles_by_kind():
     spec, _ = render_scene(scene, StftConfig())
     iv = assemble(spec, "linspeciv", ArrayFormat("foa"))
     assert iv.channel_roles == ["spec"] * 4 + ["spatial"] * 3
-    gcc = assemble(spec, "linspecgcc", ArrayFormat("foa"))
+    mic_spec, _ = render_scene(single_source_scene("mic", az=10.0, el=0.0, seed=2), StftConfig())
+    gcc = assemble(mic_spec, "linspecgcc", ArrayFormat("mic"))
     assert gcc.channel_roles == ["spec"] * 4 + ["gcc"] * 6
     assert gcc.meta["n_lags"] == 200
+
+
+# The (format, kind) pairs assemble_stream takes: intensity vectors need
+# ambisonic channels, and GCC pairs turn only by a channel map without signs.
+VALID_PAIRS = {
+    ("foa", "melspeciv"), ("foa", "linspeciv"), ("foa", "salsa"),
+    ("mic", "melspecgcc"), ("mic", "linspecgcc"), ("mic", "salsa"),
+}
+
+
+@pytest.mark.parametrize("fmt_kind", ["foa", "mic"])
+@pytest.mark.parametrize("kind", FEATURE_KINDS)
+def test_assemble_stream_takes_exactly_the_six_valid_pairs(fmt_kind, kind):
+    def source(start, stop, n):  # a generator: nothing runs until a block is read
+        raise AssertionError("the spectrogram was read")
+        yield
+
+    spec = SpectrogramStream(4, 100, 257, 46.875, 50.0, source)
+    if (fmt_kind, kind) in VALID_PAIRS:
+        assert isinstance(assemble_stream(spec, kind, ArrayFormat(fmt_kind)), FeatureStream)
+    else:
+        other = "mic" if fmt_kind == "foa" else "foa"
+        with pytest.raises(ValueError, match=f"^{kind} requires the {other} format$"):
+            assemble_stream(spec, kind, ArrayFormat(fmt_kind))

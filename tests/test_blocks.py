@@ -22,8 +22,8 @@ from seldkit import (
     stft,
 )
 from seldkit import cli
-from seldkit.baseline import assemble_stream
-from seldkit.cli import main, read_wav, write_wav
+from seldkit.baseline import FORMAT_KINDS, assemble_stream
+from seldkit.cli import main, read_wav
 
 import oracles
 import support
@@ -33,6 +33,8 @@ stft_module = importlib.import_module("seldkit.stft")
 
 # One frame, a size that leaves a ragged last block, and more than T.
 BLOCKS = (1, 7, 10_000)
+# Every (format, kind) pair that extract writes.
+FORMAT_KIND_PAIRS = [(fmt, kind) for fmt, kinds in FORMAT_KINDS.items() for kind in kinds]
 
 
 @pytest.fixture(scope="module")
@@ -62,11 +64,7 @@ def test_stft_is_block_invariant(monkeypatch, foa_clip, block):
     assert stft(foa_clip, StftConfig()).data.tobytes() == ref.tobytes()
 
 
-@pytest.mark.parametrize(
-    "fmt_kind, kind",
-    [("foa", kind) for kind in FEATURE_KINDS]
-    + [("mic", "salsa"), ("mic", "melspecgcc"), ("mic", "linspecgcc")],
-)
+@pytest.mark.parametrize("fmt_kind, kind", FORMAT_KIND_PAIRS)
 def test_assemble_is_block_invariant(monkeypatch, spectrograms, fmt_kind, kind):
     spec = spectrograms[fmt_kind]
     fmt = ArrayFormat(fmt_kind)
@@ -107,6 +105,9 @@ BAD_ARGUMENTS = (
         for kind in ("linspeciv", "linspecgcc", "salsa")
         for start in (-1, 257)
     ]
+    # foa takes no gcc kind; mic's linspecgcc checks its compress_start_bin.
+    + [(kind, "foa", 4, {}) for kind in ("melspecgcc", "linspecgcc")]
+    + [("linspecgcc", "mic", 4, {"compress_start_bin": start}) for start in (-1, 257)]
 )
 
 
@@ -123,11 +124,6 @@ def test_assemble_stream_checks_arguments_before_reading(kind, fmt_kind, channel
     with pytest.raises(ValueError):
         assemble_stream(spec, kind, ArrayFormat(fmt_kind), cfg)
     assert calls == []
-
-
-EXTRACT_CASES = [("foa", kind) for kind in FEATURE_KINDS] + [
-    ("mic", "salsa"), ("mic", "melspecgcc"), ("mic", "linspecgcc")
-]
 
 
 def _directional_clip(fmt_kind, seconds=2.0, seed=3):
@@ -166,7 +162,7 @@ def _extract(tmp_path, wav, fmt_kind, kind):
     return main(argv), out
 
 
-@pytest.mark.parametrize("fmt_kind, kind", EXTRACT_CASES)
+@pytest.mark.parametrize("fmt_kind, kind", FORMAT_KIND_PAIRS)
 def test_streaming_extract_matches_whole_clip_path(monkeypatch, tmp_path, fmt_kind, kind):
     wav = tmp_path / "clip.wav"
     support.write_wav_blocks(wav, 24000, 4, [_directional_clip(fmt_kind)])
@@ -346,7 +342,8 @@ def test_extract_peak_memory_is_bounded(tmp_path):
     rng = np.random.default_rng(4)
     seconds, channels = 60, 4
     wav = tmp_path / "long.wav"
-    write_wav(wav, AudioClip(0.05 * rng.standard_normal((channels, seconds * 24000)), 24000))
+    samples = 0.05 * rng.standard_normal((channels, seconds * 24000))
+    support.write_wav_blocks(wav, 24000, channels, [samples])
     code, growth = support.child_peak_growth(
         ["extract", wav, "--format", "foa", "--feature", "salsa", "--out", tmp_path]
     )

@@ -33,7 +33,7 @@ from seldkit import (
     rows_to_csv,
     unit_vector,
 )
-from seldkit.cli import main, read_wav, write_wav
+from seldkit.cli import main, read_wav
 from seldkit.tensorfile import read_feature, write_feature
 from seldkit.wavio import WavReader
 
@@ -59,8 +59,8 @@ trajectory=0:40:10, 1.2:60:10
 
 def _wav(path, seed=0, channels=4, seconds=0.5, rate=24000):
     rng = np.random.default_rng(seed)
-    clip = AudioClip(0.1 * rng.standard_normal((channels, int(seconds * rate))), rate)
-    write_wav(path, clip)
+    samples = 0.1 * rng.standard_normal((channels, int(seconds * rate)))
+    support.write_wav_blocks(path, rate, channels, [samples])
     return path
 
 
@@ -122,11 +122,22 @@ def test_extract_mic_salsa_rejects_channel_count_mismatch(tmp_path, capsys):
 def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, capsys, feature):
     wav = _wav(tmp_path / "six.wav", channels=6)
     out = tmp_path / "o"
-    for fmt in ("mic", "foa"):
-        assert main(["extract", str(wav), "--format", fmt, "--feature", feature,
-                     "--out", str(out)]) == 3
-        assert f"{fmt} input must have 4 channels, got 6" in capsys.readouterr().err
+    assert main(["extract", str(wav), "--format", "mic", "--feature", feature,
+                 "--out", str(out)]) == 3
+    assert "mic input must have 4 channels, got 6" in capsys.readouterr().err
     assert not list(out.glob("*.ftb"))
+
+
+@pytest.mark.parametrize("feature", ["melspecgcc", "linspecgcc"])
+def test_extract_refuses_foa_gcc_kinds(tmp_path, capsys, feature):
+    # A foa turn that negates a channel has no GCC rearrangement, so augment
+    # could not swap such a tensor; extract writes none.
+    wav = _wav(tmp_path / "four.wav")
+    out = tmp_path / "o"
+    assert main(["extract", str(wav), "--format", "foa", "--feature", feature,
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"seldkit: {feature} requires the mic format\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -136,18 +147,47 @@ def test_extract_mic_gcc_rejects_channel_count_mismatch(tmp_path, capsys, featur
      "noise_delta_down=2", "noise_delta_down=1", "noise_delta_down=-0.01",
      "noise_delta_down=nan", "alpha_mag=nan", "beta_ratio=nan", "f_low=nan",
      "f_high_foa=nan", "alpha_mag=inf", "noise_init_frames=0",
-     "noise_init_frames=-4"],
+     "noise_init_frames=-4", "speed_of_sound=0", "speed_of_sound=-343",
+     "speed_of_sound=nan", "speed_of_sound=inf"],
 )
 def test_extract_rejects_selection_settings_out_of_range(tmp_path, capsys, setting):
     # Each one once gave features without error (no cues, a floor that
     # turns negative, or a floor seeded by one frame) or a traceback.
     wav = _wav(tmp_path / "noise.wav", seconds=1.0)
-    out = tmp_path / "o"
-    assert main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
-                 "--out", str(out), "--set", setting]) == 3
-    # f_high_foa reaches the selection config as the foa format's f_high.
-    assert setting.split("=")[0].removesuffix("_foa") in capsys.readouterr().err
-    assert not list(out.glob("*.ftb"))
+    # speed_of_sound is the array format's, which both formats check.
+    for fmt in ("foa", "mic") if setting.startswith("speed_of_sound") else ("foa",):
+        out = tmp_path / fmt
+        assert main(["extract", str(wav), "--format", fmt, "--feature", "salsa",
+                     "--out", str(out), "--set", setting]) == 3
+        err = capsys.readouterr().err
+        # f_high_foa reaches the selection config as the foa format's f_high.
+        assert setting.split("=")[0].removesuffix("_foa") in err and "Traceback" not in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "augment"])
+def test_synth_and_augment_reject_a_speed_of_sound_out_of_range(tmp_path, capsys, command):
+    # A mic salsa manifest edited to speed_of_sound=0.0 once made augment
+    # exit 0 with NaN cells wherever a swap re-wrapped a delay cue.
+    out = tmp_path / "out"
+    if command == "synth":
+        scene = tmp_path / "scene.txt"
+        scene.write_text(SCENE.replace("format=foa", "format=mic"))
+        argv = ["synth", str(scene), "--out", str(out), "--set", "speed_of_sound=0"]
+    else:
+        feat_dir = tmp_path / "feat"
+        assert main(["extract", str(_wav(tmp_path / "m.wav")), "--format", "mic",
+                     "--feature", "salsa", "--out", str(feat_dir)]) == 0
+        manifest = feat_dir / "m.manifest.txt"
+        text = manifest.read_text()
+        assert "speed_of_sound=343.0\n" in text
+        manifest.write_text(text.replace("speed_of_sound=343.0\n", "speed_of_sound=0.0\n"))
+        argv = ["augment", str(feat_dir), "--out", str(out), "--set", "p_apply=1"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "speed_of_sound must be finite and > 0" in err and "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_extract_sample_rate_gate(tmp_path):
@@ -163,7 +203,7 @@ def test_extract_sample_rate_gate(tmp_path):
 def test_extract_rejects_non_finite_audio(tmp_path):
     samples = 0.1 * np.ones((4, 12000))
     samples[0, 100] = np.nan
-    write_wav(tmp_path / "nan.wav", AudioClip(samples, 24000))
+    support.write_wav_blocks(tmp_path / "nan.wav", 24000, 4, [samples])
     code = main(["extract", str(tmp_path / "nan.wav"), "--format", "foa",
                  "--feature", "salsa", "--out", str(tmp_path / "o")])
     assert code == 4
@@ -171,7 +211,7 @@ def test_extract_rejects_non_finite_audio(tmp_path):
 
 def test_wav_round_trip(tmp_path):
     clip = AudioClip(np.linspace(-0.5, 0.5, 64).reshape(2, 32), 24000)
-    write_wav(tmp_path / "w.wav", clip)
+    support.write_wav_blocks(tmp_path / "w.wav", 24000, 2, [clip.samples])
     back = read_wav(tmp_path / "w.wav")
     assert back.sample_rate == 24000
     np.testing.assert_allclose(back.samples, clip.samples, atol=1e-7)
@@ -662,7 +702,7 @@ def _mic_source_wav(path, seconds=1.0, rate=24000):
     delays = (ArrayFormat("mic").mic_positions @ unit_vector(60.0, 20.0)) / 343.0
     capsules = [np.fft.irfft(spectrum * np.exp(2j * np.pi * freqs * d), n) for d in delays]
     samples = 0.1 * np.array(capsules) + 1e-3 * rng.standard_normal((4, n))
-    write_wav(path, AudioClip(samples, rate))
+    support.write_wav_blocks(path, rate, 4, [samples])
 
 
 def test_augment_rewraps_mic_cues_with_the_tensors_speed_of_sound(tmp_path):

@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seldkit import AudioClip
-from seldkit.cli import main, write_wav
+from seldkit.cli import main
+
+import support
 
 SCENE = """\
 version=1
@@ -38,7 +39,8 @@ def _source_wav(path, channels, seconds=0.5, rate=24000):
     n = int(seconds * rate)
     source = rng.standard_normal(n + channels)
     samples = np.array([source[channels - m : channels - m + n] for m in range(channels)])
-    write_wav(path, AudioClip(0.1 * samples + 1e-3 * rng.standard_normal((channels, n)), rate))
+    noise = 1e-3 * rng.standard_normal((channels, n))
+    support.write_wav_blocks(path, rate, channels, [0.1 * samples + noise])
 
 
 def _run(tmp_path: Path) -> dict[str, str]:

@@ -25,6 +25,7 @@ from seldkit import (
     salsa,
     tetra_positions,
     track_noise_floor,
+    transforms_for,
 )
 from seldkit.spatial import _EPS, _covariances_at, running_rms
 
@@ -231,6 +232,41 @@ def test_array_format_aliasing_frequency():
     assert ArrayFormat("foa").aliasing_frequency() == np.inf
     with pytest.raises(ValueError):
         ArrayFormat("stereo")
+
+
+@pytest.mark.parametrize("speed", [0.0, -343.0, np.nan, np.inf])
+def test_array_format_requires_a_finite_positive_speed_of_sound(speed):
+    for kind in ("foa", "mic"):
+        with pytest.raises(ValueError, match="speed_of_sound must be finite and > 0"):
+            ArrayFormat(kind, speed_of_sound=speed)
+
+
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+def test_turned_cues_are_the_cues_of_the_turned_direction(kind):
+    # The steering vector of a direction is the principal eigenvector of a
+    # bin that one source owns. Turning its cues by a swap's channel map
+    # must give the cues of the turned direction's steering: the foa unit
+    # vector, and the mic path lengths wrapped to one phase turn at the same
+    # in-band frequency below spatial aliasing.
+    fmt, rng, n = ArrayFormat(kind), np.random.default_rng(8), 200
+    u = rng.standard_normal((n, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    cfg = BinSelectionConfig.for_format(kind)
+    f = rng.uniform(cfg.f_low, min(cfg.f_high, fmt.aliasing_frequency()), n)
+
+    def cues(directions):
+        return fmt.cues(fmt.steering(directions, f[:, None])[:, :, 0].T, f)
+
+    before = cues(u)
+    if kind == "mic":  # some path lengths pass half a wavelength, so cues wrap
+        d = (fmt.mic_positions[0] - fmt.mic_positions[1:]) @ u.T
+        assert (np.abs(d * f / fmt.speed_of_sound) > 0.5).any()
+    for tx in transforms_for(kind):
+        perm, sign = fmt.channel_map(tx.matrix)
+        # One frame whose bands are the n directions, each at its own frequency.
+        turned = fmt.turn_cues(before.T[:, None, :], perm, sign, f)[:, 0, :].T
+        np.testing.assert_allclose(turned, cues(u @ tx.matrix.T), rtol=0,
+                                   atol=1e-12 if kind == "foa" else 1e-9, err_msg=tx.name)
 
 
 def test_salsa_layout_and_masking():
