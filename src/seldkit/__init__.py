@@ -44,8 +44,6 @@ from .spatial import (
     BinSelectionConfig,
     dominance_ratio,
     eigen_summary,
-    eigenvector_intensity_vector,
-    eigenvector_phase_vector,
     local_covariance,
     magnitude_test,
     passband_bins,

@@ -161,14 +161,17 @@ def _swap_channels(
     feat: FeatureTensor,
     labels: SeldLabels | LabelRows | None,
     tx: SpatialTransform,
-    fmt: ArrayFormat,
 ) -> SeldLabels | LabelRows | None:
     """channel_swap of feat.data in place, one block of frames at a time.
 
-    Every swap step maps each frame on its own, so each block is widened to
-    float64, swapped, and stored back in the tensor's dtype; the only
-    temporaries are a few blocks. Returns the transformed labels.
+    A mic swap re-wraps the delay cues with the speed of sound they were
+    extracted with, feat.meta["speed_of_sound"] (SPEED_OF_SOUND when the
+    tensor does not record one). Every swap step maps each frame on its own,
+    so each block is widened to float64, swapped, and stored back in the
+    tensor's dtype; the only temporaries are a few blocks. Returns the
+    transformed labels.
     """
+    fmt = ArrayFormat(tx.kind, speed_of_sound=feat.meta.get("speed_of_sound", SPEED_OF_SOUND))
     check_kind(feat.meta.get("feature"), tx.kind)
     groups = _role_slices(feat)
     # Only the uncompressed low bands carry per-bin phase (ArrayFormat.turn_cues).
@@ -185,15 +188,14 @@ def channel_swap(
     feat: FeatureTensor,
     labels: SeldLabels | LabelRows | None,
     tx: SpatialTransform,
-    speed_of_sound: float = SPEED_OF_SOUND,
 ) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
     """Apply a direction transform by rearranging feature channels.
 
     Equivalent to rendering the transformed scene: spectrogram channels are
     permuted, direction-valued channels turn by ArrayFormat.turn_cues (mic
-    delays at speed_of_sound), GCC pair channels are permuted with lag
-    reversal where the pair order flips, and label directions are mapped
-    through the same matrix.
+    delays at feat.meta["speed_of_sound"]), GCC pair channels are permuted
+    with lag reversal where the pair order flips, and label directions are
+    mapped through the same matrix.
 
     Args:
         feat: feature tensor to transform (any supported kind).
@@ -207,7 +209,7 @@ def channel_swap(
     if fmt != tx.kind:
         raise ValueError(f"transform is for {tx.kind!r} but features are {fmt!r}")
     out = feat.copy()
-    return out, _swap_channels(out, labels, tx, ArrayFormat(fmt, speed_of_sound=speed_of_sound))
+    return out, _swap_channels(out, labels, tx)
 
 
 def _shift_bands(feat: FeatureTensor, shift: int) -> None:
@@ -298,19 +300,15 @@ def augment_pipeline(
     """Channel swap, frequency shift, and random cutout, each applied
     independently with probability cfg.p_apply, in that order.
 
-    The stages change feat itself, in its own dtype, and return it. A mic
-    swap re-wraps the delay cues with the speed of sound they were extracted
-    with, feat.meta["speed_of_sound"] (SPEED_OF_SOUND when the tensor does
-    not record one). labels (SeldLabels, LabelRows or None) turn with the
-    swap, if one is drawn.
+    The stages change feat itself, in its own dtype, and return it. labels
+    (SeldLabels, LabelRows or None) turn with the swap, if one is drawn.
     """
     if cfg is None:
         cfg = AugmentConfig()
     if rng.random() < cfg.p_apply:
         options = transforms_for(feat.meta.get("format"))
         tx = options[int(rng.integers(len(options)))]
-        fmt = ArrayFormat(tx.kind, speed_of_sound=feat.meta.get("speed_of_sound", SPEED_OF_SOUND))
-        labels = _swap_channels(feat, labels, tx, fmt)
+        labels = _swap_channels(feat, labels, tx)
     if rng.random() < cfg.p_apply:
         shift = int(rng.integers(-cfg.max_shift, cfg.max_shift + 1))
         _shift_bands(feat, shift)

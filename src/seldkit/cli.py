@@ -469,7 +469,6 @@ def cmd_augment(args) -> None:
     acfg = cfg.augment_config()
     inputs = _collect_inputs(args.inputs, ".ftb")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     labels_dir = Path(args.labels) if args.labels else None
     for index, path in enumerate(inputs):
         label_path = labels_dir / (path.stem + ".csv") if labels_dir else None
@@ -483,6 +482,7 @@ def cmd_augment(args) -> None:
         feat, labels = augment_pipeline(feat, labels, rng, acfg)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
+        out_dir.mkdir(parents=True, exist_ok=True)  # not before: a bad first input leaves none
         write_feature(out_dir / path.name, feat)
         if labels is not None:
             atomic_write_text(out_dir / (path.stem + ".csv"), rows_to_csv(labels))

@@ -3,12 +3,12 @@ bin selection and the eigenvector direction cues of the salsa feature.
 
 ArrayFormat owns the cue model: a format's channel gains (steering), the cue
 of a principal eigenvector (cues) and how a turn of the scene moves channels
-and cues (channel_map, turn_cues). One batched core computes covariances by
-gathering each bin's frames (`_covariances_at`), Hermitian
-eigendecompositions (`_principal`) and coherence ratios (`_dominance`).
-`salsa_cues` runs it on the candidate bins of each run of frames as blocks
-arrive, the per-bin functions below on one bin. Its magnitude gate carries
-one state across blocks, the noise floor. The salsa stack, log spectrograms
+and cues (channel_map, turn_cues). Three functions take a batch of TF bins:
+`local_covariance` gathers each bin's frames into its covariance,
+`eigen_summary` gives Hermitian eigendecompositions and `dominance_ratio`
+their coherence ratios. `salsa_cues` runs them on the candidate bins of
+each run of frames as blocks arrive. Its magnitude gate carries one state
+across blocks, the noise floor. The salsa stack, log spectrograms
 over these cues, is built by baseline.assemble_stream like every other kind.
 """
 
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import COMPRESS_FACTOR, COMPRESS_START_BIN, LOG_FLOOR
-from .stft import ComplexSpectrogram, SpectrogramStream
+from .stft import COMPRESS_FACTOR, COMPRESS_START_BIN, LOG_FLOOR, SpectrogramStream
 
 SPEED_OF_SOUND = 343.0
 # Magnitude below which a norm, a reference component or an eigenvalue
@@ -207,97 +206,6 @@ class BinSelectionConfig:
         return cls() if kind == "foa" else cls(f_high=4000.0)
 
 
-@dataclass
-class CovarianceEstimate:
-    """Local spatial covariance at one TF bin."""
-
-    matrix: np.ndarray  # (M, M) complex, Hermitian PSD
-    frames_used: int
-
-
-@dataclass
-class EigenSummary:
-    """Principal eigenvector and the eigenvalue spectrum of a Hermitian covariance."""
-
-    vector: np.ndarray  # (M,) complex, unit norm
-    values: np.ndarray  # absolute eigenvalues, descending, >= 0
-
-
-def local_covariance(
-    spec: ComplexSpectrogram, t: int, f: int, half_window: int = BinSelectionConfig.cov_half_window
-) -> CovarianceEstimate:
-    """Average outer product over frames [t-half, t+half], truncated at edges.
-
-    Args:
-        spec: complex spectrogram stack.
-        t, f: frame and bin index.
-        half_window: frames averaged on each side of t.
-
-    Returns:
-        CovarianceEstimate with the actual frame count used.
-    """
-    T = spec.n_frames
-    if not (0 <= t < T) or not (0 <= f < spec.n_bins):
-        raise ValueError(f"bin (t={t}, f={f}) out of range")
-    if half_window < 0:
-        raise ValueError("half_window must be >= 0")
-    cov, used = _covariances_at(spec.data, np.array([t]), np.array([f]), half_window)
-    return CovarianceEstimate(matrix=cov[0], frames_used=int(used[0]))
-
-
-def eigen_summary(matrix: np.ndarray) -> EigenSummary:
-    """Hermitian eigendecomposition of a PSD matrix.
-
-    The principal vector belongs to the largest eigenvalue. Its phase is fixed
-    by making its first component of magnitude >= 1e-12 real and non-negative,
-    so repeated calls are deterministic. The values are the absolute
-    eigenvalues in descending order, which for a Hermitian matrix equal its
-    singular values.
-
-    Args:
-        matrix: (M, M) Hermitian positive semi-definite; raises ValueError
-            if it differs from its conjugate transpose by more than
-            1e-10 * (1 + max |entry|) anywhere (or holds a NaN).
-
-    Returns:
-        EigenSummary with unit-norm principal vector and descending values.
-    """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.abs(matrix - matrix.conj().T).max() <= 1e-10 * (1 + np.abs(matrix).max()):
-        raise ValueError("matrix is not Hermitian")
-    vectors, values = _principal(matrix[None])
-    return EigenSummary(vector=_fix_phase(vectors)[0], values=values[0])
-
-
-def _fix_phase(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each row so its first component with |.| >= _EPS is real >= 0."""
-    out = vectors.copy()
-    fixed = np.zeros(len(out), dtype=bool)
-    for k in range(out.shape[1]):
-        comp = out[:, k]
-        use = (~fixed) & (np.abs(comp) >= _EPS)
-        if np.any(use):
-            phase = comp[use] / np.abs(comp[use])
-            out[use] *= np.conj(phase)[:, None]
-            fixed |= use
-        if fixed.all():
-            break
-    return out
-
-
-def dominance_ratio(summary: EigenSummary) -> float:
-    """Ratio of the two largest absolute eigenvalues, lambda1 / (lambda2 + 1e-12).
-
-    Large ratios indicate a single dominant propagation direction at the bin;
-    the selection threshold compares against BinSelectionConfig.beta_ratio.
-    """
-    if len(summary.values) < 2:
-        raise ValueError("need at least a 2x2 covariance")
-    return float(_dominance(summary.values))
-
-
 def track_noise_floor(mag: np.ndarray, cfg: BinSelectionConfig) -> np.ndarray:
     """Adaptive per-bin noise floor of a magnitude sequence.
 
@@ -392,49 +300,23 @@ def magnitude_test(
     return rms > cfg.alpha_mag * floor
 
 
-def eigenvector_intensity_vector(summary: EigenSummary) -> np.ndarray:
-    """Direction estimate from a principal eigenvector of ambisonic channels.
-
-    Normalizes the eigenvector by its omnidirectional (first) component, takes
-    the real part of the remaining components and scales to unit norm. Returns
-    the zero vector when the first component or the real part is degenerate.
-    """
-    return ArrayFormat("foa").cues(summary.vector[None])[0]
-
-
-def eigenvector_phase_vector(
-    summary: EigenSummary,
-    f_hz: float,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> np.ndarray:
-    """Inter-channel delay estimate (metres) from a principal eigenvector.
-
-    Normalizes the eigenvector by its first (reference channel) component and
-    converts the residual phases to path-length differences at f_hz. For a
-    far-field source this approximates the relative distances on the wavefront.
-    Returns zeros for non-positive frequencies or a degenerate reference
-    component.
-    """
-    return ArrayFormat("mic", None, speed_of_sound).cues(summary.vector[None], np.array([f_hz]))[0]
-
-
 def passband_bins(n_bins: int, bin_hz: float, cfg: BinSelectionConfig) -> np.ndarray:
     """Boolean mask of bins whose center frequency lies in [f_low, f_high]."""
     freqs = np.arange(n_bins) * bin_hz
     return (freqs >= cfg.f_low) & (freqs <= cfg.f_high)
 
 
-# Bins per gather in _covariances_at: the products of 256 bins' 7-frame
+# Bins per gather in local_covariance: the products of 256 bins' 7-frame
 # windows of 4 channels take 0.5 MB, while a whole block's bins can take
 # tens of MB at a loud onset.
 _COV_BINS = 256
 
 
-def _covariances_at(
+def local_covariance(
     data: np.ndarray,
     t_idx: np.ndarray,
     f_idx: np.ndarray,
-    half: int,
+    half_window: int,
     first: int = 0,
     n_frames: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -442,38 +324,58 @@ def _covariances_at(
 
     data is (M, n, F) and holds frames first..first+n-1 of a clip of n_frames
     frames (default: the whole clip, first = 0); it must cover every frame
-    within half of each t inside the clip. Each bin averages x x^H over
-    frames t-half..t+half, with frames past either end of the clip masked
-    out. The 2*half+1 frames of up to _COV_BINS bins are gathered at once,
+    within half_window of each t. Each bin averages x x^H over frames
+    t-half_window..t+half_window, with frames past either end of the clip
+    masked out. The windows of up to _COV_BINS bins are gathered at once,
     and their products are added to zero in offset order (the offset axis
     is the outermost, so the reduction adds one whole offset at a time),
-    which gives the same bits for any number of bins.
+    which gives the same bits for any number of bins. Raises ValueError for
+    a bin outside the clip or a negative half_window.
     """
-    M = data.shape[0]
+    M, F = data.shape[0], data.shape[2]
     T = data.shape[1] if n_frames is None else n_frames
-    offsets = np.arange(-half, half + 1)[:, None]
+    bad = (t_idx < 0) | (t_idx >= T) | (f_idx < 0) | (f_idx >= F)
+    if bad.any():
+        k = np.argmax(bad)
+        raise ValueError(f"bin (t={t_idx[k]}, f={f_idx[k]}) out of range")
+    if half_window < 0:
+        raise ValueError("half_window must be >= 0")
+    offsets = np.arange(-half_window, half_window + 1)[:, None]
     cov = np.empty((len(t_idx), M, M), dtype=np.complex128)
     for lo in range(0, len(t_idx), _COV_BINS):
         part = slice(lo, lo + _COV_BINS)
-        frames = t_idx[part] + offsets  # (2*half+1, n)
+        frames = t_idx[part] + offsets  # (offsets, n)
         x = data[:, np.clip(frames, 0, T - 1) - first, f_idx[part]]
-        x = np.moveaxis(x * ((frames >= 0) & (frames < T)), 0, -1)  # (2*half+1, n, M)
+        x = np.moveaxis(x * ((frames >= 0) & (frames < T)), 0, -1)  # (offsets, n, M)
         cov[part] = np.add.reduce(x[..., :, None] * x[..., None, :].conj(), axis=0, initial=0)
-    used = np.minimum(t_idx + half, T - 1) - np.maximum(t_idx - half, 0) + 1
+    used = np.minimum(t_idx + half_window, T - 1) - np.maximum(t_idx - half_window, 0) + 1
     return cov / used[:, None, None], used
 
 
-def _principal(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def eigen_summary(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Principal eigenvectors (N, M) and descending absolute eigenvalues (N, M).
 
-    cov is (N, M, M) Hermitian; the vector belongs to the largest eigenvalue.
+    cov is (N, M, M); each vector belongs to its matrix's largest eigenvalue,
+    in whatever phase eigh gives (ArrayFormat.cues does not depend on it).
+    The absolute eigenvalues of a Hermitian matrix are its singular values.
+    Raises ValueError unless each matrix is within 1e-10 * (1 + its largest
+    |entry|) of its conjugate transpose, which a NaN never is.
     """
+    if cov.ndim != 3 or cov.shape[1] != cov.shape[2]:
+        raise ValueError("cov must be a stack of square matrices")
+    skew = np.abs(cov - cov.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0)
+    if not np.all(skew <= 1e-10 * (1 + np.abs(cov).max(axis=(1, 2), initial=0))):
+        raise ValueError("matrix is not Hermitian")
     w, v = np.linalg.eigh(cov)
     return v[:, :, -1], np.sort(np.abs(w), axis=1)[:, ::-1]
 
 
-def _dominance(values: np.ndarray) -> np.ndarray:
-    """lambda1 / (lambda2 + _EPS) of descending eigenvalues (..., M)."""
+def dominance_ratio(values: np.ndarray) -> np.ndarray:
+    """lambda1 / (lambda2 + _EPS) of descending eigenvalues (..., M).
+
+    Large ratios mean one propagation direction dominates the bin; salsa_cues
+    compares them with BinSelectionConfig.beta_ratio.
+    """
     return values[..., 0] / (values[..., 1] + _EPS)
 
 
@@ -547,9 +449,9 @@ def salsa_cues(
         t_idx, f_idx = np.nonzero(rms > cfg.alpha_mag * eta[done - first : ready - first])
         t_idx += done
         f_idx += bins.start
-        cov, _ = _covariances_at(data, t_idx, f_idx, half, first, T)
-        vectors, values = _principal(cov)
-        coherent = _dominance(values) > cfg.beta_ratio
+        cov, _ = local_covariance(data, t_idx, f_idx, half, first, T)
+        vectors, values = eigen_summary(cov)
+        coherent = dominance_ratio(values) > cfg.beta_ratio
         counts["in_band_bins"] += (ready - done) * len(band)
         counts["candidates"] += len(t_idx)
         counts["selected"] += int(coherent.sum())

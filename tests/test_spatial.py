@@ -14,8 +14,6 @@ from seldkit import (
     compress_high_bands,
     dominance_ratio,
     eigen_summary,
-    eigenvector_intensity_vector,
-    eigenvector_phase_vector,
     foa_steering,
     local_covariance,
     magnitude_test,
@@ -27,7 +25,7 @@ from seldkit import (
     track_noise_floor,
     transforms_for,
 )
-from seldkit.spatial import _EPS, _covariances_at, running_rms
+from seldkit.spatial import _EPS, running_rms
 
 import oracles
 from support import single_source_scene
@@ -43,21 +41,30 @@ def _random_spec(rng, channels=4, frames=20, bins=12):
 def test_local_covariance_matches_direct_sum():
     rng = np.random.default_rng(0)
     spec = _random_spec(rng)
-    for t in (0, 1, 3, 10, 19):
-        est = local_covariance(spec, t, 5, half_window=3)
-        ref, used = oracles.naive_local_covariance(spec.data, t, 5, 3)
-        assert est.frames_used == used
-        np.testing.assert_allclose(est.matrix, ref, atol=1e-12)
+    t_idx = np.array([0, 1, 3, 10, 19])
+    cov, used = local_covariance(spec.data, t_idx, np.full(len(t_idx), 5), half_window=3)
+    for k, t in enumerate(t_idx):
+        ref, ref_used = oracles.naive_local_covariance(spec.data, t, 5, 3)
+        assert used[k] == ref_used
+        np.testing.assert_allclose(cov[k], ref, atol=1e-12)
 
 
 def test_local_covariance_edge_windows_shrink():
     rng = np.random.default_rng(1)
     spec = _random_spec(rng, frames=10)
-    assert local_covariance(spec, 0, 0, 3).frames_used == 4
-    assert local_covariance(spec, 9, 0, 3).frames_used == 4
-    assert local_covariance(spec, 5, 0, 3).frames_used == 7
+    _, used = local_covariance(spec.data, np.array([0, 9, 5]), np.zeros(3, dtype=int), 3)
+    assert list(used) == [4, 4, 7]
     with pytest.raises(ValueError):
-        local_covariance(spec, 10, 0, 3)
+        local_covariance(spec.data, np.array([10]), np.array([0]), 3)
+
+
+@pytest.mark.parametrize("t, f, half", [(-1, 0, 3), (10, 0, 3), (0, -1, 3), (0, 12, 3), (0, 0, -1)])
+def test_local_covariance_rejects_a_bin_outside_the_clip_or_a_negative_half_window(t, f, half):
+    spec = _random_spec(np.random.default_rng(1), frames=10)  # 10 frames, 12 bins
+    # The bad bin comes after good ones: every bin of the batch is checked.
+    t_idx, f_idx = np.array([0, 5, t]), np.array([0, 5, f])
+    with pytest.raises(ValueError, match="out of range" if half >= 0 else "half_window"):
+        local_covariance(spec.data, t_idx, f_idx, half)
 
 
 def test_batched_covariances_match_direct_sum():
@@ -68,7 +75,7 @@ def test_batched_covariances_match_direct_sum():
     t_idx = np.repeat(np.arange(12), 3)
     f_idx = rng.integers(0, 30, size=len(t_idx))
     for half in (0, 1, 3):
-        batch, used = _covariances_at(spec.data, t_idx, f_idx, half)
+        batch, used = local_covariance(spec.data, t_idx, f_idx, half)
         for k in range(len(t_idx)):
             t, f = int(t_idx[k]), int(f_idx[k])
             ref, ref_used = oracles.naive_local_covariance(spec.data, t, f, half)
@@ -78,29 +85,53 @@ def test_batched_covariances_match_direct_sum():
 
 def test_eigen_summary_agrees_with_power_iteration():
     rng = np.random.default_rng(3)
-    for k in range(25):
+    mats = []
+    for _ in range(25):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        mat = a @ a.conj().T
-        summary = eigen_summary(mat)
+        mats.append(a @ a.conj().T)
+    vectors, values = eigen_summary(np.array(mats))
+    np.testing.assert_allclose(np.linalg.norm(vectors, axis=1), 1.0)
+    assert np.all(np.diff(values, axis=1) <= 1e-12)
+    for k, mat in enumerate(mats):
         value, vector = oracles.power_iteration_eig(mat, seed=k)
-        assert summary.values[0] == pytest.approx(value, rel=1e-10)
+        assert values[k, 0] == pytest.approx(value, rel=1e-10)
         # same ray: dot magnitude 1 regardless of phase convention
-        assert abs(np.vdot(vector, summary.vector)) == pytest.approx(1.0, abs=1e-8)
+        assert abs(np.vdot(vector, vectors[k])) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_eigen_summary_phase_convention():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    summary = eigen_summary(a @ a.conj().T)
-    assert summary.vector[0].imag == pytest.approx(0.0, abs=1e-12)
-    assert summary.vector[0].real >= 0.0
-    assert np.linalg.norm(summary.vector) == pytest.approx(1.0)
-    assert np.all(np.diff(summary.values) <= 1e-12)
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+def test_cues_do_not_depend_on_the_eigenvectors_phase(kind):
+    # eigh fixes no phase of a principal vector; a cue divides the vector by
+    # its reference component, so any phase gives the same cue.
+    fmt, rng, n = ArrayFormat(kind), np.random.default_rng(4), 200
+    v = rng.standard_normal((n, 4)) + 1j * rng.standard_normal((n, 4))
+    turn = np.exp(1j * rng.uniform(-np.pi, np.pi, (n, 1)))
+    f = rng.uniform(50.0, 4000.0, n)
+    cues = fmt.cues(v, f)
+    assert np.all(cues != 0)
+    np.testing.assert_allclose(fmt.cues(turn * v, f), cues, rtol=0, atol=1e-12)
 
 
 def test_eigen_summary_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
-        eigen_summary(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        eigen_summary(np.array([[1.0, 2.0], [0.0, 1.0]])[None])
+
+
+def test_eigen_summary_checks_each_matrix_of_a_batch():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+    good = a @ a.conj().transpose(0, 2, 1)
+    good[0] *= 1e8
+    eigen_summary(good)
+    # A skew far below the batch's largest entry, but not below matrix 3's.
+    skewed = good.copy()
+    skewed[3, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigen_summary(skewed)
+    nan = good.copy()
+    nan[2, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        eigen_summary(nan)
 
 
 def test_dominance_ratio_separates_rank_one_from_mixture():
@@ -108,8 +139,9 @@ def test_dominance_ratio_separates_rank_one_from_mixture():
     v = np.array([1.0, -1.0, 1.0, -1.0]) / 2.0
     pure = np.outer(u, u.conj())
     mixed = 0.5 * np.outer(u, u.conj()) + 0.5 * np.outer(v, v.conj())
-    assert dominance_ratio(eigen_summary(pure)) > 1e10
-    assert dominance_ratio(eigen_summary(mixed)) == pytest.approx(1.0, rel=1e-9)
+    ratio = dominance_ratio(eigen_summary(np.array([pure, mixed]))[1])
+    assert ratio[0] > 1e10
+    assert ratio[1] == pytest.approx(1.0, rel=1e-9)
 
 
 def test_noise_floor_recurrence_step_by_step():
@@ -169,37 +201,41 @@ def test_magnitude_test_threshold():
 
 def test_intensity_style_direction_recovers_steering():
     rng = np.random.default_rng(6)
+    steering = []
     for _ in range(20):
         az = rng.uniform(-180.0, 180.0)
         el = rng.uniform(-90.0, 90.0)
-        h = foa_steering(az, el)
-        cov = np.outer(h, h.conj()).astype(complex)
-        v = eigenvector_intensity_vector(eigen_summary(cov))
-        np.testing.assert_allclose(v, h[1:] / np.linalg.norm(h[1:]), atol=1e-9)
+        steering.append(foa_steering(az, el))
+    h = np.array(steering)
+    vectors, _ = eigen_summary((h[:, :, None] * h[:, None, :].conj()).astype(complex))
+    v = ArrayFormat("foa").cues(vectors)
+    np.testing.assert_allclose(v, h[:, 1:] / np.linalg.norm(h[:, 1:], axis=1, keepdims=True),
+                               atol=1e-9)
+
+
+def _foa_cue(cov):
+    return ArrayFormat("foa").cues(eigen_summary(cov[None])[0])[0]
 
 
 def test_intensity_direction_sign_convention():
     # A source straight ahead must come out as +x, not -x.
     cov = np.outer(foa_steering(0.0, 0.0), foa_steering(0.0, 0.0)).astype(complex)
-    v = eigenvector_intensity_vector(eigen_summary(cov))
-    np.testing.assert_allclose(v, [1.0, 0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(_foa_cue(cov), [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_intensity_direction_degenerate_cases():
-    zero_first = eigen_summary(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-    assert np.all(eigenvector_intensity_vector(zero_first) == 0.0)
+    assert np.all(_foa_cue(np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)) == 0.0)
 
 
 def test_phase_style_direction_recovers_path_differences():
     positions = tetra_positions()
     rng = np.random.default_rng(7)
+    steering, f_hz, expected = [], [], []
     for _ in range(20):
         az = rng.uniform(-180.0, 180.0)
         el = rng.uniform(-90.0, 90.0)
-        f_hz = rng.uniform(300.0, 2400.0)  # below spatial aliasing
-        h = mic_steering(f_hz, az, el, positions)
-        cov = np.outer(h, h.conj())
-        d = eigenvector_phase_vector(eigen_summary(cov), f_hz)
+        f_hz.append(rng.uniform(300.0, 2400.0))  # below spatial aliasing
+        steering.append(mic_steering(f_hz[-1], az, el, positions))
         u = np.array(
             [
                 np.cos(np.radians(el)) * np.cos(np.radians(az)),
@@ -207,13 +243,16 @@ def test_phase_style_direction_recovers_path_differences():
                 np.sin(np.radians(el)),
             ]
         )
-        expected = (positions[0] - positions[1:]) @ u
-        np.testing.assert_allclose(d, expected, atol=1e-9)
+        expected.append((positions[0] - positions[1:]) @ u)
+    h = np.array(steering)
+    vectors, _ = eigen_summary(h[:, :, None] * h[:, None, :].conj())
+    d = ArrayFormat("mic", positions).cues(vectors, np.array(f_hz))
+    np.testing.assert_allclose(d, np.array(expected), atol=1e-9)
 
 
 def test_phase_style_direction_zero_frequency():
-    cov = np.eye(4, dtype=complex)
-    assert np.all(eigenvector_phase_vector(eigen_summary(cov), 0.0) == 0.0)
+    vectors, _ = eigen_summary(np.eye(4, dtype=complex)[None])
+    assert np.all(ArrayFormat("mic").cues(vectors, np.array([0.0])) == 0.0)
 
 
 def test_passband_default_bins():
