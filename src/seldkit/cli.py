@@ -180,19 +180,19 @@ def _finite_reads(wav: WavReader):
 
 
 def _cpus() -> int:
-    """Processes to split each clip between: one per CPU of this process's
-    affinity set. One where that set cannot be read (every platform that
-    has it also has fork), and one while other threads run, because a
-    forked child holds a copy of the calling thread only."""
+    """Processes to split each clip or scene between: one per CPU of this
+    process's affinity set. One where that set cannot be read (every
+    platform that has it also has fork), and one while other threads run,
+    because a forked child holds a copy of the calling thread only."""
     if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
         return 1
     return len(os.sched_getaffinity(0))
 
 
-def _frame_ranges(n_frames: int, n: int) -> list[slice]:
-    """min(n, n_frames) contiguous near-equal frame slices covering [0, n_frames)."""
-    n = min(n, n_frames)
-    edges = [n_frames * k // n for k in range(n + 1)]
+def _ranges(length: int, n: int) -> list[slice]:
+    """min(n, length) contiguous near-equal slices covering [0, length)."""
+    n = min(n, length)
+    edges = [length * k // n for k in range(n + 1)]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
@@ -287,7 +287,7 @@ def cmd_extract(args) -> None:
             spec = stft_stream(
                 _finite_reads(wav), wav.n_channels, wav.n_samples, eff.stft_config()
             )
-            ranges = _frame_ranges(spec.n_frames, _cpus())
+            ranges = _ranges(spec.n_frames, _cpus())
             streams = [
                 assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
                 for frames in ranges
@@ -320,16 +320,27 @@ def cmd_synth(args) -> None:
         raise InputError(f"{scene_path}: no such file")
     scene = parse_scene(scene_path.read_text())
     scene.fmt = replace(scene.fmt, speed_of_sound=cfg.speed_of_sound)
-    stream = render_stream(scene, cfg.stft_config())
+    # Each range of channels is rendered and written by its own process,
+    # channel by channel and one frame block at a time; no whole-scene
+    # spectrogram exists. The first range's stream checks the scene before
+    # anything is written, and gives the shape and labels of all.
+    ranges = _ranges(scene.fmt.n_channels, _cpus())
+    stream = render_stream(scene, cfg.stft_config(), ranges[0])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name or scene_path.stem
     tensor_path = out_dir / f"{stem}.ftb"
-    # Channel by channel, one frame block at a time, in file order; no
-    # whole-scene spectrogram exists.
     with tensor_writer(tensor_path, stream.shape, np.complex64) as append:
-        for channel, _, block in stream.pieces:
-            append(block, row=channel)
+        parts = [append.part(slice(None)) for _ in ranges]
+
+        def work(k: int) -> list:
+            rows = stream if k == 0 else render_stream(scene, cfg.stft_config(), ranges[k])
+            for channel, _, block in rows.pieces:
+                parts[k](block, row=channel)
+            return parts[k].written
+
+        for part, written in zip(parts, _in_ranges(work, len(ranges))):
+            part.written = written
     channels, frames, bands = stream.shape
     write_manifest(
         manifest_path_for(tensor_path),

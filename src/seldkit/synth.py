@@ -37,9 +37,10 @@ render_stream renders the (channels, frames, bins) spectrogram channel by
 channel, one frame block (stft.frame_blocks) at a time, so a writer can
 stream it to a tensor file without a whole-scene array. It holds one block
 buffer and each source's support-bin contribution; the ambient noise is
-drawn per block into that buffer, also in a re-oriented scene.
-render_scene collects the same pieces into one array, so both give the
-same bits.
+drawn per block into that buffer. Each noise channel has its own random
+stream, so any subset of channels renders by itself with the same bits:
+`synth` splits the channels between processes. render_scene collects the
+pieces of every channel into one array, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -283,13 +284,11 @@ def _frame_spectra(
 class SceneStream:
     """A rendered scene delivered channel by channel, one frame block at a time.
 
-    shape is (channels, frames, bins). pieces yields (channel, frames, block)
-    channel by channel: every frame block (frame_blocks) of one channel, then
-    of the next. The channels come in order, 0 first, except in a re-oriented
-    foa scene, where they come in the order their noise is drawn (see
-    render_stream). block is the (n, bins)
-    complex128 spectrogram of that channel and block; its buffer may be
-    reused by the next piece.
+    shape is (channels, frames, bins) of the whole scene. pieces yields
+    (channel, frames, block) for the channels render_stream was asked for,
+    in channel order: every frame block (frame_blocks) of one channel, then
+    of the next. block is the (n, bins) complex128 spectrogram of that
+    channel and block; its buffer may be reused by the next piece.
     """
 
     shape: tuple[int, int, int]
@@ -299,25 +298,29 @@ class SceneStream:
     pieces: Iterator[tuple[int, slice, np.ndarray]]
 
 
-def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> SceneStream:
+def render_stream(
+    scene: SceneDescription, cfg: StftConfig | None = None, channels: slice = slice(None)
+) -> SceneStream:
     """Render a scene directly in the STFT domain, channel by channel.
 
     Each source contributes S(t, f) * H(f, direction(t)) at its active frames,
     added only on its support bins (where S is non-zero): H is the scene
     format's ArrayFormat.steering, the 4-gain vector for foa and the
     steering phase at those bins' frequencies for mic.
-    The result is bit-identical to multiplying over every bin. Each source's
-    contribution is computed once, here; a block adds the frames of it that
-    fall inside the block. Independent complex Gaussian noise of the
-    configured power is added to every channel: it is drawn block by block,
-    channel-major, into one reused buffer, which gives the same numbers as
-    one (channels, frames, bins) draw. A re-oriented foa scene sees its
-    ambient noise re-oriented too: noise channel j, drawn j-th, lands
-    (negated where the signed permutation says) on the channel the
-    orientation maps it to, so the pieces then come in that channel order.
+    The result is bit-identical to multiplying over every bin.
+
+    Ambient noise is i.i.d. complex Gaussian of power noise_power per cell
+    and channel: noise channel j is sqrt(p / 2) * (d0 + 1j d1) from its own
+    stream, the j-th child of SeedSequence([seed, 0]), drawn block by block
+    into one reused buffer. The ambient field belongs to the scene, so a
+    re-oriented foa scene sees it re-oriented too: output channel m takes
+    noise channel perm[m] times sign[m], where (perm, sign) is
+    ArrayFormat.channel_map of the orientation. So any subset of channels
+    renders by itself with the same bits.
     Labels are sampled at the label frame centers (10 fps).
 
-    The scene is checked before anything is drawn.
+    The scene is checked here, before anything is drawn; the channels'
+    source contributions are built when pieces is first read.
 
     Raises:
         ValueError: a tone's f0 is above Nyquist, or a noise band holds no bin.
@@ -325,6 +328,7 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
     Args:
         scene: scene description.
         cfg: analysis parameters; defaults to StftConfig().
+        channels: the output channels that pieces yields; default all.
 
     Returns:
         SceneStream of the scene's (channels, frames, bins) spectrogram.
@@ -346,50 +350,44 @@ def render_stream(scene: SceneDescription, cfg: StftConfig | None = None) -> Sce
             raise ValueError(
                 f"source {si}: noise band holds no STFT bin ({cfg.bin_hz:g} Hz spacing)"
             )
-
-    # (active frames, bins, H * values) per source; frames are sorted.
-    sources = []
-    for si, src in enumerate(scene.sources):
-        t_idx = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
-        if len(t_idx) == 0:
-            continue
-        t_act = centers[t_idx]
-        rng = np.random.default_rng([scene.seed, 1 + si])
-        bins, values = _frame_spectra(src, t_act, freqs, rng)
-        u = src.direction_at(t_act) @ scene.orientation.T  # (n_act, 3)
-        sources.append((t_idx, bins, scene.fmt.steering(u, freqs[bins]) * values))
-
-    rng = np.random.default_rng([scene.seed, 0])
-    scale = np.sqrt(scene.noise_power / 2.0)
-    # The ambient field belongs to the scene, so a re-oriented foa scene sees
-    # re-oriented noise; keeps swap-vs-rerender equivalence exact. Noise
-    # channel j lands, times sign[j], on the channel dest[j] channel_map reads it into.
-    dest, sign = np.arange(M), np.ones(M)
+    perm, sign = np.arange(M), np.ones(M)
     if scene.fmt.kind == "foa":
-        perm, turn = scene.fmt.channel_map(scene.orientation)
-        dest = np.argsort(perm)
-        sign = turn[dest]
+        perm, sign = scene.fmt.channel_map(scene.orientation)
+    scale = np.sqrt(scene.noise_power / 2.0)
 
     def pieces():
+        # (active frames, bins, H * values of the channels) per source; frames are sorted.
+        sources = []
+        for si, src in enumerate(scene.sources):
+            t_idx = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
+            if len(t_idx) == 0:
+                continue
+            t_act = centers[t_idx]
+            rng = np.random.default_rng([scene.seed, 1 + si])
+            bins, values = _frame_spectra(src, t_act, freqs, rng)
+            u = src.direction_at(t_act) @ scene.orientation.T  # (n_act, 3)
+            H = scene.fmt.steering(u, freqs[bins])[channels]
+            sources.append((t_idx, bins, H * values))
         spans = list(frame_blocks(T))
         # The first block is the longest; every block's noise is drawn here.
         # Each (real, imaginary) pair of draws is read in place as one
         # complex sample, so the noise needs no complex temporaries.
         buf = np.empty((spans[0].stop if spans else 0, F, 2))
-        for j in range(M):
-            m = int(dest[j])
+        for i, m in enumerate(range(M)[channels]):
+            key = (int(perm[m]),)
+            rng = np.random.default_rng(np.random.SeedSequence([scene.seed, 0], spawn_key=key))
             for frames in spans:
                 n = frames.stop - frames.start
                 block = buf[:n].view(np.complex128)[..., 0]
                 if scene.noise_power > 0:
                     rng.standard_normal(out=buf[:n])
-                    block *= sign[j] * scale
+                    block *= sign[m] * scale
                 else:
                     block.fill(0.0)
                 for t_idx, bins, contrib in sources:
                     lo, hi = np.searchsorted(t_idx, (frames.start, frames.stop))
                     # Bins are distinct within a frame, so the fancy-index add is exact.
-                    block[t_idx[lo:hi, None] - frames.start, bins[lo:hi]] += contrib[m, lo:hi]
+                    block[t_idx[lo:hi, None] - frames.start, bins[lo:hi]] += contrib[i, lo:hi]
                 yield m, frames, block
 
     return SceneStream((M, T, F), cfg.bin_hz, cfg.frame_rate, _labels_for(scene), pieces())

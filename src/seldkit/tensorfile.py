@@ -150,10 +150,11 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     slices and is written at its own offset (os.pwrite).
 
     append.part(frames) returns an append of the same form for the slices
-    `frames` of every row only. Writes are positional, so a part may be
+    `frames` of each row only. Writes are positional, so a part may be
     used by a forked process sharing the file; its `written` (slices per
     row) then has to be set in this process to the counts that process
-    reports. Parts must not overlap each other or the direct appends.
+    reports. No two parts, or a part and the direct appends, may write the
+    same slices of one row.
 
     The temp file is preallocated to its full length (os.posix_fallocate,
     where the platform has it) before anything is written, so a full disk

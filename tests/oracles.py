@@ -291,6 +291,11 @@ def _dense_frame_spectra(src, times, freqs, rng):
     return S * src.gain
 
 
+def noise_stream(seed, j):
+    """The random stream of a scene's ambient-noise channel j."""
+    return np.random.default_rng(np.random.SeedSequence([seed, 0]).spawn(j + 1)[j])
+
+
 def dense_render_scene(scene, cfg):
     """Scene spectrogram with every source multiplied by its steering over all
     bins of its active frames, (M, T, F) complex128.
@@ -305,8 +310,9 @@ def dense_render_scene(scene, cfg):
     freqs = np.arange(F) * cfg.bin_hz
     centers = (np.arange(T) * cfg.hop_length + cfg.window_length / 2) / cfg.sample_rate
     if scene.noise_power > 0:
-        rng = np.random.default_rng([scene.seed, 0])
-        draws = rng.standard_normal((M, T, F, 2))
+        # Noise channel j is drawn whole from the j-th child of SeedSequence([seed, 0]).
+        draws = np.stack([noise_stream(scene.seed, j).standard_normal((T, F, 2))
+                          for j in range(M)])
         X = np.sqrt(scene.noise_power / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
         if scene.fmt.kind == "foa" and not np.array_equal(scene.orientation, np.eye(3)):
             A = np.zeros((4, 4))

@@ -199,6 +199,15 @@ _PEAK_CHILD = textwrap.dedent(
 )
 
 
+def no_children_left() -> bool:
+    """True when this process has no child process, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
 def child_peak_growth(argv):
     """Exit code and VmHWM growth in bytes of one CLI call in a fresh process.
 

@@ -207,11 +207,6 @@ def test_streaming_extract_nan_in_last_block_leaves_nothing(monkeypatch, tmp_pat
 RANGE_CASES = [("foa", "salsa"), ("mic", "salsa"), ("mic", "melspecgcc")]
 
 
-def _no_children_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("fmt_kind, kind", RANGE_CASES)
 def test_extract_in_frame_ranges_is_byte_identical(monkeypatch, tmp_path, fmt_kind, kind):
     wav = tmp_path / "clip.wav"
@@ -230,7 +225,7 @@ def test_extract_in_frame_ranges_is_byte_identical(monkeypatch, tmp_path, fmt_ki
                 if kind == "salsa":
                     assert b"selected=" in got[1]
             assert got == want, f"{n_ranges} ranges, blocks of {block} frames"
-    _no_children_left()
+    assert support.no_children_left()
 
 
 @pytest.mark.parametrize("fmt_kind, kind", RANGE_CASES)
@@ -295,7 +290,7 @@ def test_extract_helper_failure_matches_the_serial_run(monkeypatch, tmp_path, ca
         captured = capfd.readouterr()
         results[n_ranges] = (code, captured.out, captured.err)
         assert list(out.iterdir()) == []
-        _no_children_left()
+        assert support.no_children_left()
     assert results[1][0] == (4 if fault == "nan" else 2)
     assert ("non-finite" if fault == "nan" else "ended inside") in results[1][2]
     assert all(r == results[1] for r in results.values()), results
@@ -321,7 +316,7 @@ def test_in_ranges_results_errors_and_reaping():
         cli._in_ranges(fail_from(1, ZeroDivisionError), 2)
     with pytest.raises(RuntimeError, match="wait status"):
         cli._in_ranges(lambda k: os._exit(3) if k else 0, 2)
-    _no_children_left()
+    assert support.no_children_left()
 
     # An interrupt in this process kills and reaps helpers that still run.
     t0 = time.perf_counter()
@@ -334,7 +329,7 @@ def test_in_ranges_results_errors_and_reaping():
     with pytest.raises(KeyboardInterrupt):
         cli._in_ranges(interrupted, 3)
     assert time.perf_counter() - t0 < 30
-    _no_children_left()
+    assert support.no_children_left()
 
 
 @pytest.mark.skipif(not support.HAS_VMHWM, reason="needs /proc/self/status")

@@ -316,14 +316,28 @@ def test_salsa_layout_and_masking():
     assert feat.channel_roles == ["spec"] * 4 + ["spatial"] * 3
     assert feat.scale == "linear"
     spatial = feat.data[4:]
-    # below f_low and in the very first frames nothing may be selected
+    # below f_low nothing may be selected
     assert np.all(spatial[:, :, :2] == 0.0)
-    assert np.all(spatial[:, :3, :] == 0.0)
     # wherever a direction was written it is unit norm (uncompressed bands)
     norms = np.linalg.norm(spatial[:, :, :192], axis=0)
     nonzero = norms > 0
     assert nonzero.any()
     np.testing.assert_allclose(norms[nonzero], 1.0, atol=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="FOUND: salsa puts cues in the first frames of a noisy scene, where frame 0's "
+    "covariance window holds 4 of its 7 frames: frames 0-2 of this scene hold a cue cell "
+    "for 15 of seeds 0-39 (9 before each noise channel had its own stream); "
+    "test_salsa_layout_and_masking's seed 3 is free of them by luck of the draw",
+)
+def test_salsa_first_frames_of_a_noisy_scene_carry_no_cue():
+    for seed in range(40):
+        scene = single_source_scene("foa", az=40.0, el=10.0, seed=seed, noise_power=1e-4)
+        spec, _ = render_scene(scene, StftConfig())
+        spatial = salsa(spec, ArrayFormat("foa")).data[4:]
+        assert np.all(spatial[:, :3, :] == 0.0), f"seed {seed}"
 
 
 def test_salsa_rejects_wrong_foa_channel_count():

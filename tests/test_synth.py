@@ -1,11 +1,14 @@
 """Scene rendering, trajectories, label sampling and the text formats."""
 
+import errno
 import importlib
+import os
 
 import numpy as np
 import pytest
 
 import seldkit.cli
+from seldkit import tensorfile
 
 from seldkit import (
     ArrayFormat,
@@ -146,15 +149,17 @@ def test_render_is_deterministic_per_seed():
 
 
 def test_render_noise_matches_complex_expression():
-    # The noise is read in place from the (real, imaginary) draws; it must be
-    # bit-identical, sign bits included, to sqrt(p/2) * (d0 + 1j * d1).
+    # The noise is read in place from the (real, imaginary) draws; channel j
+    # must be bit-identical, sign bits included, to sqrt(p/2) * (d0 + 1j * d1)
+    # of its own stream.
     for kind in ("foa", "mic"):
         scene = SceneDescription(fmt=ArrayFormat(kind), duration=0.5, sources=[],
                                  noise_power=1e-3, seed=42)
         spec, _ = render_scene(scene, StftConfig())
-        draws = np.random.default_rng([42, 0]).standard_normal((*spec.data.shape, 2))
-        want = np.sqrt(1e-3 / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
-        np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
+        for j, channel in enumerate(spec.data):
+            draws = oracles.noise_stream(42, j).standard_normal((*channel.shape, 2))
+            want = np.sqrt(1e-3 / 2.0) * (draws[..., 0] + 1j * draws[..., 1])
+            np.testing.assert_array_equal(channel.view(np.uint64), want.view(np.uint64))
 
 
 def _scene(kind, sources, noise_power=1e-3, seed=11):
@@ -227,14 +232,19 @@ def _synth(tmp_path, scene_path):
     return code, out
 
 
-@pytest.mark.parametrize("kind, case", SYNTH_CASES)
-def test_synth_file_matches_dense_oracle_at_every_block_size(monkeypatch, tmp_path, kind, case):
-    scene = RENDER_CASES[case](kind)
+def _scene_file(monkeypatch, tmp_path, scene):
+    """scene written to a file, and the scene the CLI reads back from it."""
     path = tmp_path / "scene.txt"
     path.write_text(format_scene(scene))
     # Scene files carry no orientation: the CLI gets it back through its parser.
     read = parse_scene(path.read_text()).transformed(scene.orientation)
     monkeypatch.setattr(seldkit.cli, "parse_scene", lambda text: read)
+    return path, read
+
+
+@pytest.mark.parametrize("kind, case", SYNTH_CASES)
+def test_synth_file_matches_dense_oracle_at_every_block_size(monkeypatch, tmp_path, kind, case):
+    path, read = _scene_file(monkeypatch, tmp_path, RENDER_CASES[case](kind))
     dense = dense_render_scene(read, StftConfig())
     assert dense.shape[1] > stft_module._BLOCK_FRAMES  # the default splits too
     assert np.count_nonzero(dense) > 0
@@ -244,6 +254,87 @@ def test_synth_file_matches_dense_oracle_at_every_block_size(monkeypatch, tmp_pa
         code, out = _synth(tmp_path, path)
         assert code == 0
         assert (out / "scene.ftb").read_bytes() == want, f"block of {block} frames"
+
+
+SYNTH_OUTPUTS = ("scene.ftb", "scene.manifest.txt", "scene.csv")
+
+
+@pytest.mark.parametrize("kind, case", [("foa", "re-oriented"), ("mic", "overlapping-sources")])
+def test_synth_in_channel_ranges_is_byte_identical(monkeypatch, tmp_path, kind, case):
+    path, _ = _scene_file(monkeypatch, tmp_path, RENDER_CASES[case](kind))
+    want = None
+    for n_ranges in (1, 2, 3, 5):
+        # Whatever the CPU count, the process count comes from _cpus.
+        monkeypatch.setattr(seldkit.cli, "_cpus", lambda: n_ranges)
+        for block in (1, 7, 64):
+            monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
+            code, out = _synth(tmp_path, path)
+            assert code == 0
+            got = [(out / name).read_bytes() for name in SYNTH_OUTPUTS]
+            if want is None:
+                want = got
+            assert got == want, f"{n_ranges} processes, blocks of {block} frames"
+    assert support.no_children_left()
+
+
+@pytest.mark.parametrize("bad_channel", [0, 2])
+def test_synth_helper_failure_matches_the_serial_run(monkeypatch, tmp_path, capfd, bad_channel):
+    # A full disk while one channel's row is written: in this process for
+    # channel 0, in a helper for channel 2 whenever there is more than one.
+    path, _ = _scene_file(monkeypatch, tmp_path, RENDER_CASES["overlapping-sources"]("mic"))
+    put = tensorfile._Appender._put
+
+    def put_or_fail(self, row, piece):
+        if row == bad_channel:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        put(self, row, piece)
+
+    monkeypatch.setattr(tensorfile._Appender, "_put", put_or_fail)
+    results = {}
+    for n_ranges in (1, 2, 3, 5):
+        monkeypatch.setattr(seldkit.cli, "_cpus", lambda: n_ranges)
+        code, out = _synth(tmp_path, path)
+        captured = capfd.readouterr()
+        results[n_ranges] = (code, captured.out, captured.err)
+        assert list(out.iterdir()) == []
+        assert support.no_children_left()
+    assert results[1][0] == 2
+    assert "No space left on device" in results[1][2]
+    assert all(r == results[1] for r in results.values()), results
+
+
+def _noise_statistics(data, power):
+    """Assert each channel's mean cell power is within 3 % of power and every
+    cross-channel correlation is below 0.01 in magnitude."""
+    cells = data.reshape(len(data), -1)
+    assert cells.shape[1] >= 100_000
+    mean_power = np.mean(np.abs(cells) ** 2, axis=1)
+    np.testing.assert_allclose(mean_power, power, rtol=0.03)
+    corr = cells @ cells.conj().T / cells.shape[1] / np.sqrt(np.outer(mean_power, mean_power))
+    worst = np.abs(corr[~np.eye(len(cells), dtype=bool)]).max()
+    assert worst < 0.01, f"cross-channel correlation {worst:.3g}"
+
+
+def _noise_scene(kind):
+    return SceneDescription(ArrayFormat(kind), duration=10.0, sources=[], noise_power=1e-3, seed=7)
+
+
+@pytest.mark.parametrize("kind", ["foa", "foa-re-oriented", "mic"])
+def test_render_noise_is_white_and_independent_across_channels(kind):
+    scene = _noise_scene(kind[:3])
+    if kind == "foa-re-oriented":
+        scene = scene.transformed(_ROT)
+    spec, _ = render_scene(scene, StftConfig())
+    _noise_statistics(spec.data, 1e-3)
+
+
+def test_noise_statistics_reject_one_stream_for_every_channel(monkeypatch):
+    # Every output channel reads noise channel 0's stream.
+    monkeypatch.setattr(ArrayFormat, "channel_map",
+                        lambda self, matrix: (np.zeros(4, int), np.ones(4, int)))
+    spec, _ = render_scene(_noise_scene("foa"), StftConfig())
+    with pytest.raises(AssertionError, match="cross-channel correlation"):
+        _noise_statistics(spec.data, 1e-3)
 
 
 @pytest.mark.parametrize(
