@@ -264,13 +264,11 @@ def _run_helper(work, k: int, w: int):
 
 def cmd_extract(args) -> None:
     cfg = _load_config(args)
-    # Every setting is checked before anything is written.
     fmt = ArrayFormat(args.format, speed_of_sound=cfg.speed_of_sound)
     check_kind(args.feature, fmt.kind)
     selection = cfg.selection_config(fmt.kind)
     inputs = _collect_inputs(args.inputs, ".wav")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for path in inputs:
         with open_wav(path) as wav:
             eff = cfg
@@ -293,6 +291,8 @@ def cmd_extract(args) -> None:
                 for frames in ranges
             ]
             feat = streams[0]
+            # Not before: assemble_stream has checked every setting and this input.
+            out_dir.mkdir(parents=True, exist_ok=True)
             out_path = out_dir / (path.stem + ".ftb")
             with tensor_writer(out_path, feat.shape, np.float32) as append:
                 parts = [append.part(frames) for frames in ranges]
@@ -381,9 +381,8 @@ def cmd_eval(args) -> None:
         if not r.exists():
             raise InputError(f"{r}: missing reference file")
         pairs.append((rows_from_csv(p.read_text()), rows_from_csv(r.read_text())))
-    report = evaluate_many(pairs, mcfg)
-    print(json.dumps(report.as_dict()))
-    table = report.as_dict()
+    table = evaluate_many(pairs, mcfg).as_dict()
+    print(json.dumps(table))
     for key in (
         "error_rate",
         "f_score",

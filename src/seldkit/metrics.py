@@ -6,15 +6,16 @@ and computed per label frame. Matching inside each (segment, class) or
 (frame, class) cell is the exact minimum-total-angle assignment between the
 prediction and reference instances.
 
-Both files of a pair are scored from one set of arrays: the rows become unit
-vectors in one call, a lexsort makes every cell one contiguous run
-(predictions first) and segment instances are per-track mean directions
-summed with reduceat. The cells of one (predictions, references) shape get
-their angle blocks from one batched atan2 and are assigned together by one
-enumeration, if a side has one instance or neither has more than 8; other
-cells are solved by the Hungarian method. Localization error sums matched
-angles with math.fsum and true positives are counted with bincount, so
-neither depends on the order of cells or files.
+All file pairs are scored from one set of arrays, keyed by pair: the rows
+of every pair become unit vectors in one call, a lexsort led by the pair
+index makes every cell one contiguous run (predictions first), so no cell or
+segment spans two pairs, and segment instances are per-track mean directions
+summed with reduceat. The cells of one (predictions, references) shape, from
+any pair, get their angle blocks from one batched atan2 and are assigned
+together by one enumeration, if a side has one instance or neither has more
+than 8; other cells are solved by the Hungarian method. Localization error
+sums matched angles with math.fsum and true positives are counted with
+bincount, so neither depends on the order of cells or pairs.
 """
 
 from __future__ import annotations
@@ -87,8 +88,8 @@ def seld_error(er: float, f: float, le_deg: float, lr: float) -> float:
 
     Ranges are validated; localization error is taken in degrees.
     """
-    if er < 0:
-        raise ValueError("error rate must be >= 0")
+    if not 0.0 <= er < math.inf:
+        raise ValueError("error rate must be finite and >= 0")
     if not (0.0 <= f <= 1.0 and 0.0 <= lr <= 1.0):
         raise ValueError("F-score and recall must be in [0, 1]")
     if not (0.0 <= le_deg <= 180.0):
@@ -179,115 +180,90 @@ def _match_cells(start: np.ndarray, side: np.ndarray, vec: np.ndarray):
     return n_p, n_r, np.concatenate(cells), np.concatenate(costs)
 
 
-class _Accumulator:
-    """Count accumulator shared by single- and multi-file evaluation."""
-
-    def __init__(self, cfg: MetricsConfig):
-        self.cfg = cfg
-        self.tp = 0
-        self.fp = 0
-        self.fn = 0
-        self.subs = 0
-        self.dels = 0
-        self.ins = 0
-        self.n_ref = 0
-        self.le_costs: list[np.ndarray] = []
-        self.recalled = 0
-        self.ref_units = 0
-
-    def add(self, pred_rows, ref_rows) -> None:
-        cfg = self.cfg
-        pred = np.array(list(pred_rows), dtype=np.float64).reshape(-1, 5)
-        ref = np.array(list(ref_rows), dtype=np.float64).reshape(-1, 5)
-        rows = np.concatenate([pred, ref])
-        side = np.repeat([0, 1], [len(pred), len(ref)])
-        frame, cls, track = rows[:, :3].astype(np.int64).T
-        vec = unit_vector(rows[:, 3], rows[:, 4])
-        if not np.isfinite(vec).all():
-            raise ValueError("label directions must be finite")
-
-        # Frame-level class-dependent localization error and recall.
-        o = np.lexsort((side, cls, frame))
-        n_p, n_r, _, cost = _match_cells(_starts(frame[o], cls[o]), side[o], vec[o])
-        self.le_costs.append(cost)
-        if cfg.convention == "2020":
-            self.ref_units += int(np.count_nonzero(n_r))
-            self.recalled += int(np.count_nonzero(n_r * n_p))
-        else:
-            self.ref_units += int(n_r.sum())
-            self.recalled += len(cost)
-
-        # Segment-level location-sensitive detection counts: one instance per
-        # (segment, class, side, track), its direction the normalized mean.
-        seg = frame // cfg.frames_per_segment
-        o = np.lexsort((track, side, cls, seg))
-        seg, cls, side, track = seg[o], cls[o], side[o], track[o]
-        inst = _starts(seg, cls, side, track)
-        n_rows = np.diff(np.append(inst, len(o)))
-        mean = np.add.reduceat(vec[o], inst, axis=0) / n_rows[:, None]
-        norm = np.linalg.norm(mean, axis=1)[:, None]
-        ok = norm > 0
-        reps = np.where(ok, mean / np.where(ok, norm, 1.0), [1.0, 0.0, 0.0])
-        seg, cls, side = seg[inst], cls[inst], side[inst]
-        cells = _starts(seg, cls)
-        n_p, n_r, cell, cost = _match_cells(cells, side, reps)
-        tp = np.bincount(cell[cost < cfg.doa_threshold_deg], minlength=len(cells))
-        segs = _starts(seg[cells])
-        seg_fp = np.add.reduceat(n_p - tp, segs)
-        seg_fn = np.add.reduceat(n_r - tp, segs)
-        s = np.minimum(seg_fp, seg_fn)
-        self.tp += int(tp.sum())
-        self.subs += int(s.sum())
-        self.dels += int((seg_fn - s).sum())
-        self.ins += int((seg_fp - s).sum())
-        self.fp += int(seg_fp.sum())
-        self.fn += int(seg_fn.sum())
-        self.n_ref += int(n_r.sum())
-
-    def report(self) -> MetricsReport:
-        er = (self.subs + self.dels + self.ins) / max(self.n_ref, 1)
-        den = 2 * self.tp + self.fp + self.fn
-        f = 2 * self.tp / den if den > 0 else 1.0
-        le_n = sum(len(c) for c in self.le_costs)
-        le = math.fsum(np.concatenate(self.le_costs).tolist()) / le_n if le_n else 180.0
-        lr = self.recalled / self.ref_units if self.ref_units > 0 else 1.0
-        return MetricsReport(
-            error_rate=er,
-            f_score=f,
-            localization_error_deg=le,
-            localization_recall=lr,
-            convention=self.cfg.convention,
-            counts={
-                "tp": self.tp,
-                "fp": self.fp,
-                "fn": self.fn,
-                "substitutions": self.subs,
-                "deletions": self.dels,
-                "insertions": self.ins,
-                "references": self.n_ref,
-                "matched_pairs": le_n,
-            },
-        )
+# One label row; the indices are int64 as given, never through a float.
+_ROW = np.dtype([("frame", "i8"), ("cls", "i8"), ("track", "i8"), ("az", "f8"), ("el", "f8")])
 
 
 def evaluate(pred_rows, ref_rows, cfg: MetricsConfig | None = None) -> MetricsReport:
     """Score one prediction/reference pair of label row lists.
 
     Rows are (frame, class, track, azimuth_deg, elevation_deg) tuples as read
-    from the label CSV format.
+    from the label CSV format. This is evaluate_many of the one pair.
     """
-    acc = _Accumulator(cfg or MetricsConfig())
-    acc.add(pred_rows, ref_rows)
-    return acc.report()
+    return evaluate_many([(pred_rows, ref_rows)], cfg)
 
 
 def evaluate_many(pairs, cfg: MetricsConfig | None = None) -> MetricsReport:
-    """Micro-averaged scores over an iterable of (pred_rows, ref_rows)."""
-    acc = _Accumulator(cfg or MetricsConfig())
-    n = 0
-    for pred_rows, ref_rows in pairs:
-        acc.add(pred_rows, ref_rows)
-        n += 1
-    if n == 0:
+    """Micro-averaged scores over an iterable of (pred_rows, ref_rows).
+
+    Every row of every pair goes into one table, and the pair index leads
+    every sort key, so no cell or segment spans two pairs.
+    """
+    cfg = cfg or MetricsConfig()
+    tables = [
+        np.array([tuple(r) for r in rows], dtype=_ROW)
+        for pred_rows, ref_rows in pairs
+        for rows in (pred_rows, ref_rows)
+    ]
+    if not tables:
         raise ValueError("no file pairs to evaluate")
-    return acc.report()
+    sizes = [len(t) for t in tables]
+    rows = np.concatenate(tables)
+    pair = np.repeat(np.arange(len(tables)) // 2, sizes)
+    side = np.repeat(np.arange(len(tables)) % 2, sizes)
+    frame, cls, track = rows["frame"], rows["cls"], rows["track"]
+    vec = unit_vector(rows["az"], rows["el"])
+    if not np.isfinite(vec).all():
+        raise ValueError("label directions must be finite")
+
+    # Frame-level class-dependent localization error and recall.
+    o = np.lexsort((side, cls, frame, pair))
+    n_p, n_r, _, le_cost = _match_cells(_starts(pair[o], frame[o], cls[o]), side[o], vec[o])
+    if cfg.convention == "2020":
+        ref_units = int(np.count_nonzero(n_r))
+        recalled = int(np.count_nonzero(n_r * n_p))
+    else:
+        ref_units = int(n_r.sum())
+        recalled = len(le_cost)
+
+    # Segment-level location-sensitive detection counts: one instance per
+    # (pair, segment, class, side, track), its direction the normalized mean.
+    seg = frame // cfg.frames_per_segment
+    o = np.lexsort((track, side, cls, seg, pair))
+    pair, seg, cls, side, track = pair[o], seg[o], cls[o], side[o], track[o]
+    inst = _starts(pair, seg, cls, side, track)
+    n_rows = np.diff(np.append(inst, len(o)))
+    mean = np.add.reduceat(vec[o], inst, axis=0) / n_rows[:, None]
+    norm = np.linalg.norm(mean, axis=1)[:, None]
+    ok = norm > 0
+    reps = np.where(ok, mean / np.where(ok, norm, 1.0), [1.0, 0.0, 0.0])
+    pair, seg, cls, side = pair[inst], seg[inst], cls[inst], side[inst]
+    cells = _starts(pair, seg, cls)
+    n_p, n_r, cell, cost = _match_cells(cells, side, reps)
+    tp = np.bincount(cell[cost < cfg.doa_threshold_deg], minlength=len(cells))
+    segs = _starts(pair[cells], seg[cells])
+    fp = np.add.reduceat(n_p - tp, segs)
+    fn = np.add.reduceat(n_r - tp, segs)
+    subs = np.minimum(fp, fn)
+    le_n = len(le_cost)
+    counts = {
+        "tp": int(tp.sum()),
+        "fp": int(fp.sum()),
+        "fn": int(fn.sum()),
+        "substitutions": int(subs.sum()),
+        "deletions": int((fn - subs).sum()),
+        "insertions": int((fp - subs).sum()),
+        "references": int(n_r.sum()),
+        "matched_pairs": le_n,
+    }
+
+    errors = counts["substitutions"] + counts["deletions"] + counts["insertions"]
+    den = 2 * counts["tp"] + counts["fp"] + counts["fn"]
+    return MetricsReport(
+        error_rate=errors / max(counts["references"], 1),
+        f_score=2 * counts["tp"] / den if den > 0 else 1.0,
+        localization_error_deg=math.fsum(le_cost.tolist()) / le_n if le_n else 180.0,
+        localization_recall=recalled / ref_units if ref_units > 0 else 1.0,
+        convention=cfg.convention,
+        counts=counts,
+    )

@@ -196,6 +196,8 @@ class BinSelectionConfig:
             raise ValueError("noise_delta_up must be finite and >= 0")
         if not (0 <= self.noise_delta_down < 1):
             raise ValueError("noise_delta_down must be in [0, 1)")
+        if not (0 <= self.log_floor < np.inf):
+            raise ValueError("log_floor must be finite and >= 0")
 
     @classmethod
     def for_format(cls, kind: str) -> "BinSelectionConfig":

@@ -572,7 +572,8 @@ def rows_to_csv(rows: list[tuple[int, int, int, float, float]]) -> str:
 def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
     """Parse label rows; raises ValueError on malformed lines.
 
-    Frame, class and track indices must be >= 0 and both angles finite.
+    Frame, class and track indices must be integers in [0, 2**63), the
+    int64 range the scorer keeps them in, and both angles finite.
     """
     rows = []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -582,9 +583,14 @@ def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
         parts = line.split(",")
         if len(parts) != 5:
             raise ValueError(f"label line {ln}: expected 5 fields, got {len(parts)}")
-        row = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
-        if min(row[:3]) < 0:
-            raise ValueError(f"label line {ln}: negative frame, class or track index")
+        try:
+            row = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
+        except ValueError:
+            raise ValueError(
+                f"label line {ln}: expected integer frame, class and track and numeric angles"
+            ) from None
+        if not all(0 <= i < 2**63 for i in row[:3]):
+            raise ValueError(f"label line {ln}: frame, class and track must be in [0, 2**63)")
         if not (math.isfinite(row[3]) and math.isfinite(row[4])):
             raise ValueError(f"label line {ln}: azimuth and elevation must be finite")
         rows.append(row)

@@ -165,6 +165,46 @@ def test_extract_rejects_selection_settings_out_of_range(tmp_path, capsys, setti
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting, feature",
+    [(f"{key}={value}", "salsa")
+     for key in ("hop_length", "window_length", "fft_size", "compress_factor")
+     for value in (0, -1)]
+    + [(f"n_mels={value}", feature) for value in (0, -1) for feature in ("melspeciv", "melspecgcc")]
+    + [("compress_start_bin=-1", "salsa"), ("log_floor=-1", "salsa"),
+       ("log_floor=nan", "linspeciv"), ("log_floor=inf", "salsa")],
+)
+def test_extract_writes_no_out_directory_on_a_bad_setting(tmp_path, capsys, setting, feature):
+    # Each one once left an empty --out directory; log_floor=nan and inf
+    # exited 4 ("non-finite values") for what is a bad setting.
+    fmt = "mic" if feature.endswith("gcc") else "foa"
+    wav = _wav(tmp_path / "noise.wav")
+    out = tmp_path / "out"
+    assert main(["extract", str(wav), "--format", fmt, "--feature", feature,
+                 "--out", str(out), "--set", setting]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["short", "channels", "header", "rate"])
+def test_extract_writes_no_out_directory_on_a_bad_input(tmp_path, capsys, case):
+    wav = tmp_path / "in.wav"
+    if case == "short":  # shorter than one window
+        _wav(wav, seconds=0.01)
+    elif case == "channels":
+        _wav(wav, channels=3)
+    elif case == "header":
+        wav.write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
+    else:
+        _wav(wav, rate=16000)
+    out = tmp_path / "out"
+    code = main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
+                 "--out", str(out)])
+    assert code == (2 if case == "header" else 3)
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "augment"])
 def test_synth_and_augment_reject_a_speed_of_sound_out_of_range(tmp_path, capsys, command):
     # A mic salsa manifest edited to speed_of_sound=0.0 once made augment
@@ -366,7 +406,7 @@ NEGATIVE_VALUES = ["-1e3", "-1.5e-2", "-inf"]
 
 
 @pytest.mark.parametrize("position", range(4))
-@pytest.mark.parametrize("value", NEGATIVE_VALUES)
+@pytest.mark.parametrize("value", NEGATIVE_VALUES + ["nan", "inf"])
 def test_eval_aggregate_only_takes_negative_exponents_and_infinity(capsys, position, value):
     numbers = ["0.4", "0.7", "10", "0.7"]
     numbers[position] = value

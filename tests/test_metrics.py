@@ -38,6 +38,9 @@ def test_seld_error_validation():
         seld_error(0.5, 0.5, 200.0, 0.5)
     with pytest.raises(ValueError):
         seld_error(0.5, 0.5, 10.0, -0.01)
+    for er in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="error rate"):
+            seld_error(er, 0.5, 10.0, 0.5)
 
 
 def test_angular_distance_cardinal_cases():
@@ -226,14 +229,30 @@ def _multi_instance_case(rng, n_frames=30, n_classes=3):
     return [tuple(r) for r in pred], [tuple(r) for r in ref]
 
 
+def _crowded_cell(rng, n_pred, n_ref, frame=4, cls=1):
+    """One (frame, class) cell of n_pred predictions and n_ref references."""
+    ref = [(frame, cls, k, float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)))
+           for k in range(n_ref)]
+    pred = [(frame, cls, k, float(rng.uniform(-180, 180)), float(rng.uniform(-60, 60)))
+            for k in range(n_pred)]
+    return pred, ref
+
+
 @pytest.mark.parametrize("convention", ["2021", "2020"])
 def test_multi_instance_files_match_independent_scorer(convention):
     rng = np.random.default_rng(77)
     cfg = MetricsConfig(convention=convention)
+    inputs = []
     for _ in range(6):
         files = [_multi_instance_case(rng) for _ in range(3)]
         files.append(([], _multi_instance_case(rng)[1]))  # empty prediction file
         files.append((_multi_instance_case(rng)[0], []))  # empty reference file
+        inputs.append(files)
+    # Two pairs, each with a cell of 12 instances at the same (frame, class),
+    # 3 predictions and 9 references: one Hungarian batch of _assign holds
+    # the cells of both pairs.
+    inputs.append([_crowded_cell(rng, 3, 9), _crowded_cell(rng, 3, 9)])
+    for files in inputs:
         rep = evaluate_many(files, cfg)
         wants = [score_rows(p, r, convention=convention) for p, r in files]
         total = {k: sum(w[k] for w in wants) for k in wants[0]}
@@ -245,6 +264,18 @@ def test_multi_instance_files_match_independent_scorer(convention):
             total["le_sum"] / total["matched_pairs"], abs=1e-9
         )
         assert rep.localization_recall == total["recalled"] / total["ref_units"]
+
+
+def test_frame_indices_beyond_float64_precision_stay_distinct():
+    # 2**53 + 1 rounds to 2**53 in float64: the two rows once scored as a
+    # perfect match. With one frame per segment they are a miss and a
+    # false alarm.
+    ref = [(2**53, 1, 0, 30.0, 10.0)]
+    pred = [(2**53 + 1, 1, 0, 30.0, 10.0)]
+    rep = evaluate(pred, ref, MetricsConfig(segment_seconds=0.1))
+    assert (rep.counts["tp"], rep.counts["fp"], rep.counts["fn"]) == (0, 1, 1)
+    assert rep.counts["matched_pairs"] == 0 and rep.aggregate > 0
+    assert evaluate(ref, ref, MetricsConfig(segment_seconds=0.1)).aggregate == 0.0
 
 
 def test_report_dict_round_trip():

@@ -492,9 +492,15 @@ def test_label_csv_round_trip():
     assert text.splitlines()[0].startswith("0,5,2")  # sorted by frame, class
     back = rows_from_csv(text)
     assert sorted(back) == sorted(rows)
+    assert rows_from_csv(f"{2**63 - 1},0,0,0,0\n") == [(2**63 - 1, 0, 0, 0.0, 0.0)]
     with pytest.raises(ValueError):
         rows_from_csv("1,2,3\n")
-    for bad in ("-1,0,0,0,0", "0,-3,0,0,0", "0,0,-1,0,0", "0,0,0,nan,0", "0,0,0,0,inf"):
+    # Indices that are not integers or do not fit in int64 are refused too:
+    # 2**63 once scored as a garbage cell, and a header line was refused
+    # without its line number.
+    for bad in ("-1,0,0,0,0", "0,-3,0,0,0", "0,0,-1,0,0", "0,0,0,nan,0", "0,0,0,0,inf",
+                "frame,class,track,azimuth,elevation", "1.5,0,0,0,0", "0,1e3,0,0,0",
+                "0,0,0,x,0", f"{2**63},0,0,0,0", f"0,0,{2**64 + 1},0,0"):
         with pytest.raises(ValueError, match="label line 2"):
             rows_from_csv("0,1,0,10,0\n" + bad + "\n")
 
