@@ -64,12 +64,9 @@ from .stft import (
 from .synth import (
     LabelRows,
     SceneDescription,
-    SeldLabels,
     SourceSpec,
     angles_from_unit,
-    foa_steering,
     format_scene,
-    mic_steering,
     parse_scene,
     render_scene,
     rows_from_csv,

@@ -19,7 +19,7 @@ import numpy as np
 from .baseline import channel_pairs, check_kind
 from .spatial import SPEED_OF_SOUND, ArrayFormat
 from .stft import FeatureTensor, frame_blocks
-from .synth import LabelRows, SeldLabels
+from .synth import LabelRows
 
 # random_cutout's size limits (see its docstring).
 _RECT_MAX_FRAC = 0.25
@@ -159,9 +159,9 @@ def _swap(
 
 def _swap_channels(
     feat: FeatureTensor,
-    labels: SeldLabels | LabelRows | None,
+    labels: LabelRows | None,
     tx: SpatialTransform,
-) -> SeldLabels | LabelRows | None:
+) -> LabelRows | None:
     """channel_swap of feat.data in place, one block of frames at a time.
 
     A mic swap re-wraps the delay cues with the speed of sound they were
@@ -186,9 +186,9 @@ def _swap_channels(
 
 def channel_swap(
     feat: FeatureTensor,
-    labels: SeldLabels | LabelRows | None,
+    labels: LabelRows | None,
     tx: SpatialTransform,
-) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
+) -> tuple[FeatureTensor, LabelRows | None]:
     """Apply a direction transform by rearranging feature channels.
 
     Equivalent to rendering the transformed scene: spectrogram channels are
@@ -199,7 +199,7 @@ def channel_swap(
 
     Args:
         feat: feature tensor to transform (any supported kind).
-        labels: matching SeldLabels or LabelRows, or None.
+        labels: matching LabelRows, or None.
         tx: transform whose kind matches feat.meta["format"].
 
     Returns:
@@ -293,15 +293,15 @@ def random_cutout(feat: FeatureTensor, rng: np.random.Generator) -> FeatureTenso
 
 def augment_pipeline(
     feat: FeatureTensor,
-    labels: SeldLabels | LabelRows | None,
+    labels: LabelRows | None,
     rng: np.random.Generator,
     cfg: AugmentConfig | None = None,
-) -> tuple[FeatureTensor, SeldLabels | LabelRows | None]:
+) -> tuple[FeatureTensor, LabelRows | None]:
     """Channel swap, frequency shift, and random cutout, each applied
     independently with probability cfg.p_apply, in that order.
 
     The stages change feat itself, in its own dtype, and return it. labels
-    (SeldLabels, LabelRows or None) turn with the swap, if one is drawn.
+    (LabelRows or None) turn with the swap, if one is drawn.
     """
     if cfg is None:
         cfg = AugmentConfig()

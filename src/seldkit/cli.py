@@ -358,10 +358,9 @@ def cmd_synth(args) -> None:
         },
     )
     csv_path = out_dir / f"{stem}.csv"
-    rows = stream.labels.to_rows()
-    atomic_write_text(csv_path, rows_to_csv(rows))
+    atomic_write_text(csv_path, rows_to_csv(stream.labels))
     print(f"{tensor_path} {_shape_text(stream.shape)}")
-    print(f"{csv_path} {len(rows)} rows")
+    print(f"{csv_path} {len(stream.labels)} rows")
 
 
 def cmd_eval(args) -> None:

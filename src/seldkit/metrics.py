@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .synth import LABEL_FPS, unit_vector
+from .synth import LABEL_FPS, label_table, unit_vector
 
 
 @dataclass
@@ -180,15 +180,12 @@ def _match_cells(start: np.ndarray, side: np.ndarray, vec: np.ndarray):
     return n_p, n_r, np.concatenate(cells), np.concatenate(costs)
 
 
-# One label row; the indices are int64 as given, never through a float.
-_ROW = np.dtype([("frame", "i8"), ("cls", "i8"), ("track", "i8"), ("az", "f8"), ("el", "f8")])
-
-
 def evaluate(pred_rows, ref_rows, cfg: MetricsConfig | None = None) -> MetricsReport:
     """Score one prediction/reference pair of label row lists.
 
     Rows are (frame, class, track, azimuth_deg, elevation_deg) tuples as read
-    from the label CSV format. This is evaluate_many of the one pair.
+    from the label CSV format, checked by label_table. This is evaluate_many
+    of the one pair.
     """
     return evaluate_many([(pred_rows, ref_rows)], cfg)
 
@@ -200,11 +197,7 @@ def evaluate_many(pairs, cfg: MetricsConfig | None = None) -> MetricsReport:
     every sort key, so no cell or segment spans two pairs.
     """
     cfg = cfg or MetricsConfig()
-    tables = [
-        np.array([tuple(r) for r in rows], dtype=_ROW)
-        for pred_rows, ref_rows in pairs
-        for rows in (pred_rows, ref_rows)
-    ]
+    tables = [label_table(rows) for pred, ref in pairs for rows in (pred, ref)]
     if not tables:
         raise ValueError("no file pairs to evaluate")
     sizes = [len(t) for t in tables]
@@ -213,8 +206,6 @@ def evaluate_many(pairs, cfg: MetricsConfig | None = None) -> MetricsReport:
     side = np.repeat(np.arange(len(tables)) % 2, sizes)
     frame, cls, track = rows["frame"], rows["cls"], rows["track"]
     vec = unit_vector(rows["az"], rows["el"])
-    if not np.isfinite(vec).all():
-        raise ValueError("label directions must be finite")
 
     # Frame-level class-dependent localization error and recall.
     o = np.lexsort((side, cls, frame, pair))

@@ -1,4 +1,4 @@
-"""Synthetic scene rendering in the STFT domain, with frame-rate labels.
+"""Synthetic scene rendering in the STFT domain, with frame-rate label rows.
 
 Scene files are versioned structured text: global key=value lines followed by
 one or more [source] blocks. Example:
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .spatial import SPEED_OF_SOUND, ArrayFormat, check_signed_permutation, tetra_positions
+from .spatial import ArrayFormat, check_signed_permutation, tetra_positions
 from .stft import ComplexSpectrogram, StftConfig, frame_blocks
 
 LABEL_FPS = 10.0
@@ -75,36 +75,6 @@ def angles_from_unit(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.arctan2(vec[..., 2], np.hypot(vec[..., 0], vec[..., 1]))
     )
     return az, el
-
-
-def foa_steering(az_deg: float, el_deg: float) -> np.ndarray:
-    """First-order ambisonic steering (1, cos az cos el, sin az cos el, sin el)."""
-    return ArrayFormat("foa").steering(unit_vector(az_deg, el_deg)[None], None)[:, 0, 0]
-
-
-def mic_steering(
-    f_hz,
-    az_deg: float,
-    el_deg: float,
-    positions: np.ndarray,
-    speed_of_sound: float = SPEED_OF_SOUND,
-) -> np.ndarray:
-    """ArrayFormat.steering of one direction for the mic array at positions.
-
-    The first element is always 1 + 0j.
-
-    Args:
-        f_hz: scalar or (F,) frequencies.
-        az_deg, el_deg: source direction.
-        positions: (M, 3) capsule coordinates in metres.
-
-    Returns:
-        (M,) or (M, F) complex array.
-    """
-    fmt = ArrayFormat("mic", positions, speed_of_sound)
-    f = np.asarray(f_hz, dtype=np.float64)
-    H = fmt.steering(unit_vector(az_deg, el_deg)[None], f.reshape(1, -1))
-    return H.reshape((fmt.n_channels,) + f.shape)
 
 
 @dataclass
@@ -173,7 +143,7 @@ class SceneDescription:
     noise_power: float = 0.0
     seed: int = 0
     # Signed-permutation orientation applied to every direction; transformed
-    # scenes compose into this matrix so labels stay bit-exact under swaps.
+    # scenes compose into this matrix.
     orientation: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
@@ -186,40 +156,12 @@ class SceneDescription:
             raise ValueError(
                 f"noise_power must be finite and >= 0, got {self.noise_power!r}"
             )
-        classes = [s.class_id for s in self.sources]
-        if len(set(classes)) != len(classes):
-            raise ValueError("one active source per class is supported")
-        if any(c >= N_CLASSES for c in classes):
+        if any(s.class_id >= N_CLASSES for s in self.sources):
             raise ValueError("class_id out of range")
 
     def transformed(self, matrix: np.ndarray) -> "SceneDescription":
         """Same scene viewed through an extra direction transform."""
         return replace(self, orientation=np.asarray(matrix, dtype=np.float64) @ self.orientation)
-
-
-@dataclass
-class SeldLabels:
-    """Frame-rate activity and direction targets.
-
-    activity is (frames, classes) in {0, 1}; doa holds unit vectors for active
-    cells and zeros elsewhere; track carries the instance id the CSV format
-    requires.
-    """
-
-    activity: np.ndarray
-    doa: np.ndarray
-    track: np.ndarray
-
-    def transformed(self, matrix: np.ndarray) -> "SeldLabels":
-        doa = self.doa @ np.asarray(matrix, dtype=np.float64).T
-        return SeldLabels(self.activity.copy(), doa, self.track.copy())
-
-    def to_rows(self) -> list[tuple[int, int, int, float, float]]:
-        """Active cells as (frame, class, track, azimuth_deg, elevation_deg)."""
-        t, c = np.nonzero(self.activity)
-        az, el = angles_from_unit(self.doa[t, c])
-        columns = (t, c, self.track[t, c], az, el)
-        return list(zip(*(col.tolist() for col in columns)))
 
 
 class LabelRows(list):
@@ -294,7 +236,7 @@ class SceneStream:
     shape: tuple[int, int, int]
     bin_hz: float
     frame_rate: float
-    labels: SeldLabels
+    labels: LabelRows
     pieces: Iterator[tuple[int, slice, np.ndarray]]
 
 
@@ -317,7 +259,9 @@ def render_stream(
     noise channel perm[m] times sign[m], where (perm, sign) is
     ArrayFormat.channel_map of the orientation. So any subset of channels
     renders by itself with the same bits.
-    Labels are sampled at the label frame centers (10 fps).
+    Labels are sampled at the label frame centers (10 fps): one row per
+    (label frame, active source), whose track is the source's index in the
+    scene, so a scene may hold any number of events of one class.
 
     The scene is checked here, before anything is drawn; the channels'
     source contributions are built when pieces is first read.
@@ -395,7 +339,7 @@ def render_stream(
 
 def render_scene(
     scene: SceneDescription, cfg: StftConfig | None = None
-) -> tuple[ComplexSpectrogram, SeldLabels]:
+) -> tuple[ComplexSpectrogram, LabelRows]:
     """Render a whole scene directly in the STFT domain.
 
     Collects the pieces of render_stream into one array: they come channel
@@ -403,7 +347,7 @@ def render_scene(
     block. See render_stream for the model and the errors raised.
 
     Returns:
-        (ComplexSpectrogram, SeldLabels) pair; the spectrogram is
+        (ComplexSpectrogram, LabelRows) pair; the spectrogram is
         (channels, frames, bins) complex128.
     """
     stream = render_stream(scene, cfg)
@@ -414,21 +358,17 @@ def render_scene(
     return spec, stream.labels
 
 
-def _labels_for(scene: SceneDescription) -> SeldLabels:
+def _labels_for(scene: SceneDescription) -> LabelRows:
+    """Rows (frame, class, source index, az, el), sorted by (frame, class, track)."""
     L = int(round(scene.duration * LABEL_FPS))
     centers = (np.arange(L) + 0.5) / LABEL_FPS
-    activity = np.zeros((L, N_CLASSES), dtype=np.uint8)
-    doa = np.zeros((L, N_CLASSES, 3))
-    track = np.zeros((L, N_CLASSES), dtype=np.int16)
+    rows = []
     for si, src in enumerate(scene.sources):
-        active = (centers >= src.onset) & (centers < src.offset)
-        if not np.any(active):
-            continue
-        u = src.direction_at(centers[active]) @ scene.orientation.T
-        activity[active, src.class_id] = 1
-        doa[active, src.class_id] = u
-        track[active, src.class_id] = si
-    return SeldLabels(activity, doa, track)
+        frames = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
+        az, el = angles_from_unit(src.direction_at(centers[frames]) @ scene.orientation.T)
+        rows += [(t, src.class_id, si, a, e)
+                 for t, a, e in zip(frames.tolist(), az.tolist(), el.tolist())]
+    return LabelRows(sorted(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -572,10 +512,9 @@ def rows_to_csv(rows: list[tuple[int, int, int, float, float]]) -> str:
 def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
     """Parse label rows; raises ValueError on malformed lines.
 
-    Frame, class and track indices must be integers in [0, 2**63), the
-    int64 range the scorer keeps them in, and both angles finite.
+    Every row must pass label_table's checks, which name the line.
     """
-    rows = []
+    rows, lines = [], []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
@@ -584,14 +523,46 @@ def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
         if len(parts) != 5:
             raise ValueError(f"label line {ln}: expected 5 fields, got {len(parts)}")
         try:
-            row = (int(parts[0]), int(parts[1]), int(parts[2]), float(parts[3]), float(parts[4]))
+            rows.append((int(parts[0]), int(parts[1]), int(parts[2]),
+                         float(parts[3]), float(parts[4])))
         except ValueError:
             raise ValueError(
                 f"label line {ln}: expected integer frame, class and track and numeric angles"
             ) from None
-        if not all(0 <= i < 2**63 for i in row[:3]):
-            raise ValueError(f"label line {ln}: frame, class and track must be in [0, 2**63)")
-        if not (math.isfinite(row[3]) and math.isfinite(row[4])):
-            raise ValueError(f"label line {ln}: azimuth and elevation must be finite")
-        rows.append(row)
+        lines.append(ln)
+    label_table(rows, lines)
     return rows
+
+
+# One label row; the indices are int64 as given, never through a float.
+_LABEL_ROW = np.dtype([("frame", "i8"), ("cls", "i8"), ("track", "i8"), ("az", "f8"), ("el", "f8")])
+
+
+def label_table(rows, lines: list[int] | None = None) -> np.ndarray:
+    """Label rows as one structured array, checked a column at a time.
+
+    Frame, class and track must be integers in [0, 2**63), the int64 range
+    the scorer keeps them in, and both angles finite. ValueError names the
+    first row that is not: "label line {lines[i]}" if lines are given, else
+    "label row {i}".
+    """
+    rows = list(rows)
+    if set(map(len, rows)) - {5}:
+        raise ValueError("label rows must have 5 fields")
+    table = np.empty(len(rows), _LABEL_ROW)
+    ok = np.ones(len(rows), dtype=bool)
+    for name, col in zip(_LABEL_ROW.names, list(zip(*rows)) or [()] * 5):
+        if name in ("az", "el"):
+            table[name] = col
+            ok &= np.isfinite(table[name])
+            continue
+        a = np.asarray(col)
+        if a.dtype.kind not in "iu":  # non-integers, or integers numpy could not fit in int64
+            a = np.array([x if isinstance(x, (int, np.integer)) else -1 for x in col], object)
+        ok &= (a >= 0) & (a < 2**63)
+        table[name] = np.where(ok, a, 0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise ValueError(f"label {f'line {lines[i]}' if lines else f'row {i}'}: frame, class "
+                         "and track must be integers in [0, 2**63) and the angles finite")
+    return table

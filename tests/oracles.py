@@ -344,6 +344,40 @@ def dense_render_scene(scene, cfg):
     return X
 
 
+def _angles_of(u):
+    """(azimuth, elevation) in degrees of Cartesian vectors (..., 3)."""
+    az = np.degrees(np.arctan2(u[..., 1], u[..., 0]))
+    el = np.degrees(np.arctan2(u[..., 2], np.hypot(u[..., 0], u[..., 1])))
+    return az, el
+
+
+def label_rows(scene, fps=10.0):
+    """The scene's label rows (frame, class, source index, az, el), sorted.
+
+    One row per label frame whose center lies in a source's [onset, offset),
+    its direction the trajectory at that center seen through the scene's
+    orientation. Uses the renderer's arithmetic, so its rows are meant to
+    equal `render_scene`'s bit for bit.
+    """
+    centers = (np.arange(int(round(scene.duration * fps))) + 0.5) / fps
+    rows = []
+    for si, src in enumerate(scene.sources):
+        frames = np.flatnonzero((centers >= src.onset) & (centers < src.offset))
+        az, el = _angles_of(_directions(src, centers[frames]) @ scene.orientation.T)
+        for t, a, e in zip(frames, az, el):
+            rows.append((int(t), src.class_id, si, float(a), float(e)))
+    return sorted(rows)
+
+
+def turned_rows(rows, matrix):
+    """Label rows turned one row at a time: unit vector, matrix, then angles."""
+    out = []
+    for frame, cls, track, az, el in rows:
+        az, el = _angles_of(_unit(az, el) @ np.asarray(matrix, dtype=np.float64).T)
+        out.append((frame, cls, track, float(az), float(el)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # file I/O
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import seldkit
-from seldkit import ArrayFormat, AudioClip, SceneDescription, SourceSpec
+from seldkit import ArrayFormat, AudioClip, SceneDescription, SourceSpec, rows_to_csv, unit_vector
 
 
 def single_source_scene(
@@ -99,6 +99,28 @@ def random_scene(
         noise_power=noise_power,
         seed=int(rng.integers(2**31)),
     )
+
+
+def row_bits(rows) -> list[tuple]:
+    """Label rows with both angles as their float64 bytes, so that == compares
+    them bit for bit."""
+    return [(*r[:3], struct.pack("<dd", r[3], r[4])) for r in rows]
+
+
+def assert_rows_turn_alike(got, want, tol_deg: float = 1e-12) -> None:
+    """Label rows turned by a channel swap against the rows of the scene
+    rendered turned.
+
+    Turned rows go through degrees, so their angles may differ from the
+    rendered ones in the last bits. The (frame, class, track) columns must be
+    equal, the label CSV text too, and every direction within tol_deg degrees.
+    """
+    assert [r[:3] for r in got] == [r[:3] for r in want]
+    assert rows_to_csv(got) == rows_to_csv(want)
+    u, v = (unit_vector([r[3] for r in rows], [r[4] for r in rows]).reshape(-1, 3)
+            for rows in (got, want))
+    gap = np.degrees(np.arctan2(np.linalg.norm(np.cross(u, v), axis=1), (u * v).sum(1)))
+    assert gap.max(initial=0.0) <= tol_deg, gap.max()
 
 
 def noise_clip(

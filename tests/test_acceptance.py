@@ -15,7 +15,6 @@ from seldkit import (
     StftConfig,
     channel_swap,
     evaluate,
-    foa_steering,
     render_scene,
     salsa,
     seld_error,
@@ -28,7 +27,7 @@ from seldkit.cli import main
 from seldkit.spatial import dominance_ratio, eigen_summary, local_covariance
 
 from oracles import power_iteration_eig, score_rows
-from support import random_scene, single_source_scene, write_wav_blocks
+from support import assert_rows_turn_alike, random_scene, single_source_scene, write_wav_blocks
 
 
 def _report(n: int, detail: str) -> None:
@@ -230,8 +229,7 @@ def test_criterion_05_augmentation_commutation():
             diff = float(np.abs(swapped.data - direct.data).max())
             worst = max(worst, diff)
             assert diff < 1e-6, (case, tx.name, diff)
-            assert np.array_equal(swapped_labels.doa, labels2.doa)
-            assert np.array_equal(swapped_labels.activity, labels2.activity)
+            assert_rows_turn_alike(swapped_labels, labels2)
 
     for case in range(20):
         az = float(rng.uniform(-180.0, 180.0))
@@ -250,14 +248,13 @@ def test_criterion_05_augmentation_commutation():
             diff = float(np.abs(swapped.data - direct.data).max())
             worst = max(worst, diff)
             assert diff < 1e-6, (case, tx.name, diff)
-            assert np.array_equal(swapped_labels.doa, labels2.doa)
-            assert np.array_equal(swapped_labels.activity, labels2.activity)
+            assert_rows_turn_alike(swapped_labels, labels2)
 
     elapsed = time.perf_counter() - t0
     _report(
         5,
         f"16 foa + 8 mic transforms x 20 scenes, worst feature gap "
-        f"{worst:.2e}, labels exact, {elapsed:.1f} s",
+        f"{worst:.2e}, label rows CSV-equal, {elapsed:.1f} s",
     )
 
 

@@ -9,7 +9,6 @@ from seldkit import (
     StftConfig,
     assemble,
     channel_pairs,
-    foa_steering,
     gcc_phat,
     intensity_vector,
     mel_filterbank,
@@ -27,7 +26,8 @@ from support import single_source_scene
 
 def _steered_spec(rng, az, el, frames=6, bins=40):
     s = rng.standard_normal((frames, bins)) + 1j * rng.standard_normal((frames, bins))
-    data = foa_steering(az, el)[:, None, None] * s[None]
+    h = ArrayFormat("foa").steering(unit_vector(az, el)[None], None)[:, 0, 0]
+    data = h[:, None, None] * s[None]
     return ComplexSpectrogram(data, bin_hz=46.875, frame_rate=80.0)
 
 

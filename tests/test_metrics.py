@@ -278,6 +278,27 @@ def test_frame_indices_beyond_float64_precision_stay_distinct():
     assert evaluate(ref, ref, MetricsConfig(segment_seconds=0.1)).aggregate == 0.0
 
 
+@pytest.mark.parametrize("bad", [
+    (2**63, 1, 0, 30.0, 10.0), (3.7, 1, 0, 30.0, 10.0), (3.0, 1, 0, 30.0, 10.0),
+    (3, -1, 0, 30.0, 10.0), (3, 1, 2**64 + 1, 30.0, 10.0), (3, 1, "0", 30.0, 10.0),
+    (3, 1, 0, float("nan"), 10.0), (3, 1, 0, 30.0, float("inf")),
+])
+def test_evaluate_refuses_rows_the_label_csv_would(bad):
+    # A frame of 2**63 once raised OverflowError, and one of 3.7 was cut to 3
+    # and scored as a perfect match. label_table, which rows_from_csv uses
+    # too, names the first bad row of the file.
+    ref = [(3, 1, 0, 30.0, 10.0)]
+    with pytest.raises(ValueError, match="label row 0"):
+        evaluate([bad], ref)
+    with pytest.raises(ValueError, match="label row 1"):
+        evaluate_many([(ref, ref), (ref, ref + [bad])])
+    with pytest.raises(ValueError, match="5 fields"):
+        evaluate([bad[:4]], ref)
+    # Integers of any numpy type within range are taken as they are.
+    rows = [(np.int64(3), np.uint8(1), np.int16(0), np.float32(30.0), 10)]
+    assert evaluate(rows, ref).aggregate == pytest.approx(0.0, abs=1e-6)
+
+
 def test_report_dict_round_trip():
     ref = _rows((0, 1, 0, 30.0, 10.0))
     d = evaluate(ref, ref).as_dict()

@@ -14,16 +14,15 @@ from seldkit import (
     compress_high_bands,
     dominance_ratio,
     eigen_summary,
-    foa_steering,
     local_covariance,
     magnitude_test,
-    mic_steering,
     passband_bins,
     render_scene,
     salsa,
     tetra_positions,
     track_noise_floor,
     transforms_for,
+    unit_vector,
 )
 from seldkit.spatial import _EPS, running_rms
 
@@ -205,7 +204,7 @@ def test_intensity_style_direction_recovers_steering():
     for _ in range(20):
         az = rng.uniform(-180.0, 180.0)
         el = rng.uniform(-90.0, 90.0)
-        steering.append(foa_steering(az, el))
+        steering.append(ArrayFormat("foa").steering(unit_vector(az, el)[None], None)[:, 0, 0])
     h = np.array(steering)
     vectors, _ = eigen_summary((h[:, :, None] * h[:, None, :].conj()).astype(complex))
     v = ArrayFormat("foa").cues(vectors)
@@ -219,7 +218,8 @@ def _foa_cue(cov):
 
 def test_intensity_direction_sign_convention():
     # A source straight ahead must come out as +x, not -x.
-    cov = np.outer(foa_steering(0.0, 0.0), foa_steering(0.0, 0.0)).astype(complex)
+    h = ArrayFormat("foa").steering(unit_vector(0.0, 0.0)[None], None)[:, 0, 0]
+    cov = np.outer(h, h).astype(complex)
     np.testing.assert_allclose(_foa_cue(cov), [1.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -231,11 +231,12 @@ def test_phase_style_direction_recovers_path_differences():
     positions = tetra_positions()
     rng = np.random.default_rng(7)
     steering, f_hz, expected = [], [], []
+    fmt = ArrayFormat("mic", positions)
     for _ in range(20):
         az = rng.uniform(-180.0, 180.0)
         el = rng.uniform(-90.0, 90.0)
         f_hz.append(rng.uniform(300.0, 2400.0))  # below spatial aliasing
-        steering.append(mic_steering(f_hz[-1], az, el, positions))
+        steering.append(fmt.steering(unit_vector(az, el)[None], np.array([[f_hz[-1]]]))[:, 0, 0])
         u = np.array(
             [
                 np.cos(np.radians(el)) * np.cos(np.radians(az)),

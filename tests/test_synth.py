@@ -2,6 +2,7 @@
 
 import errno
 import importlib
+import json
 import os
 
 import numpy as np
@@ -16,9 +17,7 @@ from seldkit import (
     SourceSpec,
     StftConfig,
     angles_from_unit,
-    foa_steering,
     format_scene,
-    mic_steering,
     parse_scene,
     render_scene,
     rows_from_csv,
@@ -30,7 +29,7 @@ from seldkit import (
 import oracles
 import support
 from oracles import dense_render_scene
-from support import random_scene, single_source_scene
+from support import assert_rows_turn_alike, random_scene, row_bits, single_source_scene
 
 # The package re-exports the function `stft`, which hides the module.
 stft_module = importlib.import_module("seldkit.stft")
@@ -53,7 +52,7 @@ def test_unit_vector_axes():
 
 def test_foa_steering_components():
     az, el = 40.0, -25.0
-    h = foa_steering(az, el)
+    h = ArrayFormat("foa").steering(unit_vector(az, el)[None], None)[:, 0, 0]
     a, e = np.radians(az), np.radians(el)
     np.testing.assert_allclose(
         h, [1.0, np.cos(a) * np.cos(e), np.sin(a) * np.cos(e), np.sin(e)], atol=1e-12
@@ -61,7 +60,8 @@ def test_foa_steering_components():
 
 
 def test_mic_steering_reference_channel_and_modulus():
-    h = mic_steering(2000.0, 33.0, 12.0, tetra_positions())
+    fmt = ArrayFormat("mic", tetra_positions())
+    h = fmt.steering(unit_vector(33.0, 12.0)[None], np.array([[2000.0]]))[:, 0, 0]
     assert h[0] == 1.0 + 0.0j
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
@@ -104,17 +104,10 @@ def test_source_validation():
     SourceSpec(class_id=0, onset=0.0, offset=1.0, signal="tone", params={"harmonics": 4})
 
 
-def test_scene_rejects_duplicate_classes():
-    a = SourceSpec(class_id=2, onset=0.0, offset=1.0)
-    b = SourceSpec(class_id=2, onset=0.2, offset=0.8)
-    with pytest.raises(ValueError, match="per class"):
-        SceneDescription(ArrayFormat("foa"), duration=1.0, sources=[a, b])
-
-
 def test_render_foa_channels_follow_steering():
     scene = single_source_scene("foa", az=57.0, el=-18.0, seed=5, noise_power=0.0)
     spec, _ = render_scene(scene, StftConfig())
-    h = foa_steering(57.0, -18.0)
+    h = ArrayFormat("foa").steering(unit_vector(57.0, -18.0)[None], None)[:, 0, 0]
     w = spec.data[0]
     active = np.abs(w) > 1e-9
     assert active.any()
@@ -128,7 +121,8 @@ def test_render_mic_channels_follow_steering():
     scene = single_source_scene("mic", az=-100.0, el=35.0, seed=6, noise_power=0.0)
     spec, _ = render_scene(scene, StftConfig())
     freqs = np.arange(spec.n_bins) * spec.bin_hz
-    h = mic_steering(freqs, -100.0, 35.0, tetra_positions())  # (4, F)
+    u = unit_vector(-100.0, 35.0)[None]
+    h = ArrayFormat("mic", tetra_positions()).steering(u, freqs[None])[:, 0]  # (4, F)
     w = spec.data[0]
     active = np.abs(w) > 1e-9
     for m in range(1, 4):
@@ -142,7 +136,7 @@ def test_render_is_deterministic_per_seed():
     a, labels_a = render_scene(scene, StftConfig())
     b, labels_b = render_scene(scene, StftConfig())
     np.testing.assert_array_equal(a.data, b.data)
-    np.testing.assert_array_equal(labels_a.doa, labels_b.doa)
+    assert row_bits(labels_a) == row_bits(labels_b)
     other = single_source_scene("foa", az=10.0, el=0.0, seed=43, noise_power=1e-3)
     c, _ = render_scene(other, StftConfig())
     assert np.abs(a.data - c.data).max() > 0.0
@@ -192,6 +186,14 @@ RENDER_CASES = {
     "crosses-180": lambda kind: _scene(kind, [
         _src(3, "noise", {"f_low": 200.0, "f_high": 8000.0},
              [(0.0, 170.0, 0.0), (1.0, -170.0, 20.0)]),
+    ]),
+    # Three events of class 4, the first two overlapping in time.
+    "same-class-events": lambda kind: _scene(kind, [
+        _src(4, "noise", {"f_low": 300.0, "f_high": 6000.0}, onset=0.05, offset=0.55),
+        _src(4, "tone", {"f0": 440.0, "harmonics": 3},
+             [(0.0, -120.0, 0.0), (1.0, -60.0, 20.0)], 0.3, 0.65),
+        _src(4, "chirp", {"f_start": 500.0, "f_end": 3000.0}, [(0.0, 150.0, -30.0)],
+             0.75, 1.0),
     ]),
     "re-oriented": lambda kind: random_scene(
         np.random.default_rng(4), kind, duration=1.0).transformed(_ROT),
@@ -391,15 +393,11 @@ def test_render_image_peak_memory_is_below_the_tensor(tmp_path):
 
 def test_labels_sample_trajectory_at_frame_centers():
     scene = single_source_scene("foa", az=20.0, el=10.0, seed=1, duration=1.0, onset=0.35)
-    _, labels = render_scene(scene, StftConfig())
-    assert labels.activity.shape == (10, 12)
+    _, rows = render_scene(scene, StftConfig())
     # frame centers at 0.05, 0.15, ...; active while center in [onset, offset)
-    expected_active = ((np.arange(10) + 0.5) / 10.0 >= 0.35).astype(np.uint8)
-    np.testing.assert_array_equal(labels.activity[:, 0], expected_active)
-    active_doa = labels.doa[labels.activity[:, 0] == 1, 0]
-    np.testing.assert_allclose(
-        active_doa, np.tile(unit_vector(20.0, 10.0), (len(active_doa), 1))
-    )
+    assert [r[:3] for r in rows] == [(t, 0, 0) for t in range(3, 10)]
+    doa = unit_vector([r[3] for r in rows], [r[4] for r in rows])
+    np.testing.assert_allclose(doa, np.tile(unit_vector(20.0, 10.0), (len(rows), 1)))
 
 
 def test_labels_transform_matches_scene_orientation():
@@ -408,8 +406,45 @@ def test_labels_transform_matches_scene_orientation():
     rot = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]], dtype=float)
     _, base = render_scene(scene, StftConfig())
     _, turned = render_scene(scene.transformed(rot), StftConfig())
-    np.testing.assert_array_equal(turned.activity, base.activity)
-    np.testing.assert_array_equal(turned.doa, base.transformed(rot).doa)
+    assert_rows_turn_alike(base.transformed(rot), turned)
+
+
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+@pytest.mark.parametrize("case", ["random", "re-oriented", "same-class-events", "crosses-180"])
+def test_label_rows_match_oracle_bit_for_bit(case, kind):
+    if case == "random":
+        scene = random_scene(np.random.default_rng(9), kind, max_sources=5)
+    else:
+        scene = RENDER_CASES[case](kind)
+    _, rows = render_scene(scene, StftConfig())
+    want = oracles.label_rows(scene)
+    assert len(want) > 0
+    assert row_bits(rows) == row_bits(want)
+
+
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+def test_scene_holds_many_events_of_one_class(tmp_path, capsys, kind):
+    scene = RENDER_CASES["same-class-events"](kind)
+    back = parse_scene(format_scene(scene))
+    assert back.sources == scene.sources
+    assert (back.fmt.kind, back.duration, back.noise_power, back.seed) == (
+        kind, scene.duration, scene.noise_power, scene.seed)
+    path = tmp_path / "scene.txt"
+    path.write_text(format_scene(scene))
+    code, out = _synth(tmp_path, path)
+    assert code == 0
+    want = oracles.tensor_file_bytes(dense_render_scene(back, StftConfig()).astype(np.complex64))
+    assert (out / "scene.ftb").read_bytes() == want
+    rows = rows_from_csv((out / "scene.csv").read_text())
+    # Label frames 3 and 4 hold both overlapping events, as tracks 0 and 1.
+    assert [r[:3] for r in rows if r[0] == 4] == [(4, 4, 0), (4, 4, 1)]
+    assert {r[2] for r in rows} == {0, 1, 2}
+    capsys.readouterr()
+    csv = str(out / "scene.csv")
+    assert seldkit.cli.main(["eval", "--pred", csv, "--ref", csv]) == 0
+    report = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert (report["error_rate"], report["f_score"]) == (0.0, 1.0)
+    assert (report["localization_error_deg"], report["localization_recall"]) == (0.0, 1.0)
 
 
 def test_scene_rejects_orientation_that_is_not_a_signed_permutation():
@@ -507,10 +542,9 @@ def test_label_csv_round_trip():
 
 def test_label_rows_cover_active_cells_only():
     scene = single_source_scene("foa", az=45.0, el=0.0, seed=2, duration=1.0, onset=0.5)
-    _, labels = render_scene(scene, StftConfig())
-    rows = labels.to_rows()
-    assert len(rows) == int(labels.activity.sum())
+    _, rows = render_scene(scene, StftConfig())
+    # One row for each label frame whose center lies in [0.5, 1.0).
+    assert [r[0] for r in rows] == [5, 6, 7, 8, 9]
     for frame, cls, track, az, el in rows:
-        assert labels.activity[frame, cls] == 1
         assert cls == 0 and track == 0
         assert az == pytest.approx(45.0, abs=1e-9)
