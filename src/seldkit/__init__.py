@@ -26,7 +26,6 @@ from .imaging import render_heatmap, write_ppm
 from .metrics import (
     MetricsConfig,
     MetricsReport,
-    angular_distance,
     evaluate,
     evaluate_many,
     seld_error,
@@ -36,7 +35,6 @@ from .normalize import (
     ChannelStats,
     StatsAccumulator,
     apply_stats,
-    compute_stats,
 )
 from .spatial import (
     SPEED_OF_SOUND,

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import re
+import shutil
 import signal
 import sys
 import threading
@@ -269,47 +270,50 @@ def cmd_extract(args) -> None:
     selection = cfg.selection_config(fmt.kind)
     inputs = _collect_inputs(args.inputs, ".wav")
     out_dir = Path(args.out)
-    for path in inputs:
-        with open_wav(path) as wav:
-            eff = cfg
-            if wav.sample_rate != cfg.sample_rate:
-                if not args.allow_any_rate:
-                    raise ValueError(
-                        f"{path}: sample rate {wav.sample_rate} != configured "
-                        f"{cfg.sample_rate}; pass --allow-any-rate to accept"
-                    )
-                eff = replace(cfg, sample_rate=wav.sample_rate)
-            # Samples flow block by block from the file through the STFT and
-            # the feature stack into the tensor file; no whole-clip array.
-            # Each range of frames is built and written by its own process.
-            spec = stft_stream(
-                _finite_reads(wav), wav.n_channels, wav.n_samples, eff.stft_config()
-            )
-            ranges = _ranges(spec.n_frames, _cpus())
-            streams = [
-                assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
-                for frames in ranges
-            ]
-            feat = streams[0]
-            # Not before: assemble_stream has checked every setting and this input.
-            out_dir.mkdir(parents=True, exist_ok=True)
-            out_path = out_dir / (path.stem + ".ftb")
-            with tensor_writer(out_path, feat.shape, np.float32) as append:
-                parts = [append.part(frames) for frames in ranges]
+    # The outermost directory that mkdir below makes; a failed first input removes it.
+    made = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
+    for index, path in enumerate(inputs):
+        try:
+            with open_wav(path) as wav:
+                eff = cfg
+                if wav.sample_rate != cfg.sample_rate:
+                    if not args.allow_any_rate:
+                        raise ValueError(f"{path}: sample rate {wav.sample_rate} != configured "
+                                         f"{cfg.sample_rate}; pass --allow-any-rate to accept")
+                    eff = replace(cfg, sample_rate=wav.sample_rate)
+                # Samples flow block by block from the file through the STFT and
+                # the feature stack into the tensor file; no whole-clip array.
+                # Each range of frames is built and written by its own process.
+                spec = stft_stream(_finite_reads(wav), wav.n_channels, wav.n_samples,
+                                   eff.stft_config())
+                ranges = _ranges(spec.n_frames, _cpus())
+                streams = [assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
+                           for frames in ranges]
+                feat = streams[0]
+                # Not before: assemble_stream has checked every setting and this input.
+                out_dir.mkdir(parents=True, exist_ok=True)
+                out_path = out_dir / (path.stem + ".ftb")
+                with tensor_writer(out_path, feat.shape, np.float32) as append:
+                    parts = [append.part(frames) for frames in ranges]
 
-                def work(k: int) -> dict:
-                    for block in streams[k].blocks:
-                        if not np.isfinite(block).all():
-                            raise NumericalError(f"{path}: feature tensor has non-finite values")
-                        parts[k](block)
-                    return {"counts": streams[k].counts, "written": parts[k].written}
+                    def work(k: int) -> dict:
+                        for block in streams[k].blocks:
+                            if not np.isfinite(block).all():
+                                raise NumericalError(
+                                    f"{path}: feature tensor has non-finite values")
+                            parts[k](block)
+                        return {"counts": streams[k].counts, "written": parts[k].written}
 
-                meta = dict(feat.meta, sample_rate=wav.sample_rate, config=eff.digest())
-                for part, result in zip(parts, _in_ranges(work, len(ranges))):
-                    part.written = result["written"]
-                    for key, n in result["counts"].items():
-                        meta[key] = meta.get(key, 0) + n
-        write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, meta)
+                    meta = dict(feat.meta, sample_rate=wav.sample_rate, config=eff.digest())
+                    for part, result in zip(parts, _in_ranges(work, len(ranges))):
+                        part.written = result["written"]
+                        for key, n in result["counts"].items():
+                            meta[key] = meta.get(key, 0) + n
+            write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, meta)
+        except BaseException:
+            if index == 0 and made is not None:
+                shutil.rmtree(made, ignore_errors=True)
+            raise
         print(f"{out_path} {_shape_text(feat.shape)}")
 
 

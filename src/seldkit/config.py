@@ -19,6 +19,7 @@ from .baseline import N_MELS
 from .metrics import MetricsConfig
 from .spatial import ArrayFormat, BinSelectionConfig
 from .stft import StftConfig
+from .tensorfile import format_value
 
 _ARRAY = ArrayFormat("foa")
 _STFT = StftConfig()
@@ -33,7 +34,8 @@ class PipelineConfig:
     """Every tunable of the extraction, augmentation and scoring pipeline.
 
     Files hold one key=value per line with '#' comments, and command lines
-    may override single keys via --set. The bin-selection keys shared by
+    may override single keys via --set; file lines apply in order, then the
+    --set pairs, so the later value wins. The bin-selection keys shared by
     both formats take the foa defaults; f_high_foa and f_high_mic are the
     two formats' upper cutoffs. speed_of_sound is the ArrayFormat's.
     """
@@ -64,54 +66,37 @@ class PipelineConfig:
     segment_seconds: float = _METRICS.segment_seconds
 
     @classmethod
-    def from_items(cls, items: dict[str, str]) -> "PipelineConfig":
-        """Build from string key/value pairs with type coercion."""
-        cfg = cls()
-        cfg.update(items)
-        return cfg
-
-    def update(self, items: dict[str, str]) -> None:
-        known = {f.name for f in fields(self)}
-        for key, raw in items.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            try:
-                value = type(getattr(self, key))(raw)  # int, float or str
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: bad value {raw!r}") from exc
-            setattr(self, key, value)
-
-    @classmethod
     def load(cls, path: str | Path) -> "PipelineConfig":
-        items: dict[str, str] = {}
+        """A config with the file's key=value lines applied in order ('#' comments)."""
+        cfg = cls()
         for ln, raw in enumerate(Path(path).read_text().splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value")
-            key, value = line.split("=", 1)
-            items[key.strip()] = value.strip()
-        return cls.from_items(items)
+            if line:
+                cfg._set(line, f"{path}:{ln}")
+        return cfg
 
     def with_overrides(self, pairs: list[str]) -> "PipelineConfig":
-        """Apply --set style 'key=value' overrides, returning self."""
-        items = {}
+        """Apply --set style 'key=value' overrides in order, returning self."""
         for pair in pairs:
-            if "=" not in pair:
-                raise ValueError(f"override must be key=value, got {pair!r}")
-            key, value = pair.split("=", 1)
-            items[key.strip()] = value.strip()
-        self.update(items)
+            self._set(pair, f"override {pair!r}")
         return self
 
+    def _set(self, item: str, source: str) -> None:
+        """Set the field of one 'key=value' string; errors start with source."""
+        key, sep, raw = (part.strip() for part in item.partition("="))
+        if not sep:
+            raise ValueError(f"{source}: expected key=value")
+        if key not in {f.name for f in fields(self)}:
+            raise ValueError(f"{source}: unknown config key {key!r}")
+        try:
+            setattr(self, key, type(getattr(self, key))(raw))  # int, float or str
+        except ValueError:
+            raise ValueError(f"{source}: config key {key!r}: bad value {raw!r}") from None
+
     def canonical_text(self) -> str:
-        lines = []
-        for f in sorted(fields(self), key=lambda f: f.name):
-            value = getattr(self, f.name)
-            text = repr(value) if isinstance(value, float) else str(value)
-            lines.append(f"{f.name}={text}")
-        return "\n".join(lines) + "\n"
+        """Sorted key=value lines, each value written as manifests write it."""
+        names = sorted(f.name for f in fields(self))
+        return "".join(f"{name}={format_value(getattr(self, name))}\n" for name in names)
 
     def digest(self) -> str:
         """Short stable hash of the effective configuration."""

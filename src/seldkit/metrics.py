@@ -103,19 +103,6 @@ def _angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.degrees(np.arctan2(np.sqrt((cross * cross).sum(-1)), (a * b).sum(-1)))
 
 
-def angular_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Great-circle angle between two direction vectors, degrees in [0, 180].
-
-    Uses atan2 of the cross and dot products, which stays accurate where
-    arccos loses precision (nearly parallel or anti-parallel vectors).
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if not (np.linalg.norm(a) > 0 and np.linalg.norm(b) > 0):
-        raise ValueError("zero vector has no direction")
-    return float(_angles(a, b))
-
-
 _CHUNK = 1 << 18  # elements of one enumeration temporary
 
 

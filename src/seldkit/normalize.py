@@ -86,14 +86,6 @@ class StatsAccumulator:
         return ChannelStats(mean=mean, std=np.sqrt(var), channel_roles=self._roles)
 
 
-def compute_stats(tensors) -> ChannelStats:
-    """Single-pass statistics over an iterable of feature tensors."""
-    acc = StatsAccumulator()
-    for feat in tensors:
-        acc.add(feat)
-    return acc.finish()
-
-
 def standardize_channels(stats: ChannelStats, roles, feature, channels):
     """Standardize each of a tensor's channels in place and yield it.
 

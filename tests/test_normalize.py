@@ -11,7 +11,6 @@ from seldkit import (
     StftConfig,
     apply_stats,
     assemble,
-    compute_stats,
     render_scene,
     salsa,
 )
@@ -33,9 +32,17 @@ def _features(kind, n=3, feature="salsa"):
     return out
 
 
+def _stats(tensors):
+    """One StatsAccumulator's statistics over the tensors, added in order."""
+    acc = StatsAccumulator()
+    for feat in tensors:
+        acc.add(feat)
+    return acc.finish()
+
+
 def test_stats_match_direct_concatenation():
     feats = _features("foa", n=3)
-    stats = compute_stats(feats)
+    stats = _stats(feats)
     stacked = np.concatenate([f.data.reshape(7, -1) for f in feats], axis=1)
     np.testing.assert_allclose(stats.mean, stacked.mean(axis=1), rtol=1e-12)
     np.testing.assert_allclose(stats.std, stacked.std(axis=1), rtol=1e-9)
@@ -43,7 +50,7 @@ def test_stats_match_direct_concatenation():
 
 def test_apply_stats_standardizes_spectrograms():
     feats = _features("foa", n=2)
-    stats = compute_stats(feats)
+    stats = _stats(feats)
     normed = apply_stats(feats[0], stats)
     for ch in range(4):
         expect = (feats[0].data[ch] - stats.mean[ch]) / max(stats.std[ch], STD_FLOOR)
@@ -55,14 +62,14 @@ def test_apply_stats_standardizes_spectrograms():
 
 def test_direction_channels_stay_physical():
     feats = _features("foa", n=2)
-    stats = compute_stats(feats)
+    stats = _stats(feats)
     normed = apply_stats(feats[0], stats)
     np.testing.assert_array_equal(normed.data[4:], feats[0].data[4:])
 
 
 def test_classical_kinds_normalize_every_channel():
     feats = _features("foa", n=2, feature="linspeciv")
-    stats = compute_stats(feats)
+    stats = _stats(feats)
     normed = apply_stats(feats[0], stats)
     for ch in range(7):
         expect = (feats[0].data[ch] - stats.mean[ch]) / max(stats.std[ch], STD_FLOOR)
@@ -74,7 +81,7 @@ def test_constant_channel_hits_std_floor():
 
     data = np.full((2, 4, 5), 3.25)
     feat = FeatureTensor(data, ["spec", "spec"], "linear", {"feature": "linspecgcc"})
-    stats = compute_stats([feat])
+    stats = _stats([feat])
     assert np.all(stats.std == 0.0)
     normed = apply_stats(feat, stats)
     # (x - mean) / floor = 0, not inf/nan
@@ -91,7 +98,7 @@ def test_role_mismatch_rejected():
     acc.add(a)
     with pytest.raises(ValueError, match="mix"):
         acc.add(b)
-    stats = compute_stats([a])
+    stats = _stats([a])
     with pytest.raises(ValueError, match="roles"):
         apply_stats(b, stats)
 
@@ -109,14 +116,14 @@ def test_non_finite_tensor_is_rejected_and_adds_nothing():
     with pytest.raises(ValueError, match="no tensors"):
         acc.finish()
     acc.add(good)
-    want = compute_stats([good])
+    want = _stats([good])
     got = acc.finish()
     assert got.mean.tolist() == want.mean.tolist() and got.std.tolist() == want.std.tolist()
 
 
 def test_channel_count_mismatch_rejected():
     feats = _features("foa", n=1)
-    stats = compute_stats(feats)
+    stats = _stats(feats)
     short = ChannelStats(stats.mean[:3], stats.std[:3], stats.channel_roles[:3])
     with pytest.raises(ValueError, match="channels"):
         apply_stats(feats[0], short)

@@ -114,8 +114,6 @@ def test_mel_filterbank_centers_increase():
 def test_mel_filterbank_validation():
     with pytest.raises(ValueError):
         mel_filterbank(24000, 512, 0)
-    with pytest.raises(ValueError):
-        mel_filterbank(24000, 512, 64, f_min=13000.0)
 
 
 def test_log_mel_spectrogram_projects_power():

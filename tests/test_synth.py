@@ -216,6 +216,21 @@ def test_render_matches_dense_oracle_bit_for_bit(case, kind):
     np.testing.assert_array_equal(spec.data.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("kind", ["foa", "mic"])
+def test_omitted_signal_parameters_render_as_their_defaults_written_out(kind):
+    # f_high and f_end default to Nyquist, 12 kHz at the default StftConfig.
+    written = {
+        "noise": {"f_low": 200.0, "f_high": 12000.0},
+        "tone": {"f0": 440.0, "harmonics": 3},
+        "chirp": {"f_start": 200.0, "f_end": 12000.0},
+    }
+    for signal, params in written.items():
+        bare, full = (render_scene(_scene(kind, [_src(0, signal, p)]), StftConfig())[0].data
+                      for p in ({}, params))
+        assert np.count_nonzero(full) > 0
+        assert bare.tobytes() == full.tobytes(), signal
+
+
 # One frame, a size that leaves a ragged last block, and more than T.
 BLOCKS = (1, 7, 10_000)
 SYNTH_CASES = [
