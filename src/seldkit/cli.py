@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import re
-import shutil
 import signal
 import sys
 import threading
@@ -270,50 +269,40 @@ def cmd_extract(args) -> None:
     selection = cfg.selection_config(fmt.kind)
     inputs = _collect_inputs(args.inputs, ".wav")
     out_dir = Path(args.out)
-    # The outermost directory that mkdir below makes; a failed first input removes it.
-    made = next((d for d in (*reversed(out_dir.parents), out_dir) if not d.exists()), None)
-    for index, path in enumerate(inputs):
-        try:
-            with open_wav(path) as wav:
-                eff = cfg
-                if wav.sample_rate != cfg.sample_rate:
-                    if not args.allow_any_rate:
-                        raise ValueError(f"{path}: sample rate {wav.sample_rate} != configured "
-                                         f"{cfg.sample_rate}; pass --allow-any-rate to accept")
-                    eff = replace(cfg, sample_rate=wav.sample_rate)
-                # Samples flow block by block from the file through the STFT and
-                # the feature stack into the tensor file; no whole-clip array.
-                # Each range of frames is built and written by its own process.
-                spec = stft_stream(_finite_reads(wav), wav.n_channels, wav.n_samples,
-                                   eff.stft_config())
-                ranges = _ranges(spec.n_frames, _cpus())
-                streams = [assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
-                           for frames in ranges]
-                feat = streams[0]
-                # Not before: assemble_stream has checked every setting and this input.
-                out_dir.mkdir(parents=True, exist_ok=True)
-                out_path = out_dir / (path.stem + ".ftb")
-                with tensor_writer(out_path, feat.shape, np.float32) as append:
-                    parts = [append.part(frames) for frames in ranges]
+    for path in inputs:
+        with open_wav(path) as wav:
+            eff = cfg
+            if wav.sample_rate != cfg.sample_rate:
+                if not args.allow_any_rate:
+                    raise ValueError(f"{path}: sample rate {wav.sample_rate} != configured "
+                                     f"{cfg.sample_rate}; pass --allow-any-rate to accept")
+                eff = replace(cfg, sample_rate=wav.sample_rate)
+            # Samples flow block by block from the file through the STFT and
+            # the feature stack into the tensor file; no whole-clip array.
+            # Each range of frames is built and written by its own process.
+            spec = stft_stream(_finite_reads(wav), wav.n_channels, wav.n_samples,
+                               eff.stft_config())
+            ranges = _ranges(spec.n_frames, _cpus())
+            streams = [assemble_stream(spec, args.feature, fmt, selection, eff.n_mels, frames)
+                       for frames in ranges]
+            feat = streams[0]
+            out_path = out_dir / (path.stem + ".ftb")
+            with tensor_writer(out_path, feat.shape, np.float32) as append:
+                parts = [append.part(frames) for frames in ranges]
 
-                    def work(k: int) -> dict:
-                        for block in streams[k].blocks:
-                            if not np.isfinite(block).all():
-                                raise NumericalError(
-                                    f"{path}: feature tensor has non-finite values")
-                            parts[k](block)
-                        return {"counts": streams[k].counts, "written": parts[k].written}
+                def work(k: int) -> dict:
+                    for block in streams[k].blocks:
+                        if not np.isfinite(block).all():
+                            raise NumericalError(f"{path}: feature tensor has non-finite values")
+                        parts[k](block)
+                    return {"counts": streams[k].counts, "written": parts[k].written}
 
-                    meta = dict(feat.meta, sample_rate=wav.sample_rate, config=eff.digest())
-                    for part, result in zip(parts, _in_ranges(work, len(ranges))):
-                        part.written = result["written"]
-                        for key, n in result["counts"].items():
-                            meta[key] = meta.get(key, 0) + n
-            write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, meta)
-        except BaseException:
-            if index == 0 and made is not None:
-                shutil.rmtree(made, ignore_errors=True)
-            raise
+                meta = dict(feat.meta, sample_rate=wav.sample_rate, config=eff.digest())
+                for part, result in zip(parts, _in_ranges(work, len(ranges))):
+                    part.written = result["written"]
+                    for key, n in result["counts"].items():
+                        meta[key] = meta.get(key, 0) + n
+        write_feature_manifest(out_path, feat.shape, feat.channel_roles, feat.scale, meta)
         print(f"{out_path} {_shape_text(feat.shape)}")
 
 
@@ -331,7 +320,6 @@ def cmd_synth(args) -> None:
     ranges = _ranges(scene.fmt.n_channels, _cpus())
     stream = render_stream(scene, cfg.stft_config(), ranges[0])
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = args.name or scene_path.stem
     tensor_path = out_dir / f"{stem}.ftb"
     with tensor_writer(tensor_path, stream.shape, np.complex64) as append:
@@ -400,6 +388,11 @@ def cmd_render_image(args) -> None:
     path = Path(args.tensor)
     if not path.exists():
         raise InputError(f"{path}: no such file")
+    out = Path(args.out) if args.out else path.with_name(f"{path.stem}.ch{args.channel}.ppm")
+    manifest = out.with_suffix(".txt")
+    if len({path.resolve(), out.resolve(), manifest.resolve()}) < 3:
+        raise ValueError(f"--out {out}: the tensor, the image and its manifest {manifest} "
+                         "must be three different files")
     shape, _ = tensor_info(path)
     if len(shape) not in (2, 3):
         raise ValueError(f"cannot render a rank-{len(shape)} tensor as an image")
@@ -413,31 +406,25 @@ def cmd_render_image(args) -> None:
     plane = plane.astype(np.float64)
     if not np.isfinite(plane).all():
         raise NumericalError(f"{path}: channel {args.channel} has non-finite values")
-    out = (
-        Path(args.out)
-        if args.out
-        else path.with_name(f"{path.stem}.ch{args.channel}.ppm")
-    )
     lo = float(plane.min()) if args.vmin is None else args.vmin
     hi = float(plane.max()) if args.vmax is None else args.vmax
     write_ppm(out, render_heatmap(plane, lo, hi))
-    write_manifest(
-        out.with_suffix(".txt"),
-        {"source": path.name, "channel": args.channel, "min": lo, "max": hi},
-    )
+    write_manifest(manifest, {"source": path.name, "channel": args.channel, "min": lo, "max": hi})
     print(f"{out} {plane.shape[1]}x{plane.shape[0]}")
 
 
 def cmd_stats(args) -> None:
     inputs = _collect_inputs(args.inputs, ".ftb")
     acc = StatsAccumulator()
-    first_meta: dict = {}
+    kinds = []  # each tensor's feature kind, which must be the first one's
     # Both passes read one channel of one tensor at a time; no whole tensor
     # is held.
     for path in inputs:
         with FeatureReader(path) as feat:
-            if not first_meta:
-                first_meta = feat.meta
+            kinds.append(feat.meta.get("feature", ""))
+            if kinds[-1] != kinds[0]:
+                raise ValueError(f"{path}: cannot mix feature kinds in one statistics pass "
+                                 f"({kinds[-1]} after {kinds[0]})")
             try:
                 acc.add_channels(feat.channel_roles, feat.channels())
             except FloatingPointError as exc:
@@ -447,13 +434,12 @@ def cmd_stats(args) -> None:
         raw.mean, np.maximum(raw.std, STD_FLOOR), raw.channel_roles
     )
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     write_tensor(out_path, np.stack([stats.mean, stats.std]))
     write_manifest(
         manifest_path_for(out_path),
         {
             "kind": "stats",
-            "feature": first_meta.get("feature", ""),
+            "feature": kinds[0],
             "channel_roles": stats.channel_roles,
             "files": len(inputs),
             "std_floor": STD_FLOOR,
@@ -462,7 +448,6 @@ def cmd_stats(args) -> None:
     print(f"{out_path} {len(inputs)} files, {len(stats.mean)} channels")
     if args.apply:
         apply_dir = Path(args.apply)
-        apply_dir.mkdir(parents=True, exist_ok=True)
         for path in inputs:
             out = apply_dir / path.name
             with FeatureReader(path) as feat:
@@ -495,7 +480,6 @@ def cmd_augment(args) -> None:
         feat, labels = augment_pipeline(feat, labels, rng, acfg)
         feat.meta["augmented"] = True
         feat.meta["seed"] = args.seed
-        out_dir.mkdir(parents=True, exist_ok=True)  # not before: a bad first input leaves none
         write_feature(out_dir / path.name, feat)
         if labels is not None:
             atomic_write_text(out_dir / (path.stem + ".csv"), rows_to_csv(labels))

@@ -3,7 +3,8 @@
 Layout: 4 magic bytes "FTB1", one u8 dtype code (0=f32, 1=f64, 2=c64), one u8
 rank, rank u64 little-endian dimensions, then the row-major little-endian
 payload. Manifests are plain "key=value" text files next to the tensor.
-All writes are atomic (temp file + rename).
+All writes are atomic (temp file + rename) and make missing parent
+directories, which a failed write removes again.
 
 A feature tensor is a float32 tensor file whose manifest starts with
 kind=feature, scale, channel_roles, channels, frames and bands, followed by
@@ -13,10 +14,11 @@ read_feature parses each back to the table's type.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -34,26 +36,33 @@ _MAX_RANK = 8
 def _atomic_file(path: str | Path):
     """Binary file handle whose contents replace `path` only if the block succeeds.
 
-    The data goes to a new temp file under a random name in the same
-    directory, which is renamed over `path` on success and removed on any
-    error. The temp file is created with mode 0o666, so it gets the mode
-    open() gives a new file: the kernel applies the umask.
+    The missing parent directories of `path` are made first. The data goes
+    to a new temp file under a random name in the same directory, which is
+    renamed over `path` on success. On any error the temp file is removed,
+    and then each directory this call made that is still empty, deepest
+    first; a directory that existed before, or that holds anything, stays.
+    The temp file is created with mode 0o666, so it gets the mode open()
+    gives a new file: the kernel applies the umask.
     """
     path = Path(path)
-    while True:
-        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
-        try:
-            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o666)
-            break
-        except FileExistsError:
-            continue
+    made = list(itertools.takewhile(lambda d: not d.exists(), path.parents))
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        while tmp is None:
+            name = path.with_name(f"{path.name}.{os.urandom(6).hex()}")
+            with suppress(FileExistsError):
+                fd = os.open(name, os.O_CREAT | os.O_EXCL | os.O_RDWR, 0o666)
+                tmp = name
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        for d in made:
+            with suppress(OSError):
+                d.rmdir()
         raise
 
 

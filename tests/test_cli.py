@@ -521,6 +521,28 @@ def test_render_image(tmp_path, capsys):
     assert main(["render-image", str(tmp_path / "no.ftb"), "--channel", "0"]) == 2
 
 
+@pytest.mark.parametrize("case", ["input", "input-respelled", "image-is-manifest",
+                                  "manifest-is-input"])
+def test_render_image_refuses_an_out_that_destroys_data(tmp_path, capsys, case):
+    # The first three once exited 0: --out naming the input replaced the
+    # tensor with a PPM, and an image named *.txt was overwritten by its
+    # own manifest.
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
+    main(["synth", str(scene), "--out", str(tmp_path / "o")])
+    tensor = tmp_path / "o" / "scene.ftb"
+    if case == "manifest-is-input":
+        tensor = tensor.rename(tmp_path / "o" / "t.txt")
+    out = {"input": tensor, "input-respelled": tmp_path / "o" / ".." / "o" / "scene.ftb",
+           "image-is-manifest": tmp_path / "img.txt",
+           "manifest-is-input": tmp_path / "o" / "t.ppm"}
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert main(["render-image", str(tensor), "--channel", "0", "--out", str(out[case])]) == 3
+    assert "must be three different files" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+
 @pytest.mark.parametrize("flag", ["--vmin", "--vmax"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_render_image_rejects_non_finite_bounds(tmp_path, capsys, flag, value):
@@ -631,13 +653,21 @@ def test_every_command_run_twice_into_one_tree_gives_the_same_bytes(corpus, tmp_
     assert trees[0] == trees[1]
 
 
+def _listing(directory):
+    """Sorted names in directory, or None if it does not exist."""
+    return sorted(p.name for p in directory.iterdir()) if directory.exists() else None
+
+
 @pytest.mark.skipif(not hasattr(os, "posix_fallocate"), reason="needs os.posix_fallocate")
-@pytest.mark.parametrize("granted", [0, 1])
+@pytest.mark.parametrize("granted", [0, 1, 2])
 def test_a_full_disk_exits_2_before_any_output(corpus, tmp_path, monkeypatch, capsys, granted):
-    # The first `granted` tensor files get their space; every later one
-    # fails as on a full disk.
+    # The first `granted` tensor files of each command get their space;
+    # every later one fails as on a full disk. A failed command leaves no
+    # directory it made, and keeps the complete outputs written before.
     feat, out = tmp_path / "feat", tmp_path / "out"
     main(["extract", str(corpus), "--format", "foa", "--feature", "salsa", "--out", str(feat)])
+    scene = tmp_path / "scene.txt"
+    scene.write_text(SCENE)
     calls = []
     real = os.posix_fallocate
 
@@ -647,19 +677,28 @@ def test_a_full_disk_exits_2_before_any_output(corpus, tmp_path, monkeypatch, ca
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         real(fd, offset, length)
 
-    monkeypatch.setattr(os, "posix_fallocate", fallocate)
-    if not granted:
-        assert main(["extract", str(corpus), "--format", "foa", "--feature", "salsa",
-                     "--out", str(out / "x")]) == 2
-        assert "No space left" in capsys.readouterr().err
-        assert not out.exists()  # extract removes the directories it made
+    def run(argv):
         calls.clear()
-    assert main(["stats", str(feat), "--out", str(out / "s" / "s.ftb"),
-                 "--apply", str(out / "normed")]) == 2
-    assert "No space left" in capsys.readouterr().err
-    assert sorted(p.name for p in (out / "s").iterdir()) == (
-        ["s.ftb", "s.manifest.txt"] if granted else [])
-    assert not (out / "normed").exists() or list((out / "normed").iterdir()) == []
+        code = main([str(a) for a in argv])
+        assert ("No space left" in capsys.readouterr().err) == (code != 0)
+        return code
+
+    monkeypatch.setattr(os, "posix_fallocate", fallocate)
+    if granted < 2:
+        assert run(["extract", corpus, "--format", "foa", "--feature", "salsa",
+                    "--out", out / "x"]) == 2
+        assert _listing(out / "x") == (["a.ftb", "a.manifest.txt"] if granted else None)
+    assert run(["stats", feat, "--out", out / "s" / "s.ftb", "--apply", out / "normed"]) == 2
+    assert _listing(out / "s") == (["s.ftb", "s.manifest.txt"] if granted else None)
+    assert _listing(out / "normed") == (["a.ftb", "a.manifest.txt"] if granted == 2 else None)
+    assert run(["synth", scene, "--out", out / "synth" / "x"]) == (0 if granted else 2)
+    assert _listing(out / "synth" / "x") == (
+        ["scene.csv", "scene.ftb", "scene.manifest.txt"] if granted else None)
+    assert run(["augment", feat, "--out", out / "aug" / "x", "--seed", "3"]) == (
+        0 if granted == 2 else 2)
+    assert _listing(out / "aug" / "x") == (
+        ["a.ftb", "a.manifest.txt", "b.ftb", "b.manifest.txt"][: 2 * granted] or None)
+    assert granted or not out.exists()
 
 
 def test_augment_copy_when_disabled(corpus, tmp_path, capsys):
@@ -676,6 +715,23 @@ def test_augment_copy_when_disabled(corpus, tmp_path, capsys):
         assert (out / f"{stem}.ftb").read_bytes() == (feat / f"{stem}.ftb").read_bytes()
         want = {**read_manifest(feat / f"{stem}.manifest.txt"), "augmented": "True", "seed": "5"}
         assert read_manifest(out / f"{stem}.manifest.txt") == want
+
+
+@pytest.mark.parametrize("first", ["salsa", "linspeciv"])
+def test_stats_refuses_a_corpus_of_mixed_feature_kinds(corpus, tmp_path, capsys, first):
+    # foa salsa and linspeciv tensors have equal channel roles; pooled, the
+    # eigenvector cues' statistics once standardized the intensity vectors.
+    feat = tmp_path / "feat"
+    second = "linspeciv" if first == "salsa" else "salsa"
+    for kind, stem in ((first, "a"), (second, "b")):
+        main(["extract", str(corpus / f"{stem}.wav"), "--format", "foa", "--feature", kind,
+              "--out", str(feat)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["stats", str(feat), "--out", str(out / "s.ftb"), "--apply", str(out)]) == 3
+    want = f"b.ftb: cannot mix feature kinds in one statistics pass ({second} after {first})"
+    assert want in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [np.inf, -np.inf]])

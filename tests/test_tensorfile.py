@@ -1,5 +1,6 @@
 """Binary tensor container: round trips and malformed-input handling."""
 
+import errno
 import math
 import os
 import struct
@@ -23,6 +24,7 @@ from seldkit.tensorfile import (
     FEATURE_META,
     MAGIC,
     FeatureReader,
+    atomic_write_text,
     read_feature,
     tensor_info,
     tensor_writer,
@@ -204,6 +206,44 @@ def test_no_temp_files_left_behind(tmp_path):
     write_manifest(tmp_path / "a.manifest.txt", {"k": 1})
     names = {p.name for p in tmp_path.iterdir()}
     assert names == {"a.ftb", "a.manifest.txt"}
+
+
+@pytest.mark.parametrize("writer", ["tensor_writer", "atomic_write_text"])
+def test_a_failed_write_removes_only_the_empty_directories_it_made(tmp_path, monkeypatch, writer):
+    def fail(path, during=lambda: None):
+        """Write path with writer, run during() once the temp file exists, then fail."""
+        if writer == "tensor_writer":
+            with pytest.raises(ValueError, match="got 0 of its 3 slices"):
+                with tensor_writer(path, (2, 3), np.float32):
+                    during()
+            return
+
+        def replace(src, dst):
+            during()
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", replace)
+            with pytest.raises(OSError, match="No space left"):
+                atomic_write_text(path, "k=1\n")
+
+    def tree():
+        return sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+
+    fail(tmp_path / "a" / "b" / "f")
+    assert tree() == []
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "full").mkdir()
+    (tmp_path / "full" / "g").write_text("kept")
+    fail(tmp_path / "empty" / "b" / "f")
+    fail(tmp_path / "full" / "b" / "f")
+    assert tree() == ["empty", "full", "full/g"]
+    # A directory this call made stays once it holds anything besides the temp file.
+    sibling = tmp_path / "a" / "b" / "g"
+    fail(tmp_path / "a" / "b" / "f", lambda: sibling.write_text("kept"))
+    assert tree() == ["a", "a/b", "a/b/g", "empty", "full", "full/g"]
+    write_tensor(tmp_path / "n" / "m" / "t.ftb", np.zeros(3, np.float32))
+    assert (tmp_path / "n" / "m" / "t.ftb").is_file()
 
 
 def test_manifest_round_trip(tmp_path):
