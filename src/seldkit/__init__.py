@@ -6,9 +6,7 @@ from .augment import (
     SpatialTransform,
     augment_pipeline,
     channel_swap,
-    foa_transforms,
     frequency_shift,
-    mic_transforms,
     random_cutout,
     transforms_for,
 )

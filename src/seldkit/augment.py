@@ -5,9 +5,9 @@ input channels is equivalent to rotating/mirroring the acoustic scene, so the
 feature tensor and its labels transform together. The foa swaps are the 16
 signed permutations made of quarter turns in azimuth, azimuth mirroring and
 elevation flip. The mic swaps are the 8 of them that map the tetrahedral
-array (spatial.tetra_positions) onto itself. Every swap's signed channel
-permutation is ArrayFormat.channel_map's. Frequency shifting and random
-cutout perturb the time-frequency content only.
+array (spatial.tetra_positions) onto itself. ArrayFormat.channel_map gives a
+swap's signed channel permutation where the swap is applied. Frequency
+shifting and random cutout perturb the time-frequency content only.
 """
 
 from __future__ import annotations
@@ -44,68 +44,41 @@ class AugmentConfig:
 
 @dataclass(frozen=True)
 class SpatialTransform:
-    """One direction transform and its channel realization.
-
-    matrix is the signed permutation applied to Cartesian directions; perm
-    and sign are its ArrayFormat(kind).channel_map: output channel m is
-    sign[m] times input channel perm[m].
-    """
+    """A direction transform; ArrayFormat(kind).channel_map(matrix) gives its channels."""
 
     name: str
     kind: str  # "foa" or "mic"
     matrix: np.ndarray  # (3, 3) integer signed permutation
-    perm: tuple[int, ...]
-    sign: tuple[int, ...]
 
 
 _ROT90 = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 1]])
 
 
-def _direction_matrix(dphi: int, mirror: bool, zflip: bool) -> np.ndarray:
-    rot = np.linalg.matrix_power(_ROT90, (dphi // 90) % 4)
-    flip = np.diag([1, -1 if mirror else 1, -1 if zflip else 1])
-    return (rot @ flip).astype(np.int64)
-
-
 def _transform(kind: str, dphi: int, mirror: bool, zflip: bool) -> SpatialTransform:
     name = f"rot{dphi:03d}" + ("_mirror" if mirror else "") + ("_zflip" if zflip else "")
-    A = _direction_matrix(dphi, mirror, zflip)
-    perm, sign = ArrayFormat(kind).channel_map(A)
-    return SpatialTransform(name, kind, A, tuple(map(int, perm)), tuple(map(int, sign)))
-
-
-def foa_transforms() -> list[SpatialTransform]:
-    """All 16 ambisonic channel swaps: azimuth rotations by multiples of 90
-    degrees, azimuth mirroring, and elevation flip."""
-    return [
-        _transform("foa", dphi, mirror, zflip)
-        for dphi in (0, 90, 180, 270)
-        for mirror in (False, True)
-        for zflip in (False, True)
-    ]
-
-
-def mic_transforms() -> list[SpatialTransform]:
-    """The 8 channel swaps of the tetrahedral array (spatial.tetra_positions).
-
-    They are the direction transforms that map its corners onto each other:
-    those with an even number of axis sign flips, so a quarter turn comes
-    with an elevation flip unless it is mirrored. Their channels are
-    ArrayFormat("mic").channel_map's.
-    """
-    # The order is part of augment_pipeline's seeded draw, which indexes this list.
-    return [
-        _transform("mic", dphi, mirror, mirror != (dphi % 180 == 90))
-        for dphi in (0, 180, 90, 270)
-        for mirror in (False, True)
-    ]
+    rot = np.linalg.matrix_power(_ROT90, (dphi // 90) % 4)
+    flip = np.diag([1, -1 if mirror else 1, -1 if zflip else 1])
+    return SpatialTransform(name, kind, (rot @ flip).astype(np.int64))
 
 
 def transforms_for(kind: str) -> list[SpatialTransform]:
+    """A format's channel swaps, in the order augment_pipeline's seeded draw
+    indexes them. The mic swaps are those with an even number of axis sign
+    flips: a quarter turn comes with an elevation flip unless it is mirrored.
+    """
     if kind == "foa":
-        return foa_transforms()
+        return [
+            _transform(kind, dphi, mirror, zflip)
+            for dphi in (0, 90, 180, 270)
+            for mirror in (False, True)
+            for zflip in (False, True)
+        ]
     if kind == "mic":
-        return mic_transforms()
+        return [
+            _transform(kind, dphi, mirror, mirror != (dphi % 180 == 90))
+            for dphi in (0, 180, 90, 270)
+            for mirror in (False, True)
+        ]
     raise ValueError(f"unknown format kind {kind!r}")
 
 
@@ -127,20 +100,20 @@ def _reverse_lags(block: np.ndarray) -> np.ndarray:
 def _swap(
     data: np.ndarray,
     groups: dict[str, list[int]],
-    tx: SpatialTransform,
+    perm: np.ndarray,
+    sign: np.ndarray,
     fmt: ArrayFormat,
     f_hz: np.ndarray,
 ) -> np.ndarray:
     out = data.copy()
-    perm = tx.perm
     spec_idx, sp = groups["spec"], groups["spatial"]
     if len(spec_idx) != len(perm):
         raise ValueError(f"swap permutes {len(perm)} channels but tensor has {len(spec_idx)}")
     if sp and len(sp) != len(perm) - 1:
-        raise ValueError(f"{tx.kind} spatial block must have {len(perm) - 1} channels")
+        raise ValueError(f"{fmt.kind} spatial block must have {len(perm) - 1} channels")
     out[spec_idx] = data[[spec_idx[src] for src in perm]]  # log power moves without sign
     if sp:
-        out[sp] = fmt.turn_cues(data[sp], perm, tx.sign, f_hz)
+        out[sp] = fmt.turn_cues(data[sp], perm, sign, f_hz)
 
     gcc = groups["gcc"]
     if gcc:
@@ -173,6 +146,7 @@ def _swap_channels(
     """
     fmt = ArrayFormat(tx.kind, speed_of_sound=feat.meta.get("speed_of_sound", SPEED_OF_SOUND))
     check_kind(feat.meta.get("feature"), tx.kind)
+    perm, sign = fmt.channel_map(tx.matrix)
     groups = _role_slices(feat)
     # Only the uncompressed low bands carry per-bin phase (ArrayFormat.turn_cues).
     B, bin_hz = feat.n_bands, float(feat.meta.get("bin_hz", 0.0))
@@ -180,7 +154,7 @@ def _swap_channels(
     f_hz = np.arange(min(start, B) if bin_hz > 0 else 0) * bin_hz
     for block in frame_blocks(feat.n_frames):
         part = feat.data[:, block].astype(np.float64)
-        feat.data[:, block] = _swap(part, groups, tx, fmt, f_hz)
+        feat.data[:, block] = _swap(part, groups, perm, sign, fmt, f_hz)
     return labels.transformed(tx.matrix) if labels is not None else None
 
 

@@ -416,15 +416,15 @@ def cmd_render_image(args) -> None:
 def cmd_stats(args) -> None:
     inputs = _collect_inputs(args.inputs, ".ftb")
     acc = StatsAccumulator()
-    kinds = []  # each tensor's feature kind, which must be the first one's
+    kinds = []  # each tensor's (format, feature), which must be the first one's
     # Both passes read one channel of one tensor at a time; no whole tensor
     # is held.
     for path in inputs:
         with FeatureReader(path) as feat:
-            kinds.append(feat.meta.get("feature", ""))
+            kinds.append((feat.meta.get("format", ""), feat.meta.get("feature", "")))
             if kinds[-1] != kinds[0]:
                 raise ValueError(f"{path}: cannot mix feature kinds in one statistics pass "
-                                 f"({kinds[-1]} after {kinds[0]})")
+                                 f"({' '.join(kinds[-1])} after {' '.join(kinds[0])})")
             try:
                 acc.add_channels(feat.channel_roles, feat.channels())
             except FloatingPointError as exc:
@@ -439,7 +439,8 @@ def cmd_stats(args) -> None:
         manifest_path_for(out_path),
         {
             "kind": "stats",
-            "feature": kinds[0],
+            "feature": kinds[0][1],
+            "format": kinds[0][0],
             "channel_roles": stats.channel_roles,
             "files": len(inputs),
             "std_floor": STD_FLOOR,

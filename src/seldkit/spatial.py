@@ -403,11 +403,11 @@ def salsa_cues(
     read from channel 0 before anything else. Every other test is local in
     time, so cues are built as the spectrogram blocks arrive. A frame is
     finished once the frames its running RMS and covariance window reach
-    have arrived; between blocks only those halo frames and their floor
-    rows on passband bins are kept. For a range that starts later, the
-    floor before its halo comes from a pass over channel 0 alone up to
-    there (`_floor_before`), and the full spectrogram is read from the halo
-    on. The cues have the same bits whatever the block sizes or the range.
+    have arrived; between blocks only those halo frames and the last
+    finished frame's floor are kept. For a range that starts later, the
+    floor before it comes from a pass over channel 0 alone up to there
+    (`_floor_before`), and the full spectrogram is read from its halo on.
+    The cues have the same bits whatever the block sizes or the range.
 
     Adds three gate counts over the frames built to `counts` once every
     block has been read: in_band_bins (frames x passband bins), candidates
@@ -424,24 +424,23 @@ def salsa_cues(
         return
     # The full spectrogram is read from the range's halo, frame `first`, on.
     first = max(lo - reach, 0)
-    prev = _floor_before(spec, cfg, bins, first)  # floor of the frame before the next block
+    prev = _floor_before(spec, cfg, bins, lo)  # floor of frame done - 1
     data = np.empty((M, 0, F), dtype=np.complex128)
-    eta = np.empty((0, len(prev)))  # floor rows of data's frames, first on
     done = lo
     for part in spec.blocks(slice(first, hi + reach)):
         data = np.concatenate([data, part], axis=1)
-        mag = np.abs(data[0, :, bins])
-        eta = np.concatenate([eta, _floor_rows(mag[len(eta) :], first + len(eta), prev, cfg)])
-        prev = eta[-1]
         # Frames done..ready-1 can be finished: their windows end before
         # the last frame received (or at the clip's end).
-        end = first + len(eta)
+        end = first + data.shape[1]
         ready = min(T if end == T else end - reach, hi)
         if ready <= done:
             continue
 
+        mag = np.abs(data[0, :, bins])
+        eta = _floor_rows(mag[done - first : ready - first], done, prev, cfg)
+        prev = eta[-1]
         rms = _windowed_rms(mag * mag, done, ready, cfg.rms_half_window, T, first)
-        t_idx, f_idx = np.nonzero(rms > cfg.alpha_mag * eta[done - first : ready - first])
+        t_idx, f_idx = np.nonzero(rms > cfg.alpha_mag * eta)
         t_idx += done
         f_idx += bins.start
         cov, _ = local_covariance(data, t_idx, f_idx, half, first, T)
@@ -459,5 +458,5 @@ def salsa_cues(
 
         done = ready  # keep the halo the next frames' windows reach back into
         drop = max(done - reach, 0) - first
-        data, eta = data[:, drop:], eta[drop:]
+        data = data[:, drop:]
         first += drop

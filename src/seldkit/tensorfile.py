@@ -27,8 +27,7 @@ from .stft import FeatureTensor, check_feature_layout
 
 MAGIC = b"FTB1"
 
-_DTYPE_CODES = {0: np.dtype("<f4"), 1: np.dtype("<f8"), 2: np.dtype("<c8")}
-_CODE_FOR_KIND = {"f4": 0, "f8": 1, "c8": 2}
+_DTYPES = (np.dtype("<f4"), np.dtype("<f8"), np.dtype("<c8"))  # indexed by header code
 _MAX_RANK = 8
 
 
@@ -176,16 +175,14 @@ def tensor_writer(path: str | Path, shape: tuple[int, ...], dtype):
     file is left behind.
     """
     dtype = np.dtype(dtype)
-    key = dtype.str.lstrip("<>|=")
-    if key not in _CODE_FOR_KIND:
+    if dtype.newbyteorder("<") not in _DTYPES:
         raise ValueError(f"unsupported dtype {dtype}; use float32, float64 or complex64")
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or len(shape) > _MAX_RANK:
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {len(shape)}")
-    code = _CODE_FOR_KIND[key]
-    header = MAGIC + struct.pack("<BB", code, len(shape))
+    dtype = dtype.newbyteorder("<")
+    header = MAGIC + struct.pack("<BB", _DTYPES.index(dtype), len(shape))
     header += struct.pack(f"<{len(shape)}Q", *shape)
-    dtype = _DTYPE_CODES[code]
     with _atomic_file(path) as fh:
         if hasattr(os, "posix_fallocate"):
             os.posix_fallocate(fh.fileno(), 0, len(header) + math.prod(shape) * dtype.itemsize)
@@ -204,7 +201,7 @@ def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
     if len(fixed) < 6 or fixed[:4] != MAGIC:
         raise ValueError(f"{path}: not a tensor container (bad magic)")
     code, ndim = struct.unpack_from("<BB", fixed, 4)
-    if code not in _DTYPE_CODES:
+    if code >= len(_DTYPES):
         raise ValueError(f"{path}: unknown dtype code {code}")
     if not (1 <= ndim <= _MAX_RANK):
         raise ValueError(f"{path}: bad rank {ndim}")
@@ -212,7 +209,7 @@ def _read_header(fh, path) -> tuple[tuple[int, ...], np.dtype]:
     if size < head:
         raise ValueError(f"{path}: truncated header")
     dims = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
-    dtype = _DTYPE_CODES[code]
+    dtype = _DTYPES[code]
     expected = math.prod(dims) * dtype.itemsize
     if size - head != expected:
         raise ValueError(f"{path}: payload is {size - head} bytes, expected {expected}")

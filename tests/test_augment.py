@@ -11,9 +11,7 @@ from seldkit import (
     assemble,
     augment_pipeline,
     channel_swap,
-    foa_transforms,
     frequency_shift,
-    mic_transforms,
     random_cutout,
     render_scene,
     rows_from_csv,
@@ -28,7 +26,7 @@ from support import assert_rows_turn_alike, random_scene, row_bits, single_sourc
 
 
 def test_foa_transform_group():
-    txs = foa_transforms()
+    txs = transforms_for("foa")
     assert len(txs) == 16
     mats = {tuple(t.matrix.flatten()) for t in txs}
     assert len(mats) == 16
@@ -44,18 +42,18 @@ def test_foa_transform_group():
 
 
 def test_mic_transform_table():
-    txs = mic_transforms()
+    txs = transforms_for("mic")
     assert len(txs) == 8
-    perms = {t.perm for t in txs}
-    assert len(perms) == 8
+    perms = [tuple(ArrayFormat("mic").channel_map(t.matrix)[0]) for t in txs]
+    assert len(set(perms)) == 8
     assert (0, 1, 2, 3) in perms
     # augment_pipeline draws an index into this list, so the order is pinned.
     assert [t.name for t in txs] == [
         "rot000", "rot000_mirror_zflip", "rot180", "rot180_mirror_zflip",
         "rot090_zflip", "rot090_mirror", "rot270_zflip", "rot270_mirror",
     ]
-    for t in txs:
-        assert sorted(t.perm) == [0, 1, 2, 3]
+    for t, perm in zip(txs, perms):
+        assert sorted(perm) == [0, 1, 2, 3]
         assert abs(round(np.linalg.det(t.matrix))) == 1
 
 
@@ -65,9 +63,8 @@ def test_channel_map_foa_turns_the_steering_exactly():
     u = rng.standard_normal((50, 3))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     f = np.zeros((50, 1))
-    for t in foa_transforms():
+    for t in transforms_for("foa"):
         perm, sign = fmt.channel_map(t.matrix)
-        assert (t.perm, t.sign) == (tuple(perm), tuple(sign))
         turned = sign[:, None, None] * fmt.steering(u, f)[perm]
         np.testing.assert_array_equal(turned, fmt.steering(u @ t.matrix.T, f))
 
@@ -75,15 +72,15 @@ def test_channel_map_foa_turns_the_steering_exactly():
 def test_channel_map_mic_maps_the_array_onto_itself():
     fmt = ArrayFormat("mic")
     positions = tetra_positions()
-    for t in mic_transforms():
+    for t in transforms_for("mic"):
         perm, sign = fmt.channel_map(t.matrix)
-        assert (t.perm, t.sign) == (tuple(perm), (1, 1, 1, 1))
+        assert sign.tolist() == [1, 1, 1, 1]
         # Capsule m takes the channel of the capsule that A maps onto its own.
         np.testing.assert_array_equal(positions[perm] @ t.matrix.T, positions)
 
 
 def test_channel_map_rejects_a_turn_the_array_does_not_have():
-    by_name = {t.name: t.matrix for t in foa_transforms()}
+    by_name = {t.name: t.matrix for t in transforms_for("foa")}
     with pytest.raises(ValueError, match="onto itself"):
         ArrayFormat("mic").channel_map(by_name["rot090"])
     triangle = [[0.05, 0.0, 0.0], [0.0, 0.05, 0.0], [-0.03, -0.03, 0.01]]
@@ -160,11 +157,12 @@ def test_mic_turn_matches_the_per_channel_rewrap_exactly():
     fmt, cues = ArrayFormat("mic", speed_of_sound=300.0), feat.data[4:].astype(np.float64)
     f_hz = np.arange(feat.meta["compress_start_bin"]) * feat.meta["bin_hz"]
     assert np.count_nonzero(cues) > 1000
-    for tx in mic_transforms():
+    for tx in transforms_for("mic"):
+        perm, sign = fmt.channel_map(tx.matrix)
         want = []
         for m in range(1, 4):
-            d = (cues[tx.perm[m] - 1] if tx.perm[m] else 0.0) - (
-                cues[tx.perm[0] - 1] if tx.perm[0] else 0.0)
+            d = (cues[perm[m] - 1] if perm[m] else 0.0) - (
+                cues[perm[0] - 1] if perm[0] else 0.0)
             head = d[:, : len(f_hz)]
             cells = np.nonzero((head != 0) & (f_hz > 0))
             f = f_hz[cells[1]]
@@ -172,7 +170,7 @@ def test_mic_turn_matches_the_per_channel_rewrap_exactly():
             wrapped = np.arctan2(np.sin(phase), np.cos(phase))
             head[cells] = -300.0 * wrapped / (2.0 * np.pi * f)
             want.append(d)
-        got = fmt.turn_cues(cues, tx.perm, tx.sign, f_hz)
+        got = fmt.turn_cues(cues, perm, sign, f_hz)
         assert got.tobytes() == np.array(want).tobytes(), tx.name
 
 
@@ -199,7 +197,7 @@ def test_gcc_swap_commutes_with_rendering_mic():
     )
     spec, labels = render_scene(scene, cfg)
     feat = assemble(spec, "linspecgcc", fmt)
-    for tx in mic_transforms():
+    for tx in transforms_for("mic"):
         swapped, _ = channel_swap(feat, labels, tx)
         direct = assemble(render_scene(scene.transformed(tx.matrix), cfg)[0], "linspecgcc", fmt)
         gap = swapped.data[:, :, :-1] - direct.data[:, :, :-1]
@@ -213,7 +211,7 @@ def test_swap_refuses_a_foa_gcc_tensor():
     scene = single_source_scene("mic", az=30.0, el=0.0, seed=1)
     feat = assemble(render_scene(scene, StftConfig())[0], "linspecgcc", ArrayFormat("mic"))
     feat.meta["format"] = "foa"
-    for tx in foa_transforms():
+    for tx in transforms_for("foa"):
         with pytest.raises(ValueError, match="linspecgcc requires the mic format"):
             channel_swap(feat, None, tx)
     with pytest.raises(ValueError, match="requires the mic format"):
@@ -302,7 +300,7 @@ def test_label_rows_turn_as_each_row_does():
     # Rows turned one array at a time give the CSV of the rows turned one by
     # one, for every swap of both formats.
     rng = np.random.default_rng(12)
-    for tx in foa_transforms() + mic_transforms():
+    for tx in transforms_for("foa") + transforms_for("mic"):
         rows = _label_rows(rng)
         want = rows_to_csv(oracles.turned_rows(rows, tx.matrix))
         got = LabelRows(rows).transformed(tx.matrix)

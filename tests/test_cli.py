@@ -22,8 +22,6 @@ from seldkit import (
     StftConfig,
     apply_stats,
     channel_swap,
-    foa_transforms,
-    mic_transforms,
     parse_scene,
     random_cutout,
     read_manifest,
@@ -31,6 +29,7 @@ from seldkit import (
     render_scene,
     rows_from_csv,
     rows_to_csv,
+    transforms_for,
     unit_vector,
 )
 from seldkit.cli import main, read_wav
@@ -717,15 +716,23 @@ def test_augment_copy_when_disabled(corpus, tmp_path, capsys):
         assert read_manifest(out / f"{stem}.manifest.txt") == want
 
 
-@pytest.mark.parametrize("first", ["salsa", "linspeciv"])
-def test_stats_refuses_a_corpus_of_mixed_feature_kinds(corpus, tmp_path, capsys, first):
-    # foa salsa and linspeciv tensors have equal channel roles; pooled, the
-    # eigenvector cues' statistics once standardized the intensity vectors.
+@pytest.mark.parametrize("first, second", [
+    pytest.param("foa salsa", "foa linspeciv", id="salsa"),
+    pytest.param("foa linspeciv", "foa salsa", id="linspeciv"),
+    pytest.param("foa salsa", "mic salsa", id="mic"),
+])
+def test_stats_refuses_a_corpus_of_mixed_feature_kinds(corpus, tmp_path, capsys, first, second):
+    # foa salsa and linspeciv tensors have equal channel roles, and so do foa
+    # and mic salsa; pooled, the eigenvector cues' statistics once
+    # standardized the intensity vectors, and W/X/Y/Z pooled with capsules.
     feat = tmp_path / "feat"
-    second = "linspeciv" if first == "salsa" else "salsa"
     for kind, stem in ((first, "a"), (second, "b")):
-        main(["extract", str(corpus / f"{stem}.wav"), "--format", "foa", "--feature", kind,
-              "--out", str(feat)])
+        fmt, feature = kind.split()
+        wav = corpus / f"{stem}.wav"
+        if fmt == "mic":
+            wav = tmp_path / "b.wav"
+            _mic_source_wav(wav)
+        main(["extract", str(wav), "--format", fmt, "--feature", feature, "--out", str(feat)])
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["stats", str(feat), "--out", str(out / "s.ftb"), "--apply", str(out)]) == 3
@@ -840,7 +847,7 @@ def test_augment_rewraps_mic_cues_with_the_tensors_speed_of_sound(tmp_path):
     # swap at the tensor's 300 m/s.
     rng = np.random.default_rng([1, 0])
     rng.random()
-    options = mic_transforms()
+    options = transforms_for("mic")
     tx = options[int(rng.integers(len(options)))]
     want, _ = channel_swap(feat, None, tx)
     rng.random()
@@ -888,7 +895,7 @@ def test_augment_turns_every_label_row_with_the_drawn_swap(corpus, tmp_path):
                  "--labels", str(labels), "--set", "p_apply=1"]) == 0
     rng = np.random.default_rng([2, 0])  # augment_pipeline's first two draws
     rng.random()
-    tx = foa_transforms()[int(rng.integers(16))]
+    tx = transforms_for("foa")[int(rng.integers(16))]
     assert not np.array_equal(tx.matrix, np.eye(3))
     got = rows_from_csv((out / "a.csv").read_text())
     assert [r[:3] for r in got] == [r[:3] for r in rows]

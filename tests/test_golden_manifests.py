@@ -183,6 +183,7 @@ GOLDEN = {
     'stats/salsa.manifest.txt': (
         'kind=stats\n'
         'feature=salsa\n'
+        'format=foa\n'
         'channel_roles=spec,spec,spec,spec,spatial,spatial,spatial\n'
         'files=1\n'
         'std_floor=1e-08\n'
