@@ -85,8 +85,6 @@ def transforms_for(kind: str) -> list[SpatialTransform]:
 def _role_slices(feat: FeatureTensor) -> dict[str, list[int]]:
     groups: dict[str, list[int]] = {"spec": [], "spatial": [], "gcc": []}
     for i, role in enumerate(feat.channel_roles):
-        if role not in groups:
-            raise ValueError(f"unknown channel role {role!r}")
         groups[role].append(i)
     return groups
 

@@ -170,7 +170,7 @@ def assemble_stream(
     Every channel of the four classical kinds depends on its own frame
     only, so each spectrogram block of `frames` gives one output block.
     salsa's direction half is spatial.salsa_cues, which describes its
-    pipeline and delivers the spectrogram rows with the cues run by run;
+    pipeline and delivers the spectrogram rows with the cues block by block;
     its meta adds f_low, f_high and the speed of sound the mic cues use,
     and its counts are the three gate counts. The stream's shape is the
     whole tensor's either way, and its blocks hold the same bits as the

@@ -41,6 +41,7 @@ from .stft import AudioClip, stft, stft_stream  # noqa: F401
 from .synth import (  # noqa: F401
     LABEL_FPS,
     LabelRows,
+    csv_label_table,
     parse_scene,
     render_scene,
     render_stream,
@@ -371,7 +372,7 @@ def cmd_eval(args) -> None:
         r = ref_root / p.name if ref_root.is_dir() else ref_root
         if not r.exists():
             raise InputError(f"{r}: missing reference file")
-        pairs.append((rows_from_csv(p.read_text()), rows_from_csv(r.read_text())))
+        pairs.append((csv_label_table(p.read_text()), csv_label_table(r.read_text())))
     table = evaluate_many(pairs, mcfg).as_dict()
     print(json.dumps(table))
     for key in (

@@ -168,18 +168,16 @@ def _match_cells(start: np.ndarray, side: np.ndarray, vec: np.ndarray):
 
 
 def evaluate(pred_rows, ref_rows, cfg: MetricsConfig | None = None) -> MetricsReport:
-    """Score one prediction/reference pair of label row lists.
-
-    Rows are (frame, class, track, azimuth_deg, elevation_deg) tuples as read
-    from the label CSV format, checked by label_table. This is evaluate_many
-    of the one pair.
-    """
+    """Score one prediction/reference pair of label rows: evaluate_many of the one pair."""
     return evaluate_many([(pred_rows, ref_rows)], cfg)
 
 
 def evaluate_many(pairs, cfg: MetricsConfig | None = None) -> MetricsReport:
     """Micro-averaged scores over an iterable of (pred_rows, ref_rows).
 
+    Each side is a list of (frame, class, track, azimuth_deg, elevation_deg)
+    tuples as read from the label CSV format, or a table label_table built
+    of them; label_table checks the first and takes the second as it is.
     Every row of every pair goes into one table, and the pair index leads
     every sort key, so no cell or segment spans two pairs.
     """

@@ -7,9 +7,10 @@ and cues (channel_map, turn_cues). Three functions take a batch of TF bins:
 `local_covariance` gathers each bin's frames into its covariance,
 `eigen_summary` gives Hermitian eigendecompositions and `dominance_ratio`
 their coherence ratios. `salsa_cues` runs them on the candidate bins of
-each run of frames as blocks arrive. Its magnitude gate carries one state
-across blocks, the noise floor. The salsa stack, log spectrograms
-over these cues, is built by baseline.assemble_stream like every other kind.
+each frame block, read with the frames its windows reach. Its magnitude
+gate carries one state across blocks, the noise floor. The salsa stack,
+log spectrograms over these cues, is built by baseline.assemble_stream
+like every other kind.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stft import COMPRESS_FACTOR, COMPRESS_START_BIN, LOG_FLOOR, SpectrogramStream
+from .stft import COMPRESS_FACTOR, COMPRESS_START_BIN, LOG_FLOOR, SpectrogramStream, frame_blocks
 
 SPEED_OF_SOUND = 343.0
 # Magnitude below which a norm, a reference component or an eigenvalue
@@ -256,14 +257,13 @@ def _floor_before(
 
     Reads channel 0's first noise_init_frames frames, whose mean seeds the
     floor (and is the floor at frame -1), and then channel 0 alone over the
-    frames before `first`.
+    frames before `first`, a frame block at a time.
     """
-    seed = spec.blocks(slice(0, cfg.noise_init_frames), channels=1)
-    prev = np.concatenate([np.abs(part[0][:, bins]) for part in seed]).mean(axis=0)
-    start = 0
-    for part in spec.blocks(slice(0, first), channels=1):
-        prev = _floor_rows(np.abs(part[0][:, bins]), start, prev, cfg)[-1]
-        start += part.shape[1]
+    seed = spec.read(0, min(cfg.noise_init_frames, spec.n_frames), 1)
+    prev = np.abs(seed[0][:, bins]).mean(axis=0)
+    for block in frame_blocks(first):
+        part = spec.read(block.start, block.stop, 1)
+        prev = _floor_rows(np.abs(part[0][:, bins]), block.start, prev, cfg)[-1]
     return prev
 
 
@@ -387,27 +387,25 @@ def salsa_cues(
     frames: slice,
     counts: dict,
 ):
-    """Principal-eigenvector direction cues of the frames `frames`, run by run.
+    """Principal-eigenvector direction cues of the frames `frames`, block by block.
 
-    Yields (spectrogram rows (M, n, F), cues (M-1, n, F)) for each run of
-    finished frames, in frame order; the rows are the complex spectrogram
-    of the same frames. Pipeline per TF bin: adaptive noise floor and
-    running-RMS magnitude test on channel 0; inside the passband, the local
-    covariance's Hermitian eigendecomposition and the dominance-ratio test
-    on its two largest absolute eigenvalues; then a direction from the
-    principal eigenvector (fmt.cues). Cues are zero wherever a test fails or
-    outside [f_low, f_high].
+    Yields (spectrogram rows (M, n, F), cues (M-1, n, F)) for each frame
+    block (frame_blocks) of the range, in frame order; the rows are the
+    complex spectrogram of the same frames. Pipeline per TF bin: adaptive
+    noise floor and running-RMS magnitude test on channel 0; inside the
+    passband, the local covariance's Hermitian eigendecomposition and the
+    dominance-ratio test on its two largest absolute eigenvalues; then a
+    direction from the principal eigenvector (fmt.cues). Cues are zero
+    wherever a test fails or outside [f_low, f_high].
 
     The noise floor is the only state carried from frame to frame: it is
-    seeded by the mean of the first noise_init_frames frames, which are
-    read from channel 0 before anything else. Every other test is local in
-    time, so cues are built as the spectrogram blocks arrive. A frame is
-    finished once the frames its running RMS and covariance window reach
-    have arrived; between blocks only those halo frames and the last
-    finished frame's floor are kept. For a range that starts later, the
-    floor before it comes from a pass over channel 0 alone up to there
-    (`_floor_before`), and the full spectrogram is read from its halo on.
-    The cues have the same bits whatever the block sizes or the range.
+    seeded by the mean of the first noise_init_frames frames, and the floor
+    before the range comes from a pass over channel 0 alone up to there
+    (`_floor_before`). Every other test is local in time, so each block is
+    read on its own together with the frames its running RMS and covariance
+    windows reach on either side (cut at the clip's ends); between blocks
+    only the floor row of the block's last frame is kept. The cues have the
+    same bits whatever the block sizes or the range.
 
     Adds three gate counts over the frames built to `counts` once every
     block has been read: in_band_bins (frames x passband bins), candidates
@@ -422,41 +420,27 @@ def salsa_cues(
     bins = slice(band[0], band[-1] + 1) if len(band) else slice(0, 0)
     if lo >= hi:  # nothing to build; a 0-frame clip has no frame to seed the floor
         return
-    # The full spectrogram is read from the range's halo, frame `first`, on.
-    first = max(lo - reach, 0)
-    prev = _floor_before(spec, cfg, bins, lo)  # floor of frame done - 1
-    data = np.empty((M, 0, F), dtype=np.complex128)
-    done = lo
-    for part in spec.blocks(slice(first, hi + reach)):
-        data = np.concatenate([data, part], axis=1)
-        # Frames done..ready-1 can be finished: their windows end before
-        # the last frame received (or at the clip's end).
-        end = first + data.shape[1]
-        ready = min(T if end == T else end - reach, hi)
-        if ready <= done:
-            continue
-
+    prev = _floor_before(spec, cfg, bins, lo)  # floor of the frame before the block
+    for block in frame_blocks(hi, lo):
+        a, b = block.start, block.stop
+        first = max(a - reach, 0)  # data holds frames first.. of the clip
+        data = spec.read(first, min(b + reach, T), M)
         mag = np.abs(data[0, :, bins])
-        eta = _floor_rows(mag[done - first : ready - first], done, prev, cfg)
+        eta = _floor_rows(mag[a - first : b - first], a, prev, cfg)
         prev = eta[-1]
-        rms = _windowed_rms(mag * mag, done, ready, cfg.rms_half_window, T, first)
+        rms = _windowed_rms(mag * mag, a, b, cfg.rms_half_window, T, first)
         t_idx, f_idx = np.nonzero(rms > cfg.alpha_mag * eta)
-        t_idx += done
+        t_idx += a
         f_idx += bins.start
         cov, _ = local_covariance(data, t_idx, f_idx, half, first, T)
         vectors, values = eigen_summary(cov)
         coherent = dominance_ratio(values) > cfg.beta_ratio
-        counts["in_band_bins"] += (ready - done) * len(band)
+        counts["in_band_bins"] += (b - a) * len(band)
         counts["candidates"] += len(t_idx)
         counts["selected"] += int(coherent.sum())
 
-        cues = np.zeros((M - 1, ready - done, F))
-        cues[:, t_idx[coherent] - done, f_idx[coherent]] = fmt.cues(
+        cues = np.zeros((M - 1, b - a, F))
+        cues[:, t_idx[coherent] - a, f_idx[coherent]] = fmt.cues(
             vectors[coherent], f_idx[coherent] * spec.bin_hz
         ).T
-        yield data[:, done - first : ready - first], cues
-
-        done = ready  # keep the halo the next frames' windows reach back into
-        drop = max(done - reach, 0) - first
-        data = data[:, drop:]
-        first += drop
+        yield data[:, a - first : b - first], cues

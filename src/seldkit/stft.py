@@ -100,24 +100,22 @@ class ComplexSpectrogram:
         return self.data.shape[2]
 
     def stream(self) -> "SpectrogramStream":
-        """The spectrogram as a stream of frame-block views."""
-
-        def source(start, stop, channels):
-            return (self.data[:channels, block] for block in frame_blocks(stop, start))
-
+        """The spectrogram as a stream whose reads are views of it."""
         return SpectrogramStream(
-            self.n_channels, self.n_frames, self.n_bins, self.bin_hz, self.frame_rate, source
+            self.n_channels, self.n_frames, self.n_bins, self.bin_hz, self.frame_rate,
+            lambda start, stop, channels: self.data[:channels, start:stop],
         )
 
 
 @dataclass
 class SpectrogramStream:
-    """A complex spectrogram of n_frames frames, delivered as frame blocks.
+    """A complex spectrogram of n_frames frames, read by frame range.
 
-    source(start, stop, channels) yields the first `channels` channels of
-    frames start..stop-1 as consecutive (channels, n, bins) complex arrays,
-    n >= 1, in frame order; blocks() is its usual entry. Each call is a new
-    pass over the source, so a consumer may read any range of frames.
+    read(start, stop, channels) returns the first `channels` channels of
+    frames start..stop-1 (0 <= start < stop <= n_frames) as one
+    (channels, stop - start, bins) complex array. Every call stands alone,
+    so a consumer may read any range, in any order, as often as it needs;
+    blocks() reads a range block by block.
     """
 
     n_channels: int
@@ -125,22 +123,24 @@ class SpectrogramStream:
     n_bins: int
     bin_hz: float
     frame_rate: float
-    source: Callable[[int, int, int], Iterator[np.ndarray]]
+    read: Callable[[int, int, int], np.ndarray]
 
-    def blocks(
-        self, frames: slice = slice(None), channels: int | None = None
-    ) -> Iterator[np.ndarray]:
-        """Blocks of the frames in `frames` (default all), every channel or the first `channels`."""
+    def blocks(self, frames: slice = slice(None)) -> Iterator[np.ndarray]:
+        """Every channel of the frames in `frames` (default all), a frame block at a time."""
         start, stop, _ = frames.indices(self.n_frames)
-        return self.source(start, stop, self.n_channels if channels is None else channels)
+        for block in frame_blocks(stop, start):
+            yield self.read(block.start, block.stop, self.n_channels)
 
 
 def check_feature_layout(shape, channel_roles, scale: str) -> None:
-    """Raise ValueError unless these describe a feature tensor: 3-D, one role per channel."""
+    """Raise ValueError unless these describe a feature tensor: 3-D, one known role per channel."""
     if len(shape) != 3:
         raise ValueError("feature tensor must be 3-D (channels, frames, bands)")
     if len(channel_roles) != shape[0]:
         raise ValueError("one role per channel required")
+    for role in channel_roles:
+        if role not in ("spec", "spatial", "gcc"):
+            raise ValueError(f"unknown channel role {role!r}")
     if scale not in ("linear", "mel"):
         raise ValueError(f"unknown scale {scale!r}")
 
@@ -211,7 +211,9 @@ class FeatureStream:
 # Frames per block of the STFT and of every feature stack built from it.
 # Outputs do not depend on it. At 64 frames a 4-channel block's temporaries
 # (the 6-pair GCC stack is 1.6 MB) stay in cache; 256 made mic melspecgcc
-# extraction about 30 % slower on a 2-core x86 host.
+# extraction about 30 % slower on a 2-core x86 host. It also sets salsa's
+# extra STFT work: each salsa block is read with the 3 frames either side
+# that its windows reach, so 6 of every 64 frames are transformed twice.
 _BLOCK_FRAMES = 64
 
 # Log spectrogram floor and high-band compression; BinSelectionConfig's defaults.
@@ -238,18 +240,16 @@ def _analysis_window(name: str, length: int) -> np.ndarray:
 def stft_stream(
     read: Callable[[int, int], np.ndarray], n_channels: int, n_samples: int, cfg: StftConfig
 ) -> SpectrogramStream:
-    """Short-time Fourier transform of samples pulled block by block.
+    """Short-time Fourier transform of samples read by position.
 
     No padding or centering is applied: frame t covers samples
     [t*hop, t*hop + window). The transform is an unnormalized rfft of the
-    windowed frame, zero-padded to fft_size. A pass over a range of frames
-    (SpectrogramStream.blocks) starts at the first sample of its first frame;
-    for each block of frames (frame_blocks) the samples it still needs are
-    pulled with read(start, count), which returns samples start..start+count-1
-    as (channels, count) float64. Only those samples and the window overlap
-    with the next block are kept. rfft treats every frame and channel on its
-    own, so neither the blocking nor the range nor the channel count changes
-    any output bit.
+    windowed frame, zero-padded to fft_size. A read of frames start..stop-1
+    (SpectrogramStream.read) pulls exactly the samples they cover with
+    read(start*hop, count), which returns samples start*hop..start*hop+count-1
+    as (channels, count) float64, and keeps nothing once it returns. rfft
+    treats every frame and channel on its own, so neither the range nor the
+    channel count changes any output bit.
 
     Args:
         read: source of the clip's samples by position.
@@ -257,26 +257,18 @@ def stft_stream(
         cfg: analysis parameters; the samples are taken to be at its rate.
 
     Returns:
-        SpectrogramStream of (channels, n, fft_size//2 + 1) complex blocks.
+        SpectrogramStream whose reads are (channels, n, fft_size//2 + 1) complex.
     """
     n_frames = cfg.n_frames(n_samples)
     win = _analysis_window(cfg.window, cfg.window_length)
     hop, width = cfg.hop_length, cfg.window_length
 
-    def blocks(start, stop, channels):
-        buf = np.empty((channels, 0))  # samples from the current block's first frame
-        pos = start * hop  # first sample not read yet
-        for block in frame_blocks(stop, start):
-            need = (block.stop - 1) * hop + width - pos
-            if need > 0:
-                new = read(pos, need)[:channels]
-                pos += need
-                buf = np.concatenate([buf, new], axis=1) if buf.shape[1] else new
-            frames = np.lib.stride_tricks.sliding_window_view(buf, width, axis=-1)[:, ::hop]
-            yield np.fft.rfft(frames * win, n=cfg.fft_size, axis=-1)
-            buf = buf[:, (block.stop - block.start) * hop :]
+    def frames(start, stop, channels):
+        samples = read(start * hop, (stop - start - 1) * hop + width)[:channels]
+        windows = np.lib.stride_tricks.sliding_window_view(samples, width, axis=-1)[:, ::hop]
+        return np.fft.rfft(windows * win, n=cfg.fft_size, axis=-1)
 
-    return SpectrogramStream(n_channels, n_frames, cfg.n_bins, cfg.bin_hz, cfg.frame_rate, blocks)
+    return SpectrogramStream(n_channels, n_frames, cfg.n_bins, cfg.bin_hz, cfg.frame_rate, frames)
 
 
 def stft(clip: AudioClip, cfg: StftConfig) -> ComplexSpectrogram:

@@ -518,10 +518,12 @@ def rows_to_csv(rows: list[tuple[int, int, int, float, float]]) -> str:
 
 
 def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
-    """Parse label rows; raises ValueError on malformed lines.
+    """Parse label rows; raises ValueError naming the first malformed line."""
+    return csv_label_table(text).tolist()
 
-    Every row must pass label_table's checks, which name the line.
-    """
+
+def csv_label_table(text: str) -> np.ndarray:
+    """label_table of label CSV text, whose ValueError names the first malformed line."""
     rows, lines = [], []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -538,8 +540,7 @@ def rows_from_csv(text: str) -> list[tuple[int, int, int, float, float]]:
                 f"label line {ln}: expected integer frame, class and track and numeric angles"
             ) from None
         lines.append(ln)
-    label_table(rows, lines)
-    return rows
+    return label_table(rows, lines)
 
 
 # One label row; the indices are int64 as given, never through a float.
@@ -552,8 +553,10 @@ def label_table(rows, lines: list[int] | None = None) -> np.ndarray:
     Frame, class and track must be integers in [0, 2**63), the int64 range
     the scorer keeps them in, and both angles finite. ValueError names the
     first row that is not: "label line {lines[i]}" if lines are given, else
-    "label row {i}".
+    "label row {i}". A table this built is returned as it is.
     """
+    if isinstance(rows, np.ndarray) and rows.dtype == _LABEL_ROW:
+        return rows
     rows = list(rows)
     if set(map(len, rows)) - {5}:
         raise ValueError("label rows must have 5 fields")

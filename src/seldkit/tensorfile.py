@@ -310,15 +310,17 @@ class FeatureReader:
     """A feature tensor file opened for reads one channel at a time.
 
     Opening it makes every check read_feature makes: the tensor file's
-    header and size, then kind=feature in its manifest, whose channel roles,
-    scale and metadata it parses back. It holds the file open until closed;
-    use it as a context manager.
+    header, size and real dtype, then kind=feature in its manifest, whose
+    channel roles (each spec, spatial or gcc), scale and metadata it parses
+    back. It holds the file open until closed; use it as a context manager.
     """
 
     def __init__(self, path: str | Path):
         self._fh = open(path, "rb")
         try:
             self.shape, self._dtype = _read_header(self._fh, path)
+            if self._dtype.kind == "c":
+                raise ValueError(f"{path}: a feature tensor is real, not {self._dtype}")
             self._payload = self._fh.tell()
             manifest = read_manifest(manifest_path_for(path))
             if manifest.get("kind") != "feature":

@@ -260,6 +260,63 @@ def test_frame_ranges_give_the_whole_tensors_rows(monkeypatch, spectrograms, fmt
             assert whole.meta["selected"] > (1000 if clip is spec else 0)
 
 
+@pytest.mark.parametrize("channels", [1, 4])
+def test_stream_reads_are_the_whole_stfts_frames(foa_clip, channels):
+    cfg = StftConfig()
+    whole = stft(foa_clip, cfg)
+    T = whole.n_frames
+    pulled = []
+
+    def samples(start, count):
+        pulled.append((start, count))
+        return foa_clip.samples[:, start : start + count]
+
+    streams = [
+        stft_module.stft_stream(samples, foa_clip.n_channels, foa_clip.n_samples, cfg),
+        whole.stream(),
+    ]
+    for a, b in [(0, 1), (63, 65), (T - 1, T), (5, 135), (0, T)]:
+        want = whole.data[:channels, a:b]
+        for stream in streams:
+            got = stream.read(a, b, channels)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (a, b)
+        # Exactly the samples frames a..b-1 cover, pulled in one call.
+        width = (b - a - 1) * cfg.hop_length + cfg.window_length
+        assert pulled == [(a * cfg.hop_length, width)]
+        pulled.clear()
+
+
+@pytest.mark.parametrize("frames", [slice(70, 200), slice(None)])
+def test_salsa_reads_each_block_with_its_halo(spectrograms, frames):
+    # The full spectrogram is read a frame block at a time, widened by the
+    # windows' reach and cut at the clip's ends; channel 0 alone is read
+    # for the floor's seed and the frames before the range.
+    spec = spectrograms["mic"]
+    M, T = spec.n_channels, spec.n_frames
+    stream = spec.stream()
+    calls = []
+    read = stream.read
+
+    def recording(start, stop, channels):
+        calls.append((start, stop, channels))
+        return read(start, stop, channels)
+
+    stream.read = recording
+    cfg = BinSelectionConfig.for_format("mic")
+    reach = max(cfg.cov_half_window, cfg.rms_half_window)
+    feat = assemble_stream(stream, "salsa", ArrayFormat("mic"), cfg, frames=frames)
+    for _ in feat.blocks:
+        pass
+    lo, hi, _ = frames.indices(T)
+    assert hi - lo > 2 * stft_module._BLOCK_FRAMES
+    blocks = stft_module.frame_blocks
+    wide = [(max(b.start - reach, 0), min(b.stop + reach, T)) for b in blocks(hi, lo)]
+    assert [c[:2] for c in calls if c[2] == M] == wide
+    narrow = [(0, cfg.noise_init_frames)] + [(b.start, b.stop) for b in blocks(lo)]
+    assert [c[:2] for c in calls if c[2] == 1] == narrow
+    assert len(calls) == len(wide) + len(narrow)
+
+
 def _truncate_after_open(monkeypatch, keep_samples):
     """open_wav that cuts the file to its first keep_samples sample frames
     right after parsing the header, which still counts them all."""

@@ -33,7 +33,7 @@ from seldkit import (
     unit_vector,
 )
 from seldkit.cli import main, read_wav
-from seldkit.tensorfile import read_feature, write_feature
+from seldkit.tensorfile import read_feature, write_feature, write_feature_manifest, write_tensor
 from seldkit.wavio import WavReader
 
 import support
@@ -761,6 +761,28 @@ def test_stats_and_augment_refuse_non_finite_tensors(tmp_path, capsys, bad):
         assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", "3",
                      "--set", f"p_apply={p_apply}"]) == 4
         assert "a.ftb: feature tensor has non-finite values" in capsys.readouterr().err
+        assert not aug.exists()
+
+
+@pytest.mark.parametrize("bad", ["role", "complex"])
+def test_stats_and_augment_refuse_unknown_roles_and_complex_tensors(tmp_path, capsys, bad):
+    # An unknown role once passed stats --apply and, at some augment seeds,
+    # augment; a complex tensor passed both with its imaginary parts dropped.
+    data = np.random.default_rng(0).standard_normal((3, 50, 20))
+    feat_dir, normed, aug = tmp_path / "feat", tmp_path / "normed", tmp_path / "aug"
+    roles = ["spec", "spec", "foo" if bad == "role" else "spatial"]
+    write_tensor(feat_dir / "a.ftb", data.astype(np.complex64 if bad == "complex" else np.float32))
+    write_feature_manifest(feat_dir / "a.ftb", data.shape, roles, "linear",
+                           {"feature": "linspecgcc", "format": "mic"})
+    want = "unknown channel role 'foo'" if bad == "role" else "a.ftb: a feature tensor is real"
+    stats = tmp_path / "stats" / "s.ftb"
+    for apply in ([], ["--apply", str(normed)]):
+        assert main(["stats", str(feat_dir), "--out", str(stats), *apply]) == 3
+        assert want in capsys.readouterr().err
+        assert not stats.parent.exists() and not normed.exists()
+    for seed in range(6):
+        assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", str(seed)]) == 3
+        assert want in capsys.readouterr().err
         assert not aug.exists()
 
 

@@ -17,6 +17,7 @@ from seldkit import (
 )
 
 from seldkit import metrics
+from seldkit.synth import csv_label_table, label_table, rows_from_csv, rows_to_csv
 from oracles import best_assignment, score_rows
 
 
@@ -295,6 +296,21 @@ def test_evaluate_refuses_rows_the_label_csv_would(bad):
     # Integers of any numpy type within range are taken as they are.
     rows = [(np.int64(3), np.uint8(1), np.int16(0), np.float32(30.0), 10)]
     assert evaluate(rows, ref).aggregate == pytest.approx(0.0, abs=1e-6)
+
+
+def test_evaluate_takes_a_label_table_as_it_is():
+    # eval builds each file's table once, in csv_label_table, and scores it
+    # as evaluate scores the same file's rows.
+    rng = np.random.default_rng(4)
+    ref = [(int(f), int(c), 0, float(az), float(el)) for f, c, az, el in zip(
+        rng.integers(0, 50, 40), rng.integers(0, 3, 40),
+        rng.uniform(-180, 180, 40), rng.uniform(-45, 45, 40))]
+    pred = [(f, c, t, az + 7.0, el) for f, c, t, az, el in ref]
+    tables = [csv_label_table(rows_to_csv(rows)) for rows in (pred, ref)]
+    assert all(label_table(t) is t for t in tables)
+    want = evaluate(*(rows_from_csv(rows_to_csv(rows)) for rows in (pred, ref)))
+    assert evaluate_many([tables]).as_dict() == want.as_dict()
+    assert 0 < want.counts["matched_pairs"]
 
 
 def test_report_dict_round_trip():

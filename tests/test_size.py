@@ -5,7 +5,7 @@ from pathlib import Path
 import seldkit
 
 # ROADMAP item 7's ceiling for `wc -l src/seldkit/*.py`.
-MAX_SOURCE_LINES = 3822
+MAX_SOURCE_LINES = 3799
 
 
 def test_source_lines_stay_within_the_ceiling():
