@@ -129,7 +129,7 @@ def assemble(
     n_mels: int = N_MELS,
 ) -> FeatureTensor:
     """Whole-clip assemble_stream: a named feature stack of a complex spectrogram."""
-    return assemble_stream(spec.stream(), kind, fmt, cfg, n_mels).collect()
+    return assemble_stream(spec, kind, fmt, cfg, n_mels).collect()
 
 
 def salsa(

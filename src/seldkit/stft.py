@@ -80,34 +80,6 @@ class AudioClip:
 
 
 @dataclass
-class ComplexSpectrogram:
-    """Complex STFT stack, channels x frames x bins."""
-
-    data: np.ndarray
-    bin_hz: float
-    frame_rate: float
-
-    @property
-    def n_channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n_frames(self) -> int:
-        return self.data.shape[1]
-
-    @property
-    def n_bins(self) -> int:
-        return self.data.shape[2]
-
-    def stream(self) -> "SpectrogramStream":
-        """The spectrogram as a stream whose reads are views of it."""
-        return SpectrogramStream(
-            self.n_channels, self.n_frames, self.n_bins, self.bin_hz, self.frame_rate,
-            lambda start, stop, channels: self.data[:channels, start:stop],
-        )
-
-
-@dataclass
 class SpectrogramStream:
     """A complex spectrogram of n_frames frames, read by frame range.
 
@@ -130,6 +102,20 @@ class SpectrogramStream:
         start, stop, _ = frames.indices(self.n_frames)
         for block in frame_blocks(stop, start):
             yield self.read(block.start, block.stop, self.n_channels)
+
+
+class ComplexSpectrogram(SpectrogramStream):
+    """Complex STFT stack, channels x frames x bins: a stream whose reads are views of data.
+
+    Its shape fields are data's; read is a method, so no spectrogram is a reference cycle.
+    """
+
+    def __init__(self, data: np.ndarray, bin_hz: float, frame_rate: float):
+        self.n_channels, self.n_frames, self.n_bins = data.shape
+        self.data, self.bin_hz, self.frame_rate = data, bin_hz, frame_rate
+
+    def read(self, start: int, stop: int, channels: int) -> np.ndarray:
+        return self.data[:channels, start:stop]
 
 
 def check_feature_layout(shape, channel_roles, scale: str) -> None:

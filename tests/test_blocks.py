@@ -243,13 +243,13 @@ def test_frame_ranges_give_the_whole_tensors_rows(monkeypatch, spectrograms, fmt
         short = ComplexSpectrogram(spec.data[:, :10], spec.bin_hz, spec.frame_rate)
         cases += [(spec, long_seed), (short, long_seed)]
     for clip, cfg in cases:
-        whole = assemble_stream(clip.stream(), kind, fmt, cfg).collect()
+        whole = assemble_stream(clip, kind, fmt, cfg).collect()
         edges = [e for e in (0, 2, 4, 7, 9, 40, 41, 250) if e < clip.n_frames] + [clip.n_frames]
         for block in (1, 7, 64):
             monkeypatch.setattr(stft_module, "_BLOCK_FRAMES", block)
             rows, counts = [], {}
             for lo, hi in zip(edges, edges[1:]):
-                part = assemble_stream(clip.stream(), kind, fmt, cfg, frames=slice(lo, hi))
+                part = assemble_stream(clip, kind, fmt, cfg, frames=slice(lo, hi))
                 rows.extend(part.blocks)
                 for key, n in part.counts.items():
                     counts[key] = counts.get(key, 0) + n
@@ -273,7 +273,7 @@ def test_stream_reads_are_the_whole_stfts_frames(foa_clip, channels):
 
     streams = [
         stft_module.stft_stream(samples, foa_clip.n_channels, foa_clip.n_samples, cfg),
-        whole.stream(),
+        whole,
     ]
     for a, b in [(0, 1), (63, 65), (T - 1, T), (5, 135), (0, T)]:
         want = whole.data[:channels, a:b]
@@ -293,15 +293,15 @@ def test_salsa_reads_each_block_with_its_halo(spectrograms, frames):
     # for the floor's seed and the frames before the range.
     spec = spectrograms["mic"]
     M, T = spec.n_channels, spec.n_frames
-    stream = spec.stream()
     calls = []
-    read = stream.read
 
     def recording(start, stop, channels):
         calls.append((start, stop, channels))
-        return read(start, stop, channels)
+        return spec.read(start, stop, channels)
 
-    stream.read = recording
+    # A new stream, so that the module's shared spectrogram is left as it is.
+    stream = stft_module.SpectrogramStream(M, T, spec.n_bins, spec.bin_hz, spec.frame_rate,
+                                           recording)
     cfg = BinSelectionConfig.for_format("mic")
     reach = max(cfg.cov_half_window, cfg.rms_half_window)
     feat = assemble_stream(stream, "salsa", ArrayFormat("mic"), cfg, frames=frames)
