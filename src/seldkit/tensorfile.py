@@ -312,7 +312,8 @@ class FeatureReader:
     Opening it makes every check read_feature makes: the tensor file's
     header, size and real dtype, then kind=feature in its manifest, whose
     channel roles (each spec, spatial or gcc), scale and metadata it parses
-    back. It holds the file open until closed; use it as a context manager.
+    back, and whose channels, frames and bands must be the header's shape.
+    It holds the file open until closed; use it as a context manager.
     """
 
     def __init__(self, path: str | Path):
@@ -338,6 +339,9 @@ class FeatureReader:
             self.channel_roles = manifest["channel_roles"].split(",")
             self.scale = manifest["scale"]
             check_feature_layout(self.shape, self.channel_roles, self.scale)
+            for key, n in zip(("channels", "frames", "bands"), self.shape):
+                if (value := manifest.get(key)) != str(n):
+                    raise ValueError(f"{path}: manifest {key} {value!r} is not the header's {n}")
         except BaseException:
             self._fh.close()
             raise

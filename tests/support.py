@@ -156,35 +156,45 @@ WAV_SAMPLE_FORMATS = {
 
 
 def write_wav_blocks(path, sample_rate: int, n_channels: int, blocks, sample_format="float32",
-                     extensible=False):
+                     extensible=False, container="RIFF"):
     """Write a WAV file from (channels, n) float blocks in [-1, 1], one block at a time.
 
     The data size goes into the header once the last block is written, so
     the clip is never held whole. sample_format is a key of
     WAV_SAMPLE_FORMATS; integer formats are rounded and clipped to full scale.
     extensible writes a WAVE_FORMAT_EXTENSIBLE fmt chunk with a LIST chunk
-    before the data.
+    before the data. container is "RIFF", "RIFX" (every header field and
+    sample big-endian) or "RF64" (the sizes in a ds64 chunk, 0xFFFFFFFF in
+    the RIFF and data size fields).
     """
     tag, width, encode = WAV_SAMPLE_FORMATS[sample_format]
+    end = ">" if container == "RIFX" else "<"
     align = width * n_channels
-    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, n_channels, sample_rate,
+    fmt = struct.pack(end + "HHIIHH", 0xFFFE if extensible else tag, n_channels, sample_rate,
                       sample_rate * align, align, 8 * width)
     if extensible:
-        guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
-        fmt += struct.pack("<HHI", 22, 8 * width, 0) + guid
-    extra = b"LIST" + struct.pack("<I", 5) + b"INFOx\0" if extensible else b""
-    head = 12 + 8 + len(fmt) + len(extra) + 8
+        guid = struct.pack(end + "IHH", tag, 0, 0x10) + b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+        fmt += struct.pack(end + "HHI", 22, 8 * width, 0) + guid
+    extra = b"LIST" + struct.pack(end + "I", 5) + b"INFOx\0" if extensible else b""
+    ds64 = 8 + 28 if container == "RF64" else 0
+    head = 12 + ds64 + 8 + len(fmt) + len(extra) + 8
     with open(path, "wb") as fh:
         fh.write(b"\0" * head)
         size = 0
         for block in blocks:
             raw = np.ascontiguousarray(encode(np.asarray(block, dtype=np.float64).T.reshape(-1)))
+            if end == ">":
+                raw = np.ascontiguousarray(raw.view(np.uint8).reshape(-1, width)[:, ::-1])
             fh.write(raw.tobytes())
             size += raw.nbytes
         fh.seek(0)
-        fh.write(b"RIFF" + struct.pack("<I", head - 8 + size) + b"WAVE")
-        fh.write(b"fmt " + struct.pack("<I", len(fmt)) + fmt + extra)
-        fh.write(b"data" + struct.pack("<I", size))
+        if container == "RF64":
+            fh.write(b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE")
+            fh.write(b"ds64" + struct.pack("<IQQQI", 28, head - 8 + size, size, size // align, 0))
+        else:
+            fh.write(container.encode() + struct.pack(end + "I", head - 8 + size) + b"WAVE")
+        fh.write(b"fmt " + struct.pack(end + "I", len(fmt)) + fmt + extra)
+        fh.write(b"data" + struct.pack(end + "I", 0xFFFFFFFF if container == "RF64" else size))
 
 
 def noise_blocks(rng: np.random.Generator, n_channels: int, n_samples: int,

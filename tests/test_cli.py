@@ -297,6 +297,36 @@ def test_read_wav_extensible_and_truncated_files(tmp_path):
     assert read_wav(cut).samples.tobytes() == clip.samples[:, :289].tobytes()
 
 
+@pytest.mark.parametrize("container, sample_format, extensible", [
+    ("RIFX", "int16", False), ("RIFX", "int24", False), ("RIFX", "float32", False),
+    ("RIFX", "int24", True), ("RF64", "int16", False), ("RF64", "float32", True),
+])
+def test_rifx_and_rf64_files_read_and_extract_as_their_riff_copy(
+    tmp_path, container, sample_format, extensible
+):
+    samples = np.clip(0.3 * np.random.default_rng(6).standard_normal((4, 12000)), -0.999, 0.999)
+    wavs = {}
+    for name in ("RIFF", container):
+        wavs[name] = tmp_path / name / "clip.wav"
+        wavs[name].parent.mkdir()
+        support.write_wav_blocks(wavs[name], 24000, 4, np.array_split(samples, 3, axis=1),
+                                 sample_format, extensible, container=name)
+    assert wavs[container].read_bytes()[:4] == container.encode()
+    riff, other = read_wav(wavs["RIFF"]), read_wav(wavs[container])
+    assert other.sample_rate == riff.sample_rate == 24000
+    np.testing.assert_allclose(riff.samples, samples, rtol=0, atol=2.0**-15)
+    assert other.samples.tobytes() == riff.samples.tobytes()
+    with WavReader(wavs[container]) as a, WavReader(wavs["RIFF"]) as b:
+        assert a.read(1000, 3000).tobytes() == b.read(1000, 3000).tobytes()
+    tensors = []
+    for name, wav in wavs.items():
+        out = tmp_path / f"out_{name}"
+        assert main(["extract", str(wav), "--format", "foa", "--feature", "salsa",
+                     "--out", str(out)]) == 0
+        tensors.append((out / "clip.ftb").read_bytes())
+    assert tensors[0] == tensors[1]
+
+
 def test_extract_rejects_unreadable_wav_headers(tmp_path):
     out = tmp_path / "o"
     base = ["--format", "foa", "--feature", "salsa", "--out", str(out)]
@@ -811,6 +841,37 @@ def test_stats_and_augment_take_a_manifest_missing_any_header_key_cleanly(tmp_pa
     assert code in (0, 2, 3, 4) and "Traceback" not in err
     assert code == 3 or key not in ("scale", "channel_roles")
     if code:
+        assert not aug.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value", [("channels", "abc"), ("frames", "-1"), ("bands", "9999"), ("frames", None)]
+)
+def test_stats_and_augment_refuse_a_manifest_shape_that_is_not_the_headers(
+    tmp_path, capsys, key, value
+):
+    # A wrong value once passed stats, stats --apply and augment with exit 0,
+    # and their output manifests gave the header's shape in its place.
+    data = np.random.default_rng(0).standard_normal((7, 50, 20)).astype(np.float32)
+    feat = FeatureTensor(data, ["spec"] * 4 + ["spatial"] * 3, "linear",
+                         {"feature": "salsa", "format": "foa"})
+    feat_dir, normed, aug = tmp_path / "feat", tmp_path / "normed", tmp_path / "aug"
+    write_feature(feat_dir / "a.ftb", feat)
+    manifest = feat_dir / "a.manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines if not ln.startswith(f"{key}=")]
+    manifest.write_text("".join(kept) + ("" if value is None else f"{key}={value}\n"))
+    n = dict(zip(("channels", "frames", "bands"), data.shape))[key]
+    want = f"a.ftb: manifest {key} {value!r} is not the header's {n}"
+    stats = tmp_path / "stats" / "s.ftb"
+    for apply in ([], ["--apply", str(normed)]):
+        assert main(["stats", str(feat_dir), "--out", str(stats), *apply]) == 3
+        assert want in capsys.readouterr().err
+        assert not stats.parent.exists() and not normed.exists()
+    for seed in range(3):
+        assert main(["augment", str(feat_dir), "--out", str(aug), "--seed", str(seed),
+                     "--set", "p_apply=1"]) == 3
+        assert want in capsys.readouterr().err
         assert not aug.exists()
 
 

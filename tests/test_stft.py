@@ -1,5 +1,9 @@
 """STFT front end: transform correctness, mel projection, band compression."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from seldkit import (
     mel_filterbank,
     stft,
 )
+from seldkit.stft import SpectrogramStream
 
 import oracles
 
@@ -80,6 +85,29 @@ def test_rect_window_is_plain_dft_of_frames():
     np.testing.assert_allclose(spec.data[0, 0], first, atol=1e-12)
     with pytest.raises(ValueError, match="window"):
         stft(clip, StftConfig(window="blackman"))
+
+
+def test_a_spectrogram_is_a_stream_of_views_of_its_array():
+    clip = AudioClip(np.random.default_rng(1).standard_normal((3, 4000)), 24000)
+    spec = stft(clip, StftConfig())
+    assert isinstance(spec, SpectrogramStream) and not hasattr(spec, "stream")
+    assert (spec.n_channels, spec.n_frames, spec.n_bins) == spec.data.shape == (3, 12, 257)
+    view = spec.read(2, 9, 2)
+    assert np.shares_memory(view, spec.data)
+    assert view.tobytes() == spec.data[:2, 2:9].tobytes()
+    assert [b.shape[1] for b in spec.blocks(slice(5, None))] == [7]
+    same = ComplexSpectrogram(data=spec.data, bin_hz=spec.bin_hz, frame_rate=spec.frame_rate)
+    back = pickle.loads(pickle.dumps(same))
+    assert type(back) is ComplexSpectrogram and back.data.tobytes() == spec.data.tobytes()
+    assert (back.n_frames, back.bin_hz, back.frame_rate) == (12, 46.875, 80.0)
+    # No reference cycle: a spectrogram goes as soon as its last name does.
+    gc.disable()
+    try:
+        gone = weakref.ref(same)
+        del same
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_log_linear_floor_keeps_silence_finite():
