@@ -4,8 +4,8 @@ extract of every (format, kind) pair, synth of noisy and noise-free foa and
 mic scenes, stats --apply, augment --labels at two seeds, eval's stdout and
 the whole-clip assemble(stft(clip)) of every pair must each give the pinned
 digest, at every process count, so any change of an output bit or of label
-row order fails here. An intended byte change edits GOLDEN in the same
-change and says which digests changed and why.
+row order fails here. An intended byte change edits GOLDEN_ASSEMBLE or
+GOLDEN_FILES in the same change and says which digests changed and why.
 
 The bits also depend on numpy's pocketfft and on the loaded LAPACK's eigh,
 so a failure names numpy's version and the BLAS it was built with: a
@@ -26,7 +26,7 @@ import support
 # Every (format, kind) pair that extract writes.
 PAIRS = [(fmt, kind) for fmt, kinds in FORMAT_KINDS.items() for kind in kinds]
 
-# Scenes of 1 s (80 frames, more than one 64-frame block): two overlapping
+# Scenes of 1 s (79 frames, more than one 64-frame block): two overlapping
 # sources of one class over ambient noise, and one moving tone without noise.
 OVERLAP = """\
 version=1
